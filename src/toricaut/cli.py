@@ -27,7 +27,6 @@ from .fan import (
     is_simplicial,
     is_smooth,
     product_fan,
-    validate_fan,
 )
 from .lattice import pairing, primitive
 from .roots import classify_roots, demazure_roots, product_roots
@@ -38,6 +37,7 @@ from .structure import (
     wreath_order_check,
 )
 from .symbolic import (
+    WitnessNotFoundError,
     action_additivity_check,
     faithfulness_check,
     infinitesimal_check,
@@ -156,7 +156,7 @@ def _cmd_validate(fans) -> tuple:
     results = []
     code = 0
     for doc, fan, name in fans:
-        report = validate_fan(fan)
+        report = fan.validation
         entry = {"name": name, "valid": report.ok,
                  "violations": [{"code": e.code, "message": e.message}
                                 for e in report.entries]}
@@ -307,7 +307,7 @@ def run_certificates(fans) -> list:
     """
     out = []
     for _, fan, name in fans:
-        report = validate_fan(fan)
+        report = fan.validation
         out.append(("valid", name, report.ok, report.summary()))
         if not report.ok:
             continue
@@ -332,7 +332,7 @@ def run_certificates(fans) -> list:
             for r in roots:
                 faithfulness_check(fan, r)
             out.append(("faithfulness", name, True, "witness per root"))
-        except RuntimeError as exc:
+        except WitnessNotFoundError as exc:
             out.append(("faithfulness", name, False, str(exc)))
         out.append(("wreath_order", name, wreath_order_check(fan), ""))
     if all(ok for _, _, ok, _ in out):

@@ -8,8 +8,9 @@ after construction and every query is pure, so concurrent reads are safe.
 
 Dual descriptions are computed exactly by the double description method
 (constraints inserted one at a time, adjacent ray pairs combined, with a
-purely combinatorial adjacency test); a rank (n-1) subset-enumeration
-variant is kept alongside as an independent reference for the tests.
+purely combinatorial adjacency test).  Complete simplicial fans are
+certified valid by a local ridge criterion; any other fan falls back to
+intersecting every pair of maximal cones.
 """
 
 from __future__ import annotations
@@ -193,32 +194,6 @@ def halfspace_cone_generators(normals: Sequence[Sequence[int]], n: int) -> tuple
     return tuple(_pointed_extreme_rays(rows, n)), lin
 
 
-def extreme_rays_by_subset_enumeration(normals: Sequence[Sequence[int]], n: int) -> tuple[Mat, Mat]:
-    """Reference implementation of halfspace_cone_generators that kernels
-    every rank n-1 constraint subsystem; kept as an independent oracle."""
-    rows = []
-    seen = set()
-    for a in normals:
-        a = vec(a)
-        if any(a) and a not in seen:
-            seen.add(a)
-            rows.append(a)
-    lin = right_kernel_basis(rows, n)
-    need = n - 1 - len(lin)
-    if need < 0:
-        return (), lin
-    found = set()
-    for sub in combinations(rows, need):
-        ker = right_kernel_basis(list(sub) + list(lin), n)
-        if len(ker) != 1:
-            continue
-        v = primitive(ker[0])
-        for cand in (v, vec_neg(v)):
-            if cand not in found and all(pairing(a, cand) >= 0 for a in rows):
-                found.add(cand)
-    return tuple(sorted(found)), lin
-
-
 def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
     """Build a cone from generators, computing its dual description.
 
@@ -349,12 +324,20 @@ class Fan:
 
     @cached_property
     def all_cones(self) -> dict:
-        """Face closure: map from sorted ray-index tuple to cone dimension."""
+        """Face closure: map from sorted ray-index tuple to cone dimension.
+
+        Every subset of a simplicial cone's rays spans a face of dimension
+        equal to its size; only non-simplicial cones need the closure test.
+        """
         out = {(): 0}
         for c in self.max_cones:
-            for f in self._faces_of(c):
-                if f not in out:
-                    out[f] = rank_of([self.rays[i] for i in f])
+            if len(c) == self.cone(c).dim:
+                for size in range(1, len(c) + 1):
+                    out.update(dict.fromkeys(combinations(c, size), size))
+            else:
+                for f in self._faces_of(c):
+                    if f not in out:
+                        out[f] = rank_of([self.rays[i] for i in f])
         return out
 
     def _faces_of(self, cidx: tuple) -> set:
@@ -373,9 +356,11 @@ class Fan:
                     faces.add(tuple(cidx[i] for i in sub))
         return faces
 
-    @cached_property
-    def faces_by_max_cone(self) -> dict:
-        return {c: self._faces_of(c) for c in self.max_cones}
+    def _ridges(self, cidx: tuple) -> list:
+        """(ray indices, facet normal) for each facet of a full-dimensional
+        maximal cone: the rays of the facet are those the normal kills."""
+        return [(tuple(i for i in cidx if pairing(self.rays[i], g) == 0), g)
+                for g in self.cone(cidx).facet_normals]
 
     def cones_of_dim(self, d: int) -> tuple:
         return tuple(sorted(c for c, dim in self.all_cones.items() if dim == d))
@@ -427,7 +412,46 @@ def validate_fan(fan: Fan) -> ValidationReport:
         cones[c] = cone
     if entries:
         return ValidationReport(tuple(entries))
+    if _certified_complete_simplicial(fan, cones):
+        return ValidationReport(())
+    return ValidationReport(tuple(_pairwise_violations(fan, cones)))
 
+
+def _certified_complete_simplicial(fan: Fan, cones: dict) -> bool:
+    """Local proof that the maximal cones form a complete simplicial fan.
+
+    Holds when every maximal cone is full dimensional and simplicial, every
+    ridge bounds exactly two maximal cones whose remaining rays lie strictly
+    on opposite sides of it, and an interior point of one maximal cone lies
+    in no other.  Crossing a ridge then swaps one covering cone for another,
+    so every generic point is covered as often as that interior point, i.e.
+    once; with the ridge pairing this makes any two cones meet in a common
+    face (the covering argument of De Loera-Rambau-Santos, Triangulations,
+    ch. 4).  False means only that the certificate does not apply.
+    """
+    n = fan.rank
+    if any(len(c) != n or cone.dim != n for c, cone in cones.items()):
+        return False
+    owners: dict = {}
+    for c in fan.max_cones:
+        for ridge, g in fan._ridges(c):
+            (apex,) = set(c) - set(ridge)
+            owners.setdefault(ridge, []).append((apex, g))
+    for sides in owners.values():
+        if len(sides) != 2:
+            return False
+        (_, g), (apex, _) = sides
+        if pairing(fan.rays[apex], g) >= 0:
+            return False
+    first, *others = fan.max_cones
+    point = tuple(map(sum, zip(*(fan.rays[i] for i in first))))
+    return not any(cones[c].contains(point) for c in others)
+
+
+def _pairwise_violations(fan: Fan, cones: dict) -> list:
+    """Intersect every pair of maximal cones by double description and
+    report each intersection that is not a face of both."""
+    entries = []
     for a, b in combinations(fan.max_cones, 2):
         inter, lin = halfspace_cone_generators(
             cones[a].facet_normals + cones[b].facet_normals, fan.rank)
@@ -437,7 +461,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
                 entries.append(ValidationEntry(
                     "intersection_not_face",
                     f"intersection of cones {list(a)} and {list(b)} is not a face of {list(c)}"))
-    return ValidationReport(tuple(entries))
+    return entries
 
 
 def _is_face_of(face_rays: Sequence[Vec], cone: Cone) -> bool:
@@ -464,9 +488,8 @@ def is_complete(fan: Fan) -> bool:
         return True
     ridge_owners: dict = {}
     for c in fan.max_cones:
-        for f in fan.faces_by_max_cone[c]:
-            if fan.all_cones[f] == n - 1:
-                ridge_owners.setdefault(f, []).append(c)
+        for ridge, _ in fan._ridges(c):
+            ridge_owners.setdefault(ridge, []).append(c)
     if any(len(owners) != 2 for owners in ridge_owners.values()):
         return False
     adj = {c: set() for c in fan.max_cones}

@@ -280,17 +280,6 @@ def minors_gcd(rows: Mat, k: int) -> int:
     return g
 
 
-def extends_to_lattice_basis(rows: Sequence[Sequence[int]], n: int) -> bool:
-    """Can the given independent vectors be completed to a basis of Z^n?"""
-    rows = mat(rows)
-    if not rows:
-        return True
-    k = len(rows)
-    if rank_of(rows) != k:
-        return False
-    return minors_gcd(rows, k) == 1
-
-
 def complete_to_unimodular(rows: Mat, n: int) -> Mat:
     """Extend a basis of a saturated sublattice to an n x n unimodular matrix.
 

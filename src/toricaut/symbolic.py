@@ -29,6 +29,16 @@ class LocalizationRequiredError(ValueError):
     """Comorphism values with negative pairing require localization."""
 
 
+class WitnessNotFoundError(RuntimeError):
+    """No faithfulness witness within the searched radius."""
+
+    def __init__(self, fan: Fan, root: DemazureRoot, max_radius: int):
+        self.fan = fan
+        self.root = root
+        self.max_radius = max_radius
+        super().__init__("no faithfulness witness found; this indicates a bug")
+
+
 class GradedLaurentPoly:
     """Integer-coefficient polynomial in s over the character lattice M.
 
@@ -290,7 +300,7 @@ def faithfulness_check(fan: Fan, root: DemazureRoot,
     Candidates range over the duals of all maximal cones containing
     rho_e; the winner minimizes (L1 norm, lexicographic order).
     Existence is a theorem (rho_e is primitive); not finding one within
-    the search radius signals a bug and raises.
+    the search radius raises WitnessNotFoundError.
     """
     fan.require_valid()
     charts = [c for c in fan.max_cones if root.rho_e in c]
@@ -320,7 +330,7 @@ def faithfulness_check(fan: Fan, root: DemazureRoot,
                 m0=vec(m0), cone=cone_idx, witness_s_exp=1,
                 witness_character=vec_add(m0, root.e))
         radius *= 2
-    raise RuntimeError("no faithfulness witness found; this indicates a bug")
+    raise WitnessNotFoundError(fan, root, max_radius)
 
 
 @dataclass(frozen=True)

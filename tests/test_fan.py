@@ -7,6 +7,9 @@ from toricaut.fan import (
     DualCone,
     Fan,
     NotStrictlyConvexError,
+    ValidationReport,
+    _certified_complete_simplicial,
+    _pairwise_violations,
     cone_from_rays,
     dual_cone,
     is_complete,
@@ -19,7 +22,13 @@ from toricaut.fan import (
 )
 from toricaut.lattice import pairing
 
-from util import random_complete_fan_rank2, random_pointed_cone_rays, random_primitive
+from util import (
+    random_blow_up,
+    random_complete_fan_rank2,
+    random_pointed_cone_rays,
+    random_primitive,
+    random_unimodular,
+)
 
 
 class TestConeFromRays:
@@ -86,7 +95,8 @@ class TestDualCone:
 
 class TestHalfspaceGenerators:
     def test_matches_subset_oracle_randomized(self):
-        from toricaut.fan import extreme_rays_by_subset_enumeration, halfspace_cone_generators
+        from toricaut.fan import halfspace_cone_generators
+        from util import extreme_rays_by_subset_enumeration
         rng = random.Random(271828)
         for _ in range(300):
             n = rng.randint(1, 4)
@@ -101,7 +111,8 @@ class TestHalfspaceGenerators:
     def test_matches_subset_oracle_degenerate(self):
         # systems with opposite pairs force implicit equalities, the
         # delicate case for the double description adjacency test
-        from toricaut.fan import extreme_rays_by_subset_enumeration, halfspace_cone_generators
+        from toricaut.fan import halfspace_cone_generators
+        from util import extreme_rays_by_subset_enumeration
         rng = random.Random(161803)
         for _ in range(200):
             n = rng.randint(2, 4)
@@ -147,6 +158,65 @@ class TestValidateFan:
     def test_unused_ray_reported(self):
         report = validate_fan(Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1)]))
         assert any(e.code == "unused_ray" for e in report.entries)
+
+
+def _equivalence_fans(corpus_fans):
+    """(label, fan, certified) cases for the local certificate: seeded valid
+    complete simplicial fans it must certify, and fans that must fall back
+    to the pairwise check."""
+    rng = random.Random(20210108)
+    p2, p3 = corpus_fans["P2"], corpus_fans["P3"]
+    cases = [(name, fan, True) for name, fan in corpus_fans.items()]
+    blow_ups = [random_blow_up(rng, p2, rng.randint(1, 8)) for _ in range(12)]
+    blow_ups += [random_blow_up(rng, p3, rng.randint(1, 5)) for _ in range(10)]
+    cases += [(f"blow-up {k}", fan, True) for k, fan in enumerate(blow_ups)]
+    cases += [("P2 blow-up x P1", product_fan(blow_ups[0], corpus_fans["P1"]), True),
+              ("F1 x P2", product_fan(corpus_fans["F1"], p2), True)]
+    for name, fan in [("P2", p2), ("P3", p3), ("P112", corpus_fans["P112"]),
+                      ("blow-up 3", blow_ups[3]), ("blow-up 15", blow_ups[15])]:
+        cases.append((f"{name} conjugate", transform_fan(fan, random_unimodular(rng, fan.rank)), True))
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 0)]
+    cube = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    cases += [
+        ("half-plane", Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)]), False),
+        ("overlapping", Fan(2, [(1, 0), (0, 1), (1, 1), (-1, 2)], [(0, 1), (2, 3)]), False),
+        ("three cones on a ray", Fan(2, [(1, 0), (0, 1), (-1, -1), (0, -1)],
+                                     [(0, 1), (1, 2), (2, 0), (0, 3)]), False),
+        # the cycle of cones turns back between (1, 1) and (0, 1)
+        ("folded", Fan(2, [(1, 0), (0, 1), (1, 1), (-1, 1), (-1, -1), (1, -1)],
+                       [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]), False),
+        ("two P2s", Fan(2, [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
+                        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), False),
+        # (1, 1, 0) splits the cone over e1, e2, e3 but not the one over e1, e2, -e3
+        ("T-junction", Fan(3, e, [(0, 6, 2), (6, 1, 2), (0, 1, 5), (1, 3, 2), (1, 3, 5),
+                                  (3, 4, 2), (3, 4, 5), (4, 0, 2), (4, 0, 5)]), False),
+        ("cube", Fan(3, cube, [[i for i, r in enumerate(cube) if r[axis] == sign]
+                               for axis in range(3) for sign in (-1, 1)]), False),
+        ("winds twice", Fan(2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+                            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), False),
+    ]
+    return cases
+
+
+class TestLocalCertificate:
+    def test_matches_pairwise_check(self, fans):
+        for label, fan, certified in _equivalence_fans(fans):
+            cones = {c: fan.cone(c) for c in fan.max_cones}
+            assert _certified_complete_simplicial(fan, cones) == certified, label
+            pairwise = ValidationReport(tuple(_pairwise_violations(fan, cones)))
+            assert validate_fan(fan) == pairwise, label
+            assert pairwise.ok == (label not in {"overlapping", "three cones on a ray", "folded",
+                                                 "two P2s", "T-junction", "winds twice"}), label
+
+    def test_cube_fan_falls_back_valid_and_complete(self, fans):
+        fan = next(f for label, f, _ in _equivalence_fans(fans) if label == "cube")
+        assert validate_fan(fan).ok
+        assert is_complete(fan) and not is_simplicial(fan)
+
+    def test_fan_winding_twice_is_invalid(self, fans):
+        fan = next(f for label, f, _ in _equivalence_fans(fans) if label == "winds twice")
+        report = validate_fan(fan)
+        assert [e.code for e in report.entries] == ["intersection_not_face"] * 10
 
 
 class TestCompleteness:

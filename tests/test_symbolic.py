@@ -11,6 +11,7 @@ from toricaut.symbolic import (
     GradedLaurentPoly,
     HomogeneousDerivation,
     LocalizationRequiredError,
+    WitnessNotFoundError,
     action_additivity_check,
     comorphism_apply,
     derivation_apply,
@@ -168,6 +169,14 @@ class TestFaithfulness:
                 w = faithfulness_check(fan, root)
                 assert pairing(fan.rays[root.rho_e], w.m0) == 1
                 assert w.witness_character == vec_add(w.m0, root.e)
+
+    def test_search_exhausted_raises_typed_error(self, fans):
+        fan = fans["P2"]
+        root = find_root(fan, (-1, 0))
+        with pytest.raises(WitnessNotFoundError) as info:
+            faithfulness_check(fan, root, max_radius=0)
+        assert (info.value.fan, info.value.root, info.value.max_radius) == (fan, root, 0)
+        assert str(info.value) == "no faithfulness witness found; this indicates a bug"
 
 
 class TestDerivation:

@@ -3,7 +3,7 @@ cones and unimodular matrices, plus brute-force oracles kept independent
 of the library code paths they check."""
 
 from functools import cmp_to_key
-from itertools import permutations
+from itertools import combinations, permutations
 
 from toricaut.fan import Fan
 from toricaut.lattice import (
@@ -12,10 +12,14 @@ from toricaut.lattice import (
     mat,
     mat_is_integral,
     mat_to_int,
+    pairing,
     primitive,
     rank_of,
+    right_kernel_basis,
     solve_left,
+    vec,
     vec_mat,
+    vec_neg,
 )
 
 
@@ -47,6 +51,28 @@ def random_complete_fan_rank2(rng, extra=3):
     ordered = sorted(rays, key=cmp_to_key(_angle_cmp))
     k = len(ordered)
     return Fan(2, ordered, [(i, (i + 1) % k) for i in range(k)])
+
+
+def star_subdivision(fan, cone):
+    """Star subdivision of a simplicial fan at one of its cones: the new ray
+    is the primitive sum of the cone's rays, and every maximal cone holding
+    the cone is split into one cone per ray of it."""
+    new = primitive(tuple(map(sum, zip(*(fan.rays[i] for i in cone)))))
+    k = len(fan.rays)
+    cones = []
+    for c in fan.max_cones:
+        if set(cone) <= set(c):
+            cones += [tuple(j for j in c if j != i) + (k,) for i in cone]
+        else:
+            cones.append(c)
+    return Fan(fan.rank, fan.rays + (new,), cones)
+
+
+def random_blow_up(rng, fan, times):
+    """Repeated star subdivisions at seeded faces of dimension at least 2."""
+    for _ in range(times):
+        fan = star_subdivision(fan, rng.choice(sorted(c for c in fan.all_cones if len(c) >= 2)))
+    return fan
 
 
 def random_unimodular(rng, n, steps=8):
@@ -109,3 +135,29 @@ def automorphism_order_oracle(fan):
         if mapped == set(fan.max_cones):
             count += 1
     return count
+
+
+def extreme_rays_by_subset_enumeration(normals, n):
+    """Reference for halfspace_cone_generators that kernels every rank n-1
+    constraint subsystem instead of running double description."""
+    rows = []
+    seen = set()
+    for a in normals:
+        a = vec(a)
+        if any(a) and a not in seen:
+            seen.add(a)
+            rows.append(a)
+    lin = right_kernel_basis(rows, n)
+    need = n - 1 - len(lin)
+    if need < 0:
+        return (), lin
+    found = set()
+    for sub in combinations(rows, need):
+        ker = right_kernel_basis(list(sub) + list(lin), n)
+        if len(ker) != 1:
+            continue
+        v = primitive(ker[0])
+        for cand in (v, vec_neg(v)):
+            if cand not in found and all(pairing(a, cand) >= 0 for a in rows):
+                found.add(cand)
+    return tuple(sorted(found)), lin
