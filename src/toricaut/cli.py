@@ -6,8 +6,9 @@ A fan document is a single JSON object with exactly the fields
   max_cones  array of arrays of ray indices
   name       optional string
 Exit codes: 0 success, 1 mathematical/validation failure, 2 usage or
-parse error.  All reports are deterministic; --json mirrors the human
-report field for field.
+parse error.  All reports are deterministic.  Each command builds its
+--json object once and renders the human report from that object, so the
+two carry the same fields.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class FanDocumentError(ValueError):
 _FIELDS = {"rank", "rays", "max_cones", "name"}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false are bools
+
+
 @dataclass(frozen=True)
 class FanDocument:
     rank: int
@@ -76,7 +81,7 @@ def parse_fan(text: str) -> FanDocument:
         if key not in raw:
             raise FanDocumentError(f"missing field '{key}'")
     rank = raw["rank"]
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise FanDocumentError("'rank' must be a non-negative integer")
     rays = []
     warnings = []
@@ -84,7 +89,7 @@ def parse_fan(text: str) -> FanDocument:
         raise FanDocumentError("'rays' must be an array")
     for i, r in enumerate(raw["rays"]):
         if (not isinstance(r, list) or len(r) != rank
-                or not all(isinstance(x, int) for x in r)):
+                or not all(_is_int(x) for x in r)):
             raise FanDocumentError(f"ray {i} must be an array of {rank} integers")
         if not any(r):
             raise FanDocumentError(f"ray {i} is the zero vector")
@@ -96,7 +101,7 @@ def parse_fan(text: str) -> FanDocument:
         raise FanDocumentError("'max_cones' must be an array")
     cones = []
     for j, c in enumerate(raw["max_cones"]):
-        if not isinstance(c, list) or not all(isinstance(i, int) for i in c):
+        if not isinstance(c, list) or not all(_is_int(i) for i in c):
             raise FanDocumentError(f"cone {j} must be an array of ray indices")
         for i in c:
             if not 0 <= i < len(rays):
@@ -118,13 +123,19 @@ def document_from_fan(fan: Fan, name: Optional[str] = None) -> FanDocument:
                        name=name)
 
 
-def document_to_json(doc: FanDocument) -> str:
-    obj = {"rank": doc.rank,
-           "rays": [list(r) for r in doc.rays],
-           "max_cones": [list(c) for c in doc.max_cones]}
+def _lists(rows) -> list:
+    return [list(r) for r in rows]
+
+
+def _document_obj(doc: FanDocument) -> dict:
+    obj = {"rank": doc.rank, "rays": _lists(doc.rays), "max_cones": _lists(doc.max_cones)}
     if doc.name is not None:
         obj["name"] = doc.name
-    return json.dumps(obj, indent=2)
+    return obj
+
+
+def document_to_json(doc: FanDocument) -> str:
+    return json.dumps(_document_obj(doc), indent=2)
 
 
 def _load(path: str) -> tuple:
@@ -138,161 +149,152 @@ def _load(path: str) -> tuple:
     return doc, fan_from_document(doc), name
 
 
-def _matrix_obj(m) -> list:
-    return [list(r) for r in m]
-
-
 def _roots_obj(fan: Fan, roots) -> list:
     return [{"e": list(r.e), "ray_index": r.rho_e, "ray": list(fan.rays[r.rho_e])}
             for r in roots]
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (exit_code, human_lines, json_object)
+# reports.  A command's runner takes (args, fans) and returns (exit code,
+# --json object, render); render() gives the human lines from that object
+# alone, so every field is formatted in one place.  A per-fan command has an
+# `_entry` function building one fan's object and a `_lines` function
+# rendering it.
 
 
-def _cmd_validate(fans) -> tuple:
-    lines = []
-    results = []
-    code = 0
-    for doc, fan, name in fans:
-        report = fan.validation
-        entry = {"name": name, "valid": report.ok,
-                 "violations": [{"code": e.code, "message": e.message}
-                                for e in report.entries]}
-        if report.ok:
-            entry["complete"] = is_complete(fan)
-            entry["smooth"] = is_smooth(fan)
-            entry["simplicial"] = is_simplicial(fan)
-            lines.append(f"{name}: VALID (complete={entry['complete']}, "
-                         f"smooth={entry['smooth']}, simplicial={entry['simplicial']})")
-        else:
-            code = 1
-            lines.append(f"{name}: INVALID")
-            lines.extend(f"  - [{e.code}] {e.message}" for e in report.entries)
-        results.append(entry)
-    return code, lines, {"command": "validate", "fans": results}
+def _validate_entry(fan: Fan, name: str) -> dict:
+    report = fan.validation
+    entry = {"name": name, "valid": report.ok,
+             "violations": [{"code": e.code, "message": e.message}
+                            for e in report.entries]}
+    if report.ok:
+        entry.update(complete=is_complete(fan), smooth=is_smooth(fan),
+                     simplicial=is_simplicial(fan))
+    return entry
 
 
-def _cmd_roots(fans) -> tuple:
-    lines = []
-    results = []
-    for doc, fan, name in fans:
-        fan.require_valid()
-        roots = demazure_roots(fan)
-        pairs, unipotent = classify_roots(roots)
-        lines.append(f"{name}: {len(roots)} roots")
-        for r in roots:
-            lines.append(f"  e={list(r.e)}  rho_e=ray {r.rho_e} {list(fan.rays[r.rho_e])}")
-        lines.append(f"  semisimple pairs: {[[list(a), list(b)] for a, b in pairs]}")
-        lines.append(f"  unipotent: {[list(e) for e in unipotent]}")
-        results.append({"name": name, "count": len(roots),
-                        "roots": _roots_obj(fan, roots),
-                        "semisimple_pairs": [[list(a), list(b)] for a, b in pairs],
-                        "unipotent": [list(e) for e in unipotent]})
-    return 0, lines, {"command": "roots", "fans": results}
+def _validate_lines(e: dict) -> list:
+    if e["valid"]:
+        return [f"{e['name']}: VALID (complete={e['complete']}, "
+                f"smooth={e['smooth']}, simplicial={e['simplicial']})"]
+    return [f"{e['name']}: INVALID"] + [f"  - [{v['code']}] {v['message']}"
+                                        for v in e["violations"]]
 
 
-def _cmd_autos(fans) -> tuple:
-    lines = []
-    results = []
-    for doc, fan, name in fans:
-        autos = fan_automorphisms(fan)
-        lines.append(f"{name}: fan automorphism group of order {len(autos)}")
-        for a in autos:
-            lines.append(f"  {_matrix_obj(a.matrix)} permuting rays {list(a.ray_permutation)}")
-        results.append({"name": name, "order": len(autos),
-                        "automorphisms": [{"matrix": _matrix_obj(a.matrix),
-                                           "ray_permutation": list(a.ray_permutation)}
-                                          for a in autos]})
-    return 0, lines, {"command": "autos", "fans": results}
+def _roots_entry(fan: Fan, name: str) -> dict:
+    fan.require_valid()
+    roots = demazure_roots(fan)
+    pairs, unipotent = classify_roots(roots)
+    return {"name": name, "count": len(roots), "roots": _roots_obj(fan, roots),
+            "semisimple_pairs": [_lists(pair) for pair in pairs],
+            "unipotent": _lists(unipotent)}
 
 
-def _cmd_decompose(fans) -> tuple:
-    lines = []
-    results = []
-    for doc, fan, name in fans:
-        dec = decompose(fan)
-        lines.append(f"{name}: {len(dec.factors)} indecomposable factor(s)")
-        factors = []
-        for k, factor in enumerate(dec.factors):
-            lines.append(f"  factor {k + 1}: rank {factor.fan.rank}, "
-                         f"rays {[list(r) for r in factor.fan.rays]}, "
-                         f"basis {_matrix_obj(factor.basis)}")
-            if factor.certificate:
-                for fail in factor.certificate:
-                    lines.append(f"    bipartition {list(fail.block_a)} | "
-                                 f"{list(fail.block_b)} fails: {fail.failed_criterion}")
-            else:
-                lines.append("    indecomposable: single circuit-closed block")
-            factors.append({
-                "rank": factor.fan.rank,
-                "rays": [list(r) for r in factor.fan.rays],
-                "max_cones": [list(c) for c in factor.fan.max_cones],
-                "basis": _matrix_obj(factor.basis),
-                "certified_indecomposable": factor.certified_indecomposable,
-                "certificate": [{"block_a": list(f.block_a),
-                                 "block_b": list(f.block_b),
-                                 "failed_criterion": f.failed_criterion}
-                                for f in factor.certificate]})
-        results.append({"name": name, "factors": factors})
-    return 0, lines, {"command": "decompose", "fans": results}
+def _roots_lines(e: dict) -> list:
+    return ([f"{e['name']}: {e['count']} roots"]
+            + [f"  e={r['e']}  rho_e=ray {r['ray_index']} {r['ray']}" for r in e["roots"]]
+            + [f"  semisimple pairs: {e['semisimple_pairs']}",
+               f"  unipotent: {e['unipotent']}"])
 
 
-def _cmd_report(fans) -> tuple:
-    lines = []
-    results = []
-    for doc, fan, name in fans:
-        rep = aut_structure_report(fan)
-        lines.append(f"{name}:")
-        lines.append(f"  torus rank: {rep.torus_rank}")
-        lines.append(f"  roots: {rep.root_count}")
-        lines.append(f"  dim Aut^0: {rep.dim_aut0}")
-        lines.append(f"  fan automorphism group order: {rep.fan_automorphism_order}")
-        lines.append(f"  generators: {[_matrix_obj(g.matrix) for g in rep.fan_automorphism_generators]}")
-        lines.append(f"  factor multiset: {list(rep.factor_multiset)}")
-        for cls in rep.factor_classes:
-            lines.append(f"    {cls.label}: rank {cls.representative.rank}, "
-                         f"multiplicity {cls.multiplicity}, roots {cls.root_count}, "
-                         f"dim Aut^0 {cls.dim_aut0}, fan autos {cls.fan_automorphism_order}")
-        lines.append(f"  structure: {rep.structure_string}")
-        results.append({
-            "name": name,
-            "torus_rank": rep.torus_rank,
-            "root_count": rep.root_count,
-            "roots": _roots_obj(fan, rep.roots),
-            "dim_aut0": rep.dim_aut0,
-            "fan_automorphism_order": rep.fan_automorphism_order,
-            "fan_automorphism_generators": [_matrix_obj(g.matrix)
-                                            for g in rep.fan_automorphism_generators],
-            "factor_multiset": [[label, mult] for label, mult in rep.factor_multiset],
-            "factor_classes": [{
-                "label": cls.label,
-                "rank": cls.representative.rank,
-                "rays": [list(r) for r in cls.representative.rays],
-                "multiplicity": cls.multiplicity,
-                "root_count": cls.root_count,
-                "dim_aut0": cls.dim_aut0,
-                "fan_automorphism_order": cls.fan_automorphism_order,
-            } for cls in rep.factor_classes],
-            "structure_string": rep.structure_string})
-    return 0, lines, {"command": "report", "fans": results}
+def _autos_entry(fan: Fan, name: str) -> dict:
+    autos = fan_automorphisms(fan)
+    return {"name": name, "order": len(autos),
+            "automorphisms": [{"matrix": _lists(a.matrix),
+                               "ray_permutation": list(a.ray_permutation)}
+                              for a in autos]}
 
 
-def _cmd_product(fans, out: Optional[str]) -> tuple:
+def _autos_lines(e: dict) -> list:
+    return [f"{e['name']}: fan automorphism group of order {e['order']}"] + [
+        f"  {a['matrix']} permuting rays {a['ray_permutation']}" for a in e["automorphisms"]]
+
+
+def _decompose_entry(fan: Fan, name: str) -> dict:
+    return {"name": name, "factors": [{
+        "rank": factor.fan.rank,
+        "rays": _lists(factor.fan.rays),
+        "max_cones": _lists(factor.fan.max_cones),
+        "basis": _lists(factor.basis),
+        "certified_indecomposable": factor.certified_indecomposable,
+        "certificate": [{"block_a": list(f.block_a),
+                         "block_b": list(f.block_b),
+                         "failed_criterion": f.failed_criterion}
+                        for f in factor.certificate],
+    } for factor in decompose(fan).factors]}
+
+
+def _decompose_lines(e: dict) -> list:
+    lines = [f"{e['name']}: {len(e['factors'])} indecomposable factor(s)"]
+    for k, factor in enumerate(e["factors"], 1):
+        lines.append(f"  factor {k}: rank {factor['rank']}, rays {factor['rays']}, "
+                     f"basis {factor['basis']}")
+        lines.extend(f"    bipartition {f['block_a']} | {f['block_b']} fails: "
+                     f"{f['failed_criterion']}" for f in factor["certificate"])
+        if not factor["certificate"]:
+            lines.append("    indecomposable: single circuit-closed block")
+    return lines
+
+
+def _report_entry(fan: Fan, name: str) -> dict:
+    rep = aut_structure_report(fan)
+    return {
+        "name": name,
+        "torus_rank": rep.torus_rank,
+        "root_count": rep.root_count,
+        "roots": _roots_obj(fan, rep.roots),
+        "dim_aut0": rep.dim_aut0,
+        "fan_automorphism_order": rep.fan_automorphism_order,
+        "fan_automorphism_generators": [_lists(g.matrix)
+                                        for g in rep.fan_automorphism_generators],
+        "factor_multiset": [[label, mult] for label, mult in rep.factor_multiset],
+        "factor_classes": [{
+            "label": cls.label,
+            "rank": cls.representative.rank,
+            "rays": _lists(cls.representative.rays),
+            "multiplicity": cls.multiplicity,
+            "root_count": cls.root_count,
+            "dim_aut0": cls.dim_aut0,
+            "fan_automorphism_order": cls.fan_automorphism_order,
+        } for cls in rep.factor_classes],
+        "structure_string": rep.structure_string}
+
+
+def _report_lines(e: dict) -> list:
+    return ([f"{e['name']}:",
+             f"  torus rank: {e['torus_rank']}",
+             f"  roots: {e['root_count']}",
+             f"  dim Aut^0: {e['dim_aut0']}",
+             f"  fan automorphism group order: {e['fan_automorphism_order']}",
+             f"  generators: {e['fan_automorphism_generators']}",
+             f"  factor multiset: {e['factor_multiset']}"]
+            + [f"    {c['label']}: rank {c['rank']}, multiplicity {c['multiplicity']}, "
+               f"roots {c['root_count']}, dim Aut^0 {c['dim_aut0']}, "
+               f"fan autos {c['fan_automorphism_order']}" for c in e["factor_classes"]]
+            + [f"  structure: {e['structure_string']}"])
+
+
+def _per_fan(entry, lines):
+    """Runner reporting each fan on its own; exit 1 when an entry says its
+    fan is not valid."""
+    def run(args, fans) -> tuple:
+        entries = [entry(fan, name) for _, fan, name in fans]
+        code = 0 if all(e.get("valid", True) for e in entries) else 1
+        return (code, {"command": args.command, "fans": entries},
+                lambda: [line for e in entries for line in lines(e)])
+    return run
+
+
+def _run_product(args, fans) -> tuple:
     if len(fans) != 2:
         raise FanDocumentError("product needs exactly two fan files")
     (_, f1, n1), (_, f2, n2) = fans
-    prod = product_fan(f1, f2)
-    doc = document_from_fan(prod, name=f"{n1} x {n2}")
-    text = document_to_json(doc)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        lines = [f"wrote product fan to {out}"]
-    else:
-        lines = [text]
-    return 0, lines, json.loads(document_to_json(doc))
+    obj = _document_obj(document_from_fan(product_fan(f1, f2), name=f"{n1} x {n2}"))
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(obj, indent=2) + "\n")
+        return 0, obj, lambda: [f"wrote product fan to {args.output}"]
+    return 0, obj, lambda: [json.dumps(obj, indent=2)]
 
 
 def _sample_box(rank: int, height: int):
@@ -343,18 +345,33 @@ def run_certificates(fans) -> list:
     return out
 
 
-def _cmd_check(fans) -> tuple:
+def _check_lines(obj: dict) -> list:
+    return [f"{'PASS' if c['ok'] else 'FAIL'} {c['certificate']} [{c['fan']}]"
+            + (f" ({c['detail']})" if c["detail"] else "") for c in obj["certificates"]] + [
+        "all certificates passed" if obj["ok"] else "certificate failures detected"]
+
+
+def _run_check(args, fans) -> tuple:
     if not 1 <= len(fans) <= 2:
         raise FanDocumentError("check takes one or two fan files")
-    results = run_certificates(fans)
-    lines = [f"{'PASS' if ok else 'FAIL'} {cert} [{name}]" + (f" ({detail})" if detail else "")
-             for cert, name, ok, detail in results]
-    code = 0 if all(ok for _, _, ok, _ in results) else 1
-    lines.append("all certificates passed" if code == 0 else "certificate failures detected")
-    return code, lines, {"command": "check",
-                         "certificates": [{"certificate": c, "fan": n, "ok": ok,
-                                           "detail": d} for c, n, ok, d in results],
-                         "ok": code == 0}
+    certs = [{"certificate": c, "fan": n, "ok": ok, "detail": d}
+             for c, n, ok, d in run_certificates(fans)]
+    obj = {"command": "check", "certificates": certs, "ok": all(c["ok"] for c in certs)}
+    return (0 if obj["ok"] else 1), obj, lambda: _check_lines(obj)
+
+
+# command -> (help text, number of fan files, runner)
+COMMANDS = {
+    "validate": ("check the fan axioms", "+", _per_fan(_validate_entry, _validate_lines)),
+    "roots": ("list Demazure roots with classification", "+",
+              _per_fan(_roots_entry, _roots_lines)),
+    "autos": ("fan automorphism group", "+", _per_fan(_autos_entry, _autos_lines)),
+    "decompose": ("indecomposable factorization", "+",
+                  _per_fan(_decompose_entry, _decompose_lines)),
+    "report": ("automorphism structure report", "+", _per_fan(_report_entry, _report_lines)),
+    "product": ("product fan document of two fans", 2, _run_product),
+    "check": ("run the full certificate suite", "+", _run_check),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,16 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricaut",
         description="Automorphism structure of complete toric varieties from their fans.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": ("check the fan axioms", "+"),
-        "roots": ("list Demazure roots with classification", "+"),
-        "autos": ("fan automorphism group", "+"),
-        "decompose": ("indecomposable factorization", "+"),
-        "report": ("automorphism structure report", "+"),
-        "product": ("product fan document of two fans", 2),
-        "check": ("run the full certificate suite", "+"),
-    }
-    for name, (help_text, nargs) in specs.items():
+    for name, (help_text, nargs, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("files", nargs=nargs, help="fan document file(s)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -381,37 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         fans = [_load(path) for path in args.files]
         for doc, _, name in fans:
             for warning in doc.warnings:
                 print(f"warning: {name}: {warning}", file=sys.stderr)
-        if args.command == "validate":
-            code, lines, obj = _cmd_validate(fans)
-        elif args.command == "roots":
-            code, lines, obj = _cmd_roots(fans)
-        elif args.command == "autos":
-            code, lines, obj = _cmd_autos(fans)
-        elif args.command == "decompose":
-            code, lines, obj = _cmd_decompose(fans)
-        elif args.command == "report":
-            code, lines, obj = _cmd_report(fans)
-        elif args.command == "product":
-            code, lines, obj = _cmd_product(fans, args.output)
-        else:
-            code, lines, obj = _cmd_check(fans)
+        code, obj, render = COMMANDS[args.command][2](args, fans)
     except FanDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FanValidationError, IncompleteFanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    print(json.dumps(obj, indent=2, sort_keys=True) if args.json else "\n".join(render()))
     return code
 
 

@@ -73,10 +73,6 @@ class Cone:
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(v, g) >= 0 for g in self.facet_normals)
 
-    def dual_contains(self, m: Sequence[int]) -> bool:
-        """Membership of m in the dual cone (all generators pair >= 0)."""
-        return all(pairing(r, m) >= 0 for r in self.rays)
-
 
 @dataclass(frozen=True)
 class DualCone:

@@ -28,16 +28,8 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def zero_vec(n: int) -> Vec:
-    return (0,) * n
-
-
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_neg(a: Vec) -> Vec:

@@ -292,10 +292,6 @@ class DecompositionFactor:
 class Decomposition:
     factors: tuple
 
-    @property
-    def factor_fans(self) -> tuple:
-        return tuple(f.fan for f in self.factors)
-
 
 class _UnionFind:
     def __init__(self, n):

@@ -59,6 +59,18 @@ class TestParseFan:
         with pytest.raises(FanDocumentError, match="integers"):
             parse_fan('{"rank": 2, "rays": [[1,0,0]], "max_cones": [[0]]}')
 
+    def test_boolean_rank(self):
+        with pytest.raises(FanDocumentError, match="rank"):
+            parse_fan('{"rank": true, "rays": [[1],[-1]], "max_cones": [[0],[1]]}')
+
+    def test_boolean_ray_entry(self):
+        with pytest.raises(FanDocumentError, match="ray 0"):
+            parse_fan('{"rank": 1, "rays": [[true],[-1]], "max_cones": [[0],[1]]}')
+
+    def test_boolean_cone_index(self):
+        with pytest.raises(FanDocumentError, match="cone 0"):
+            parse_fan('{"rank": 1, "rays": [[1],[-1]], "max_cones": [[false],[1]]}')
+
     def test_data_documents_match_builders(self, fans):
         for name, fan in fans.items():
             doc = parse_fan((DATA / f"{name}.fan").read_text())
@@ -173,3 +185,26 @@ class TestGoldens:
         assert code == 0
         expected = json.loads((GOLDENS / f"{name}.report.json").read_text())
         assert json.loads(out) == expected
+
+
+def _human_cases():
+    names = sorted(corpus())
+    every = [str(DATA / f"{name}.fan") for name in names]
+    pair = [str(DATA / "P1.fan"), str(DATA / "P2.fan")]
+    cases = [(cmd, [cmd, *every])
+             for cmd in ("validate", "roots", "autos", "decompose", "report")]
+    cases += [(f"check.{name}", ["check", str(DATA / f"{name}.fan")]) for name in names]
+    return cases + [("check.P1+P2", ["check", *pair]), ("product.P1+P2", ["product", *pair])]
+
+
+HUMAN_CASES = _human_cases()
+
+
+class TestHumanGoldens:
+    """The human report of every subcommand, byte for byte."""
+
+    @pytest.mark.parametrize("key,args", HUMAN_CASES, ids=[key for key, _ in HUMAN_CASES])
+    def test_human_golden(self, key, args, capsys):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out == (GOLDENS / "human" / f"{key}.txt").read_text(encoding="utf-8")
