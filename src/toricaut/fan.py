@@ -26,6 +26,7 @@ from .lattice import (
     Vec,
     identity_matrix,
     is_primitive,
+    is_unimodular,
     mat,
     minors_gcd,
     pairing,
@@ -540,7 +541,6 @@ def skeleton(fan: Fan, i: int) -> tuple[Cone, ...]:
 def transform_fan(fan: Fan, u: Mat) -> Fan:
     """Image fan under a unimodular lattice map (rays act on the right)."""
     u = mat(u)
-    from .lattice import is_unimodular
     if not is_unimodular(u):
         raise ValueError("fan transforms must be unimodular")
     return Fan(fan.rank, [vec_mat(r, u) for r in fan.rays], fan.max_cones)

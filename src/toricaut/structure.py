@@ -33,6 +33,7 @@ from .fan import (
 from .lattice import (
     Mat,
     Vec,
+    complete_to_unimodular,
     det,
     identity_matrix,
     invert_unimodular,
@@ -48,6 +49,7 @@ from .lattice import (
     vec_mat,
 )
 from .roots import demazure_roots
+from .symbolic import lie_dimension
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,6 @@ def _extend_span_map(anchors: Mat, images: Mat, n: int) -> Optional[Mat]:
     q = mat_to_int(q)
     if abs(det(q)) != 1:
         return None
-    from .lattice import complete_to_unimodular
     v1 = complete_to_unimodular(basis1, n)
     v2 = complete_to_unimodular(basis2, n)
     top = mat_mul(q, v2[:d])
@@ -485,8 +486,6 @@ def _group_factors(dec: Decomposition) -> list:
 def aut_structure_report(fan: Fan) -> AutStructureReport:
     """Full structure report: roots, neutral-component dimension, fan
     automorphisms and the product/wreath decomposition."""
-    from .symbolic import lie_dimension
-
     fan.require_valid()
     if not is_complete(fan):
         raise IncompleteFanError("structure reports need a complete fan")

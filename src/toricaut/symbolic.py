@@ -16,7 +16,17 @@ from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .fan import Fan, IncompleteFanError, is_complete
-from .lattice import Vec, is_primitive, pairing, vec, vec_add, vec_neg, vec_scale
+from .lattice import (
+    Vec,
+    complete_to_unimodular,
+    invert_unimodular,
+    is_primitive,
+    pairing,
+    vec,
+    vec_add,
+    vec_neg,
+    vec_scale,
+)
 from .roots import DemazureRoot, demazure_roots
 
 #: Height bound for monomial samples in bounded certificates.  The
@@ -27,16 +37,6 @@ SAMPLE_HEIGHT = 4
 
 class LocalizationRequiredError(ValueError):
     """Comorphism values with negative pairing require localization."""
-
-
-class WitnessNotFoundError(RuntimeError):
-    """No faithfulness witness within the searched radius."""
-
-    def __init__(self, fan: Fan, root: DemazureRoot, max_radius: int):
-        self.fan = fan
-        self.root = root
-        self.max_radius = max_radius
-        super().__init__("no faithfulness witness found; this indicates a bug")
 
 
 class GradedLaurentPoly:
@@ -293,44 +293,36 @@ class WitnessMonomial:
     witness_character: Vec
 
 
-def faithfulness_check(fan: Fan, root: DemazureRoot,
-                       max_radius: int = 16) -> WitnessMonomial:
-    """Find the canonical (smallest) witness monomial for the root.
+def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
+    """Construct a witness monomial for the root.
 
-    Candidates range over the duals of all maximal cones containing
-    rho_e; the winner minimizes (L1 norm, lexicographic order).
-    Existence is a theorem (rho_e is primitive); not finding one within
-    the search radius raises WitnessNotFoundError.
+    Since rho_e is primitive, some m1 has <rho_e, m1> = 1: the first
+    column of the inverse of a unimodular matrix whose first row is rho_e.
+    In each chart sigma containing rho_e, the sum w of the facet normals of
+    sigma vanishing on rho_e lies in the relative interior of the face
+    sigma^v cap rho_e^perp, so <r, w> > 0 for every other ray r of sigma;
+    the least t >= 0 with m1 + t*w in sigma^v gives a witness.  The
+    result minimizes (L1 norm, m0, cone) over the charts.
     """
     fan.require_valid()
     charts = [c for c in fan.max_cones if root.rho_e in c]
     if not charts:
         raise ValueError("distinguished ray lies in no maximal cone")
     rho = fan.rays[root.rho_e]
-
-    def candidates(radius):
-        box = iproduct(*(range(-radius, radius + 1) for _ in range(fan.rank)))
-        for m in box:
-            if pairing(rho, m) != 1:
-                continue
-            for cone_idx in charts:
-                if all(pairing(fan.rays[i], m) >= 0 for i in cone_idx):
-                    yield (sum(abs(x) for x in m), m, cone_idx)
-                    break
-
-    radius = 1
-    while radius <= max_radius:
-        found = sorted(candidates(radius))
-        if found:
-            norm = found[0][0]
-            if norm > radius:
-                found = sorted(candidates(norm))
-            _, m0, cone_idx = found[0]
-            return WitnessMonomial(
-                m0=vec(m0), cone=cone_idx, witness_s_exp=1,
-                witness_character=vec_add(m0, root.e))
-        radius *= 2
-    raise WitnessNotFoundError(fan, root, max_radius)
+    m1 = tuple(row[0] for row in invert_unimodular(complete_to_unimodular((rho,), fan.rank)))
+    candidates = []
+    for cone_idx in charts:
+        w = (0,) * fan.rank
+        for g in fan.cone(cone_idx).facet_normals:
+            if pairing(rho, g) == 0:
+                w = vec_add(w, g)
+        t = max([0] + [-(pairing(fan.rays[i], m1) // pairing(fan.rays[i], w))
+                       for i in cone_idx if i != root.rho_e])
+        m0 = vec_add(m1, vec_scale(w, t))
+        candidates.append((sum(abs(x) for x in m0), m0, cone_idx))
+    _, m0, cone_idx = min(candidates)
+    return WitnessMonomial(m0=m0, cone=cone_idx, witness_s_exp=1,
+                           witness_character=vec_add(m0, root.e))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from toricaut.corpus import corpus
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricaut" / "data"
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 P2_DOC = '{"rank": 2, "rays": [[1,0],[0,1],[-1,-1]], "max_cones": [[0,1],[1,2],[2,0]], "name": "P2"}'
 
@@ -139,6 +140,19 @@ class TestCommands:
         code, out, _ = run_cli(["decompose", str(out_file)], capsys)
         assert code == 0 and "2 indecomposable factor(s)" in out
 
+    def test_product_output_in_missing_directory_exit2(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "prod.fan"
+        code, _, err = run_cli(["product", str(DATA / "P1.fan"), str(DATA / "P2.fan"),
+                                "-o", str(out_file)], capsys)
+        assert code == 2 and err.startswith(f"error: {out_file}: ")
+        assert "Traceback" not in err
+
+    def test_product_output_is_directory_exit2(self, tmp_path, capsys):
+        code, _, err = run_cli(["product", str(DATA / "P1.fan"), str(DATA / "P2.fan"),
+                                "-o", str(tmp_path)], capsys)
+        assert code == 2 and err.startswith(f"error: {tmp_path}: ")
+        assert "Traceback" not in err
+
     def test_product_stdout_parses(self, capsys):
         code, out, _ = run_cli(["product", str(DATA / "P1.fan"), str(DATA / "P1.fan")], capsys)
         assert code == 0
@@ -151,6 +165,12 @@ class TestCommands:
         for cert in ("regularity", "additivity", "faithfulness",
                      "infinitesimal", "product_roots", "wreath_order"):
             assert f"PASS {cert}" in out
+        assert "FAIL" not in out
+
+    def test_check_large_basis_conjugate(self, capsys):
+        code, out, _ = run_cli(["check", str(FIXTURES / "F3_conjugate.fan")], capsys)
+        assert code == 0
+        assert "PASS faithfulness" in out and "PASS product_roots" in out
         assert "FAIL" not in out
 
     def test_check_two_fans(self, capsys):

@@ -4,14 +4,13 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, strategies as st
 
-from toricaut.fan import Fan
-from toricaut.lattice import pairing, primitive, vec_add, vec_neg
+from toricaut.fan import Fan, transform_fan
+from toricaut.lattice import mat_mul, pairing, primitive, vec_add, vec_neg
 from toricaut.roots import demazure_roots
 from toricaut.symbolic import (
     GradedLaurentPoly,
     HomogeneousDerivation,
     LocalizationRequiredError,
-    WitnessNotFoundError,
     action_additivity_check,
     comorphism_apply,
     derivation_apply,
@@ -22,6 +21,8 @@ from toricaut.symbolic import (
     lie_dimension,
     regularity_check,
 )
+
+from util import witness_oracle
 
 
 
@@ -170,13 +171,34 @@ class TestFaithfulness:
                 assert pairing(fan.rays[root.rho_e], w.m0) == 1
                 assert w.witness_character == vec_add(w.m0, root.e)
 
-    def test_search_exhausted_raises_typed_error(self, fans):
-        fan = fans["P2"]
-        root = find_root(fan, (-1, 0))
-        with pytest.raises(WitnessNotFoundError) as info:
-            faithfulness_check(fan, root, max_radius=0)
-        assert (info.value.fan, info.value.root, info.value.max_radius) == (fan, root, 0)
-        assert str(info.value) == "no faithfulness witness found; this indicates a bug"
+    def test_matches_reference_search(self, fans):
+        count = 0
+        for fan in fans.values():
+            for root in demazure_roots(fan):
+                w = faithfulness_check(fan, root)
+                assert (w.m0, w.cone) == witness_oracle(fan, root)
+                count += 1
+        assert count == 74
+
+    def test_large_basis_conjugates(self, fans):
+        shear = mat_mul(mat_mul(((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+                                ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
+                        ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
+        maps = {2: ((89, 55), (55, 34)),
+                3: mat_mul(shear, shear),
+                4: ((21, 13, 0, 0), (13, 8, 0, 0), (0, 0, 21, 13), (0, 0, 13, 8))}
+        count = 0
+        for base in fans.values():
+            if base.rank not in maps:
+                continue
+            fan = transform_fan(base, maps[base.rank])
+            for root in demazure_roots(fan):
+                w = faithfulness_check(fan, root)
+                assert w.cone in fan.max_cones and root.rho_e in w.cone
+                assert pairing(fan.rays[root.rho_e], w.m0) == 1
+                assert all(pairing(fan.rays[i], w.m0) >= 0 for i in w.cone)
+                count += 1
+        assert count == 72
 
 
 class TestDerivation:

@@ -3,7 +3,7 @@ cones and unimodular matrices, plus brute-force oracles kept independent
 of the library code paths they check."""
 
 from functools import cmp_to_key
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from toricaut.fan import Fan
 from toricaut.lattice import (
@@ -135,6 +135,31 @@ def automorphism_order_oracle(fan):
         if mapped == set(fan.max_cones):
             count += 1
     return count
+
+
+def witness_oracle(fan, root):
+    """Reference for faithfulness_check: the least (L1 norm, m, cone) with
+    <rho_e, m> = 1 and m in the dual of a maximal cone containing rho_e,
+    found by scanning coordinate boxes of doubling radius."""
+    rho = fan.rays[root.rho_e]
+    charts = [c for c in fan.max_cones if root.rho_e in c]
+
+    def candidates(radius):
+        for m in product(range(-radius, radius + 1), repeat=fan.rank):
+            if pairing(rho, m) == 1:
+                for c in charts:
+                    if all(pairing(fan.rays[i], m) >= 0 for i in c):
+                        yield sum(abs(x) for x in m), m, c
+
+    radius = 1
+    while True:
+        found = min(candidates(radius), default=None)
+        if found is not None:
+            if found[0] > radius:
+                # every m of L1 norm at most found[0] lies in this box
+                found = min(candidates(found[0]))
+            return found[1], found[2]
+        radius *= 2
 
 
 def extreme_rays_by_subset_enumeration(normals, n):
