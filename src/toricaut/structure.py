@@ -225,21 +225,6 @@ def fan_automorphisms(fan: Fan) -> tuple:
     return tuple(_isomorphism_search(fan, fan, find_all=True))
 
 
-def compose(a: FanIsomorphism, b: FanIsomorphism) -> FanIsomorphism:
-    """First apply a, then b (matrices act on row vectors from the right)."""
-    return FanIsomorphism(
-        matrix=mat_mul(a.matrix, b.matrix),
-        ray_permutation=tuple(b.ray_permutation[i] for i in a.ray_permutation))
-
-
-def inverse(a: FanIsomorphism) -> FanIsomorphism:
-    inv = invert_unimodular(a.matrix)
-    perm = [0] * len(a.ray_permutation)
-    for i, j in enumerate(a.ray_permutation):
-        perm[j] = i
-    return FanIsomorphism(matrix=inv, ray_permutation=tuple(perm))
-
-
 def generating_subset(autos: Sequence[FanIsomorphism], rank: int) -> tuple:
     """Small deterministic generating set, grown greedily in sorted order."""
     identity = identity_matrix(rank)
@@ -518,23 +503,16 @@ def aut_structure_report(fan: Fan) -> AutStructureReport:
         factor_classes=tuple(factor_classes), structure_string=structure)
 
 
-def _block_ranges(dec: Decomposition) -> list:
-    ranges = []
-    start = 0
-    for factor in dec.factors:
-        d = factor.fan.rank
-        ranges.append(range(start, start + d))
-        start += d
-    return ranges
-
-
 def wreath_order_check(fan: Fan) -> bool:
     """Fan-level identity of the wreath decomposition.
 
-    Checks |Aut(fan)| = prod |Aut(factor_i)|^(r_i) * r_i! and that, in
-    decomposition coordinates, every fan automorphism is a block
-    permutation of isomorphic factors composed with block-wise factor
-    automorphisms.
+    Checks |Aut(fan)| = prod |Aut(factor_i)|^(r_i) * r_i! and that every
+    fan automorphism permutes the factors' ray blocks: the rays of each
+    factor (its own rays mapped through its basis) all land on the rays of
+    one isomorphic factor, and the induced map on factors is a bijection.
+    Each ray lies in exactly one lattice summand and a factor's rays span
+    its summand, so this says the automorphism is a block permutation of
+    isomorphic factors composed with block-wise factor automorphisms.
     """
     fan.require_valid()
     if not is_complete(fan):
@@ -550,22 +528,16 @@ def wreath_order_check(fan: Fan) -> bool:
         return False
     if not dec.factors:
         return len(autos) == 1
-    ranges = _block_ranges(dec)
-    class_of = {}
-    for k, (_, members) in enumerate(classes):
-        for i in members:
-            class_of[i] = k
-    stacked = mat([row for factor in dec.factors for row in factor.basis])
-    inv = invert_unimodular(stacked)
+    class_of = {i: k for k, (_, members) in enumerate(classes) for i in members}
+    owner = {vec_mat(r, factor.basis): k
+             for k, factor in enumerate(dec.factors) for r in factor.fan.rays}
+    block = [owner[r] for r in fan.rays]
     for auto in autos:
-        b = mat_mul(mat_mul(stacked, auto.matrix), inv)
         image = {}
-        for i, rows in enumerate(ranges):
-            cols = {c for r in rows for c, x in enumerate(b[r]) if x}
-            target = next((j for j, rng in enumerate(ranges) if cols <= set(rng)), None)
-            if target is None or class_of[target] != class_of[i]:
+        for i, j in enumerate(auto.ray_permutation):
+            if image.setdefault(block[i], block[j]) != block[j]:
                 return False
-            image[i] = target
-        if len(set(image.values())) != len(dec.factors):
+        if (any(class_of[k] != class_of[t] for k, t in image.items())
+                or len(set(image.values())) != len(dec.factors)):
             return False
     return True

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .fan import Fan, IncompleteFanError, is_complete
@@ -29,7 +28,8 @@ from .lattice import (
 )
 from .roots import DemazureRoot, demazure_roots
 
-#: Height bound for monomial samples in bounded certificates.  The
+#: Largest coefficient of a facet normal in the samples (dual_monomials) of
+#: the regularity and derivation-classification cross-checks.  The
 #: closed-form criteria are the real checks; sampling is a redundant
 #: cross-validation, so a fixed small height suffices.
 SAMPLE_HEIGHT = 4
@@ -198,10 +198,18 @@ def action_additivity_check(fan: Fan, root: DemazureRoot, m: Sequence[int]) -> b
 
 @lru_cache(maxsize=None)
 def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
-    """Lattice points of the dual cone with coordinates bounded by height."""
-    rays = [fan.rays[i] for i in cone_idx]
-    box = iproduct(*(range(-height, height + 1) for _ in range(fan.rank)))
-    return tuple(m for m in box if all(pairing(r, m) >= 0 for r in rays))
+    """Characters of the dual cone: the distinct sums of c_g * g with
+    0 <= c_g <= height over the cone's facet normals g, sorted.
+
+    The facet normals generate the dual cone (for a cone of lower dimension
+    they include the +/- pairs spanning its annihilator), so every sample
+    lies in it, and a unimodular change of basis carries the samples of a
+    cone onto those of its image.
+    """
+    sums = {(0,) * fan.rank}
+    for g in fan.cone(cone_idx).facet_normals:
+        sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
+    return tuple(sorted(sums))
 
 
 @dataclass(frozen=True)
@@ -243,8 +251,7 @@ class RegularityCertificate:
         return all(entry.ok for entry in self.entries)
 
 
-def regularity_check(fan: Fan, root: DemazureRoot,
-                     height: int = SAMPLE_HEIGHT) -> RegularityCertificate:
+def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
     """Certify that the root-subgroup action is regular on every chart."""
     fan.require_valid()
     if not is_complete(fan):
@@ -266,7 +273,7 @@ def regularity_check(fan: Fan, root: DemazureRoot,
         in_fan = sigma_prime in fan.all_cones
         samples_ok = True
         max_shift = 0
-        samples = dual_monomials(fan, sigma_prime, height) if in_fan else ()
+        samples = dual_monomials(fan, sigma_prime, SAMPLE_HEIGHT) if in_fan else ()
         for m in samples:
             shift = max([0] + [-pairing(fan.rays[i], m)
                                for i, v in values.items() if v > 0])
@@ -342,14 +349,14 @@ class ClassificationResult:
         return self.preserved == self.sampler_preserved
 
 
-def derivation_classification_check(fan: Fan, p: Sequence[int], e: Sequence[int],
-                                    height: int = SAMPLE_HEIGHT) -> ClassificationResult:
+def derivation_classification_check(fan: Fan, p: Sequence[int],
+                                    e: Sequence[int]) -> ClassificationResult:
     """Closed-form criterion plus a bounded brute-force cross-check.
 
     The derivation d_{p,e} preserves every cone algebra iff e = 0 (torus
     direction) or e is a root with p = +/- rho_e.  The sampler re-tests
-    the defining condition <rho, m+e> >= 0 on height-bounded monomials m
-    in each cone's dual with <p, m> != 0.
+    the defining condition <rho, m+e> >= 0 on the sampled characters m of
+    each cone's dual (dual_monomials) with <p, m> != 0.
     """
     p, e = vec(p), vec(e)
     if not is_primitive(p):
@@ -369,7 +376,7 @@ def derivation_classification_check(fan: Fan, p: Sequence[int], e: Sequence[int]
     witness = None
     for cone_idx in fan.max_cones:
         rays = [fan.rays[i] for i in cone_idx]
-        for m in dual_monomials(fan, cone_idx, height):
+        for m in dual_monomials(fan, cone_idx, SAMPLE_HEIGHT):
             if pairing(p, m) == 0:
                 continue
             shifted = vec_add(m, e)

@@ -25,11 +25,9 @@ from toricaut.lattice import (
 )
 from toricaut.roots import demazure_roots, product_roots, root_box_bound, roots_oracle
 from toricaut.structure import (
-    compose,
     decompose,
     fan_automorphisms,
     fan_isomorphism,
-    inverse,
     wreath_order_check,
 )
 from toricaut.symbolic import (
@@ -41,7 +39,13 @@ from toricaut.symbolic import (
     regularity_check,
 )
 
-from util import random_complete_fan_rank2, random_pointed_cone_rays, random_unimodular
+from util import (
+    compose,
+    inverse,
+    random_complete_fan_rank2,
+    random_pointed_cone_rays,
+    random_unimodular,
+)
 
 RESULTS = []
 
@@ -127,7 +131,7 @@ def test_criterion_4_symbolic_certificates():
         box = [m for m in iproduct(*(range(-4, 5) for _ in range(fan.rank)))]
         for root in demazure_roots(fan):
             roots_checked += 1
-            if not regularity_check(fan, root, height=4).ok:
+            if not regularity_check(fan, root).ok:
                 failures.append(f"regularity {name} {root.e}")
             rho = fan.rays[root.rho_e]
             sample = [m for m in box if pairing(rho, m) >= 0]

@@ -8,17 +8,21 @@ from toricaut.lattice import identity_matrix, mat_mul, vec_mat
 from toricaut.roots import demazure_roots
 from toricaut.structure import (
     aut_structure_report,
-    compose,
     decompose,
     fan_automorphisms,
     fan_isomorphism,
-    inverse,
     reconstruct,
     wreath_order_check,
 )
 from toricaut.symbolic import lie_dimension
 
-from util import automorphism_order_oracle, random_complete_fan_rank2, random_unimodular
+from util import (
+    automorphism_order_oracle,
+    compose,
+    inverse,
+    random_complete_fan_rank2,
+    random_unimodular,
+)
 
 EXPECTED_ORDERS = {
     "P1": 2, "P2": 6, "F1": 2, "P1xP1": 8,

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toricaut.fan import Fan, transform_fan
-from toricaut.lattice import mat_mul, pairing, primitive, vec_add, vec_neg
+from toricaut.lattice import (
+    invert_unimodular,
+    mat_mul,
+    pairing,
+    primitive,
+    transpose,
+    vec_add,
+    vec_mat,
+    vec_neg,
+)
 from toricaut.roots import demazure_roots
 from toricaut.symbolic import (
     GradedLaurentPoly,
@@ -24,6 +33,28 @@ from toricaut.symbolic import (
 
 from util import witness_oracle
 
+SHEAR = mat_mul(mat_mul(((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+                        ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
+                ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
+
+# unimodular maps with large entries, by rank
+LARGE_BASES = {2: ((89, 55), (55, 34)),
+               3: mat_mul(SHEAR, SHEAR),
+               4: ((21, 13, 0, 0), (13, 8, 0, 0), (0, 0, 21, 13), (0, 0, 13, 8))}
+
+
+def large_basis_conjugates(fans, ranks):
+    """(base, conjugate, cone map, character map) for each corpus fan of the
+    given ranks.  The conjugate's rays are the r * U, which Fan re-indexes;
+    the character m of the base pairs with r as U^(-T) m pairs with r * U."""
+    for base in fans.values():
+        if base.rank in ranks:
+            u = LARGE_BASES[base.rank]
+            fan = transform_fan(base, u)
+            index = [fan.rays.index(vec_mat(r, u)) for r in base.rays]
+            dual = transpose(invert_unimodular(u))
+            yield (base, fan, lambda c, index=index: tuple(sorted(index[i] for i in c)),
+                   lambda m, dual=dual: vec_mat(m, dual))
 
 
 def chi(m, coeff=1, s_exp=0):
@@ -125,6 +156,48 @@ class TestRegularity:
             for root in demazure_roots(fan):
                 assert regularity_check(fan, root).ok
 
+    def test_sample_counts_do_not_depend_on_basis(self, fans):
+        count = 0
+        for base, fan, cone_map, char_map in large_basis_conjugates(fans, (2, 3)):
+            roots = {root.e: root for root in demazure_roots(fan)}
+            for root in demazure_roots(base):
+                cert = regularity_check(fan, roots[char_map(root.e)])
+                assert cert.ok
+                samples = {entry.cone: entry.samples_checked for entry in cert.entries}
+                for entry in regularity_check(base, root).entries:
+                    assert samples[cone_map(entry.cone)] == entry.samples_checked
+                    assert entry.contains_distinguished_ray or entry.samples_checked >= 25
+                count += 1
+        assert count == 60
+
+
+class TestDualMonomials:
+    def test_sums_of_facet_normals(self, fans):
+        # the chart of P112 spanned by (-1, -2) and (1, 0) has facet normals
+        # (0, -1) and (2, -1); (1, -1) lies in its dual but is no such sum
+        fan = fans["P112"]
+        cone = tuple(sorted(fan.rays.index(r) for r in ((-1, -2), (1, 0))))
+        assert dual_monomials(fan, cone, 1) == ((0, -1), (0, 0), (2, -2), (2, -1))
+
+    def test_lower_dimensional_cone(self, fans):
+        # the dual of a ray is a half-plane: one generator plus the +/- pair
+        # spanning the ray's annihilator
+        fan = fans["P112"]
+        samples = dual_monomials(fan, (fan.rays.index((-1, -2)),), 2)
+        assert len(samples) == 3 * 5
+        assert (2, -1) in samples and (-2, 1) in samples
+        assert all(pairing((-1, -2), m) >= 0 for m in samples)
+
+    def test_equivariant_under_large_bases(self, fans):
+        count = 0
+        for base, fan, cone_map, char_map in large_basis_conjugates(fans, (2, 3)):
+            for cone in base.max_cones:
+                for height in (2, 4):
+                    image = sorted(char_map(m) for m in dual_monomials(base, cone, height))
+                    assert list(dual_monomials(fan, cone_map(cone), height)) == image
+                    count += 1
+        assert count == 88
+
 
 class TestAdditivity:
     def test_p1_degree_one(self, fans):
@@ -181,17 +254,8 @@ class TestFaithfulness:
         assert count == 74
 
     def test_large_basis_conjugates(self, fans):
-        shear = mat_mul(mat_mul(((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-                                ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
-                        ((1, 0, 0), (0, 1, 0), (1, 0, 1)))
-        maps = {2: ((89, 55), (55, 34)),
-                3: mat_mul(shear, shear),
-                4: ((21, 13, 0, 0), (13, 8, 0, 0), (0, 0, 21, 13), (0, 0, 13, 8))}
         count = 0
-        for base in fans.values():
-            if base.rank not in maps:
-                continue
-            fan = transform_fan(base, maps[base.rank])
+        for _, fan, _, _ in large_basis_conjugates(fans, (2, 3, 4)):
             for root in demazure_roots(fan):
                 w = faithfulness_check(fan, root)
                 assert w.cone in fan.max_cones and root.rho_e in w.cone

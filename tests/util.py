@@ -9,8 +9,10 @@ from toricaut.fan import Fan
 from toricaut.lattice import (
     det,
     identity_matrix,
+    invert_unimodular,
     mat,
     mat_is_integral,
+    mat_mul,
     mat_to_int,
     pairing,
     primitive,
@@ -21,6 +23,7 @@ from toricaut.lattice import (
     vec_mat,
     vec_neg,
 )
+from toricaut.structure import FanIsomorphism
 
 
 def random_primitive(rng, rank, bound=4):
@@ -100,6 +103,21 @@ def random_pointed_cone_rays(rng, rank, count):
         if v[-1] > 0 or (v[-1] == 0 and sum(v) > 0):
             rays.append(v)
     return rays
+
+
+def compose(a, b):
+    """First apply a, then b (matrices act on row vectors from the right)."""
+    return FanIsomorphism(
+        matrix=mat_mul(a.matrix, b.matrix),
+        ray_permutation=tuple(b.ray_permutation[i] for i in a.ray_permutation))
+
+
+def inverse(a):
+    inv = invert_unimodular(a.matrix)
+    perm = [0] * len(a.ray_permutation)
+    for i, j in enumerate(a.ray_permutation):
+        perm[j] = i
+    return FanIsomorphism(matrix=inv, ray_permutation=tuple(perm))
 
 
 def automorphism_order_oracle(fan):
