@@ -36,10 +36,6 @@ def weighted_p112() -> Fan:
     return Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
 
 
-def trivial(rank: int = 0) -> Fan:
-    return Fan(rank, [], [])
-
-
 def corpus() -> dict:
     """Name -> fan for every bundled example."""
     fans = {

@@ -12,23 +12,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .fan import Fan, IncompleteFanError, is_complete
+from .fan import Fan, IncompleteFanError, halfspace_cone_generators, is_complete
 from .lattice import (
     Vec,
     complete_to_unimodular,
+    hermite_normal_form,
+    identity_matrix,
     invert_unimodular,
     is_primitive,
     pairing,
+    right_kernel_basis,
+    solve_left,
     vec,
     vec_add,
+    vec_mat,
     vec_neg,
     vec_scale,
 )
 from .roots import DemazureRoot, demazure_roots
 
-#: Largest coefficient of a facet normal in the samples (dual_monomials) of
+#: Largest coefficient of a dual generator in the samples (dual_monomials) of
 #: the regularity and derivation-classification cross-checks.  The
 #: closed-form criteria are the real checks; sampling is a redundant
 #: cross-validation, so a fixed small height suffices.
@@ -196,18 +202,39 @@ def action_additivity_check(fan: Fan, root: DemazureRoot, m: Sequence[int]) -> b
     return two_step == one_step
 
 
+def _parallelepiped_points(gens: Sequence[Vec], d: int) -> set:
+    """Lattice points sum lam_g * g with 0 <= lam_g < 1 over the linearly
+    independent d-subsets of gens; the Hermite box of a subset's lattice
+    holds one residue per point."""
+    points = set()
+    for basis in combinations(gens, d):
+        inv = solve_left(basis, identity_matrix(d))
+        if inv is not None:
+            h, _ = hermite_normal_form(basis)
+            for x in product(*(range(h[i][i]) for i in range(d))):
+                points.add(vec(vec_mat(tuple(c % 1 for c in vec_mat(x, inv)), basis)))
+    return points
+
+
 @lru_cache(maxsize=None)
 def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
-    """Characters of the dual cone: the distinct sums of c_g * g with
-    0 <= c_g <= height over the cone's facet normals g, sorted.
+    """Sample characters of the cone's dual, sorted: the distinct
+    q + sum c_g * g with 0 <= c_g <= height.
 
-    The facet normals generate the dual cone (for a cone of lower dimension
-    they include the +/- pairs spanning its annihilator), so every sample
-    lies in it, and a unimodular change of basis carries the samples of a
-    cone onto those of its image.
+    The g lift the primitive generators of the dual modulo the annihilator
+    L of the cone's span (the facet normals, for a full-dimensional cone)
+    and include the +/- vectors of a basis of L; q runs over the lattice
+    points of the lifted generators' half-open parallelepipeds.  Every
+    lattice point of the dual is a sample at some height.  The samples of
+    a full-dimensional cone move with the fan under GL(n, Z); for a
+    lower-dimensional one only their number does not depend on the basis.
     """
-    sums = {(0,) * fan.rank}
-    for g in fan.cone(cone_idx).facet_normals:
+    rays = fan.cone(cone_idx).rays
+    lineality = right_kernel_basis(rays, fan.rank)
+    lift = complete_to_unimodular(lineality, fan.rank)[len(lineality):]
+    gens, _ = halfspace_cone_generators([[pairing(r, w) for w in lift] for r in rays], len(lift))
+    sums = {vec_mat(q, lift) for q in _parallelepiped_points(gens, len(lift))}
+    for g in [vec_mat(g, lift) for g in gens] + [u for l in lineality for u in (l, vec_neg(l))]:
         sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
     return tuple(sorted(sums))
 

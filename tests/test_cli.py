@@ -1,9 +1,9 @@
 import json
 import pathlib
-import time
 
 import pytest
 
+from toricaut import cli
 from toricaut.cli import (
     FanDocument,
     FanDocumentError,
@@ -14,6 +14,8 @@ from toricaut.cli import (
     parse_fan,
 )
 from toricaut.corpus import corpus
+from toricaut.lattice import pairing
+from toricaut.symbolic import action_additivity_check
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricaut" / "data"
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
@@ -168,17 +170,27 @@ class TestCommands:
             assert f"PASS {cert}" in out
         assert "FAIL" not in out
 
-    def test_check_large_basis_conjugate(self, capsys):
+    def test_check_large_basis_conjugate(self, capsys, monkeypatch):
         # F3 and P112 in bases with entries up to 21 and 55 get the base fans'
-        # verdicts; the samples move with the basis, so check stays near 0.1 s
-        # however large the entries
-        for name in ("F3_conjugate.fan", "P112_F9.fan"):
-            start = time.perf_counter()
-            code, out, _ = run_cli(["check", str(FIXTURES / name)], capsys)
-            assert time.perf_counter() - start < 2.0, name
-            assert code == 0
-            assert "PASS faithfulness" in out and "PASS product_roots" in out
-            assert "FAIL" not in out
+        # verdicts, and their additivity expansions have the same degrees
+        # <rho_e, m>: the samples move with the basis
+        degrees = []
+
+        def recording_check(fan, root, m):
+            degrees.append(pairing(fan.rays[root.rho_e], m))
+            return action_additivity_check(fan, root, m)
+
+        monkeypatch.setattr(cli, "action_additivity_check", recording_check)
+        for name, base in (("F3_conjugate.fan", "F3.fan"), ("P112_F9.fan", "P112.fan")):
+            seen = {}
+            for path in (FIXTURES / name, DATA / base):
+                degrees.clear()
+                code, out, _ = run_cli(["check", str(path)], capsys)
+                assert code == 0
+                assert "PASS faithfulness" in out and "PASS product_roots" in out
+                assert "FAIL" not in out
+                seen[path] = sorted(degrees)
+            assert seen[FIXTURES / name] == seen[DATA / base], name
 
     def test_check_two_fans(self, capsys):
         code, out, _ = run_cli(["check", str(DATA / "P1.fan"), str(DATA / "P2.fan")], capsys)

@@ -57,6 +57,13 @@ def large_basis_conjugates(fans, ranks):
                    lambda m, dual=dual: vec_mat(m, dual))
 
 
+# complete fan whose maximal cones have determinant 2 or 4; for p = (1, 0)
+# and e = (-2, 0), not a root, the only witnesses m that the classification
+# sampler can find are parallelepiped points such as (1, 1) in the chart of
+# (1, 0) and (-1, 2), which is no sum of that chart's facet normals
+NON_SMOOTH = Fan(2, [(1, 0), (-1, 2), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+
+
 def chi(m, coeff=1, s_exp=0):
     return GradedLaurentPoly.chi(m, coeff=coeff, s_exp=s_exp)
 
@@ -172,21 +179,36 @@ class TestRegularity:
 
 
 class TestDualMonomials:
-    def test_sums_of_facet_normals(self, fans):
+    def test_parallelepiped_point(self, fans):
         # the chart of P112 spanned by (-1, -2) and (1, 0) has facet normals
-        # (0, -1) and (2, -1); (1, -1) lies in its dual but is no such sum
+        # (0, -1) and (2, -1) of determinant 2; (1, -1) lies in the dual but
+        # is no sum of them, so it is sampled as a parallelepiped point
         fan = fans["P112"]
         cone = tuple(sorted(fan.rays.index(r) for r in ((-1, -2), (1, 0))))
-        assert dual_monomials(fan, cone, 1) == ((0, -1), (0, 0), (2, -2), (2, -1))
+        assert dual_monomials(fan, cone, 1) == (
+            (0, -1), (0, 0), (1, -2), (1, -1), (2, -2), (2, -1), (3, -3), (3, -2))
 
     def test_lower_dimensional_cone(self, fans):
-        # the dual of a ray is a half-plane: one generator plus the +/- pair
-        # spanning the ray's annihilator
+        # the dual of a ray is a half-plane: a generator pairing to 1 with the
+        # ray plus the multiples of the ray's annihilator
         fan = fans["P112"]
         samples = dual_monomials(fan, (fan.rays.index((-1, -2)),), 2)
         assert len(samples) == 3 * 5
         assert (2, -1) in samples and (-2, 1) in samples
-        assert all(pairing((-1, -2), m) >= 0 for m in samples)
+        assert {pairing((-1, -2), m) for m in samples} == {0, 1, 2}
+
+    def test_every_small_dual_point_is_sampled(self, fans):
+        count = 0
+        for fan in [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]:
+            for cone in fan.all_cones:
+                if not cone:
+                    continue
+                samples = set(dual_monomials(fan, cone, 8))
+                for m in iproduct(range(-2, 3), repeat=fan.rank):
+                    if all(pairing(fan.rays[i], m) >= 0 for i in cone):
+                        assert m in samples, (fan, cone, m)
+                        count += 1
+        assert count > 1000
 
     def test_equivariant_under_large_bases(self, fans):
         count = 0
@@ -330,15 +352,14 @@ class TestClassification:
         assert res.agrees_with_sampler
 
     def test_agreement_grid(self, fans):
-        for name in ("P2", "F1", "P112"):
-            fan = fans[name]
+        for fan in (fans["P2"], fans["F1"], fans["P112"], NON_SMOOTH):
             grid = [v for v in iproduct(range(-2, 3), range(-2, 3))]
             for p in grid:
                 if not any(p) or primitive(p) != p:
                     continue
                 for e in grid:
                     res = derivation_classification_check(fan, p, e)
-                    assert res.agrees_with_sampler, (name, p, e, res)
+                    assert res.agrees_with_sampler, (fan, p, e, res)
 
     def test_negated_ray_also_preserves(self, fans):
         fan = fans["P2"]
