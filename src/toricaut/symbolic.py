@@ -206,11 +206,11 @@ def _parallelepiped_points(gens: Sequence[Vec], d: int) -> set:
     """Lattice points sum lam_g * g with 0 <= lam_g < 1 over the linearly
     independent d-subsets of gens; the Hermite box of a subset's lattice
     holds one residue per point."""
-    points = set()
+    points = {(0,) * d}
     for basis in combinations(gens, d):
-        inv = solve_left(basis, identity_matrix(d))
-        if inv is not None:
-            h, _ = hermite_normal_form(basis)
+        h, _ = hermite_normal_form(basis)
+        if math.prod(h[i][i] for i in range(d)) > 1:  # 0: dependent, 1: origin only
+            inv = solve_left(basis, identity_matrix(d))
             for x in product(*(range(h[i][i]) for i in range(d))):
                 points.add(vec(vec_mat(tuple(c % 1 for c in vec_mat(x, inv)), basis)))
     return points
@@ -229,10 +229,11 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     a full-dimensional cone move with the fan under GL(n, Z); for a
     lower-dimensional one only their number does not depend on the basis.
     """
-    rays = fan.cone(cone_idx).rays
-    lineality = right_kernel_basis(rays, fan.rank)
+    cone = fan.cone(cone_idx)
+    lineality = right_kernel_basis(cone.rays, fan.rank)
     lift = complete_to_unimodular(lineality, fan.rank)[len(lineality):]
-    gens, _ = halfspace_cone_generators([[pairing(r, w) for w in lift] for r in rays], len(lift))
+    gens = cone.facet_normals if not lineality else halfspace_cone_generators(
+        [[pairing(r, w) for w in lift] for r in cone.rays], len(lift))[0]
     sums = {vec_mat(q, lift) for q in _parallelepiped_points(gens, len(lift))}
     for g in [vec_mat(g, lift) for g in gens] + [u for l in lineality for u in (l, vec_neg(l))]:
         sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
