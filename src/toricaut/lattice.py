@@ -241,6 +241,35 @@ def solve_left(a: Mat, b: Mat) -> Optional[Mat]:
     return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
+def scaled_inverse(a: Mat) -> tuple:
+    """(R, d) with A*R = d*I and d = ±det A, all integers; (None, 0) if A
+    is singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [A | I]: after
+    step k every pivot equals the leading (k+1)-minor of the row-permuted
+    A and each division by the previous pivot is exact, so R = d*A^-1 is
+    the adjugate of A up to sign.
+    """
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("scaled_inverse needs a square matrix")
+    aug = [list(a[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if piv is None:
+            return None, 0
+        aug[k], aug[piv] = aug[piv], aug[k]
+        row_k = aug[k]
+        p = row_k[k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], row_k)]
+        prev = p
+    return tuple(tuple(r[n:]) for r in aug), prev
+
+
 def mat_is_integral(a) -> bool:
     return all(Fraction(x).denominator == 1 for r in a for x in r)
 

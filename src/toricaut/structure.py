@@ -3,8 +3,10 @@ the product/wreath structure of the automorphism group.
 
 The isomorphism search assigns images to a spanning set of rays,
 backtracking with combinatorial pruning (cone-incidence profiles of rays
-and ray pairs, which are preserved by any lattice isomorphism), solves the
-resulting linear system exactly and keeps a candidate only if it is
+and ray pairs, which are preserved by any lattice isomorphism).  It
+inverts the anchor rays once per search, as an integer matrix R and
+d = ±det with A*R = d*I, so each leaf costs one integer product R*B and a
+divisibility test by d; a candidate is kept only if it is integral,
 unimodular and carries the whole cone set bijectively onto the target's.
 
 Decomposition seeds blocks with the connected components of the ray
@@ -42,6 +44,7 @@ from .lattice import (
     mat_mul,
     mat_to_int,
     rank_of,
+    scaled_inverse,
     solve_left,
     span_saturation_basis,
     sublattice_direct_sum,
@@ -130,19 +133,23 @@ def _extend_span_map(anchors: Mat, images: Mat, n: int) -> Optional[Mat]:
     return u
 
 
-def _candidate_matrix(f1: Fan, anchors_idx, images_idx, f2: Fan) -> Optional[Mat]:
-    anchors = mat([f1.rays[i] for i in anchors_idx])
-    images = mat([f2.rays[i] for i in images_idx])
-    n = f1.rank
-    if len(anchors) == n:
-        x = solve_left(anchors, images)
-        if x is None or not mat_is_integral(x):
-            return None
-        u = mat_to_int(x)
-        if abs(det(u)) != 1:
-            return None
-        return u
-    return _extend_span_map(anchors, images, n)
+def _candidate_matrix(inverse: Mat, d: int, images: Sequence[Vec]) -> Optional[Mat]:
+    """The unimodular U with A*U = B, given R = d*A^-1 from `scaled_inverse`
+    and the image rows B; None unless R*B/d is integral and unimodular."""
+    cols = tuple(zip(*images))
+    rows = []
+    for r in inverse:
+        row = []
+        for c in cols:
+            q, rem = divmod(sum(x * y for x, y in zip(r, c)), d)
+            if rem:
+                return None
+            row.append(q)
+        rows.append(tuple(row))
+    u = tuple(rows)
+    if abs(det(u)) != 1:
+        return None
+    return u
 
 
 def _check_iso(f1: Fan, f2: Fan, u: Mat) -> Optional[FanIsomorphism]:
@@ -166,7 +173,7 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
         return []
     f1.require_valid()
     f2.require_valid()
-    if invariant_vector(f1) != invariant_vector(f2):
+    if f1 is not f2 and invariant_vector(f1) != invariant_vector(f2):
         return []
     n = f1.rank
     if not f1.rays:
@@ -174,14 +181,18 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
             return [FanIsomorphism(matrix=identity_matrix(n), ray_permutation=())]
         return []
     single1, pair1 = _ray_profiles(f1)
-    single2, pair2 = _ray_profiles(f2)
+    single2, pair2 = (single1, pair1) if f1 is f2 else _ray_profiles(f2)
     anchors = _spanning_anchor_indices(f1)
+    anchor_rows = tuple(f1.rays[i] for i in anchors)
+    inverse, d = scaled_inverse(anchor_rows) if len(anchors) == n else (None, 0)
     results = []
     seen = set()
 
     def backtrack(pos: int, chosen: list):
         if pos == len(anchors):
-            u = _candidate_matrix(f1, anchors, chosen, f2)
+            images = tuple(f2.rays[b] for b in chosen)
+            u = (_candidate_matrix(inverse, d, images) if inverse is not None
+                 else _extend_span_map(anchor_rows, images, n))
             if u is None or u in seen:
                 return False
             iso = _check_iso(f1, f2, u)
@@ -208,7 +219,8 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
 
 
 def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[FanIsomorphism]:
-    """Some isomorphism f1 -> f2, or None; first hit in canonical order."""
+    """Some isomorphism f1 -> f2, or None; the first hit in search order
+    (anchor images tried by increasing target ray index)."""
     found = _isomorphism_search(f1, f2, find_all=False)
     return found[0] if found else None
 
@@ -306,14 +318,14 @@ def _ray_blocks(fan: Fan) -> list:
     n = fan.rank
     basis_idx = _spanning_anchor_indices(fan)
     assert len(basis_idx) == n, "rays of a complete fan span N_R"
-    basis = mat([rays[i] for i in basis_idx])
+    inverse, _ = scaled_inverse(tuple(rays[i] for i in basis_idx))
     uf = _UnionFind(len(rays))
     for i in range(len(rays)):
         if i in basis_idx:
             continue
-        coeffs = solve_left(transpose(basis), transpose([rays[i]], n))
-        assert coeffs is not None
-        support = [basis_idx[k] for k in range(n) if coeffs[k][0] != 0]
+        # ray i = (ray_i * R / d) * basis, so its circuit is the support of ray_i * R
+        coeffs = vec_mat(rays[i], inverse)
+        support = [basis_idx[k] for k in range(n) if coeffs[k] != 0]
         for b in support:
             uf.union(i, b)
     groups: dict = {}

@@ -130,6 +130,11 @@ class TestCommands:
         code, out, _ = run_cli(["autos", str(DATA / "P1xP1.fan")], capsys)
         assert code == 0 and "order 8" in out
 
+    def test_autos_json_blow_up(self, capsys):
+        code, out, _ = run_cli(["autos", "--json", str(FIXTURES / "Bl24P3.fan")], capsys)
+        assert code == 0
+        assert [e["order"] for e in json.loads(out)["fans"]] == [2]
+
     def test_report_structure_string(self, capsys):
         code, out, _ = run_cli(["report", str(DATA / "P1xP1.fan")], capsys)
         assert code == 0

@@ -12,6 +12,7 @@ from toricaut.lattice import (
     mat_mul,
     pairing,
     primitive,
+    scaled_inverse,
     sublattice_direct_sum,
     vec_add,
 )
@@ -125,6 +126,37 @@ class TestUnimodular:
     def test_non_square(self):
         with pytest.raises(ValueError):
             is_unimodular(((1, 0, 0), (0, 1, 0)))
+
+
+class TestScaledInverse:
+    def test_seeded_random_matrices(self):
+        rng = random.Random(20211)
+        singular = 0
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            a = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            if n > 1 and rng.random() < 0.2:
+                # a repeated row makes A singular
+                a = a[:-1] + (a[0],)
+            r, d = scaled_inverse(a)
+            if det(a) == 0:
+                singular += 1
+                assert (r, d) == (None, 0)
+                continue
+            assert abs(d) == abs(det(a))
+            assert mat_mul(a, r) == tuple(tuple(d * x for x in row)
+                                          for row in identity_matrix(n))
+        assert singular >= 50
+
+    def test_examples(self):
+        assert scaled_inverse(((1, 0), (-1, 2))) == (((2, 0), (1, 1)), 2)
+        assert scaled_inverse(((0, 1), (1, 0)))[1] in (1, -1)
+        assert scaled_inverse(((2, 4), (1, 2))) == (None, 0)
+        assert scaled_inverse(()) == ((), 1)
+
+    def test_non_square(self):
+        with pytest.raises(ValueError):
+            scaled_inverse(((1, 0, 0), (0, 1, 0)))
 
 
 class TestSublatticeDirectSum:

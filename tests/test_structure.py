@@ -4,7 +4,8 @@ import random
 import pytest
 
 from toricaut.fan import Fan, IncompleteFanError, transform_fan
-from toricaut.lattice import identity_matrix, mat_mul, vec_mat
+from toricaut import structure
+from toricaut.lattice import det, identity_matrix, invert_unimodular, mat_mul, vec_mat
 from toricaut.roots import demazure_roots
 from toricaut.structure import (
     aut_structure_report,
@@ -20,6 +21,7 @@ from util import (
     automorphism_order_oracle,
     compose,
     inverse,
+    random_blow_up,
     random_complete_fan_rank2,
     random_unimodular,
 )
@@ -74,6 +76,52 @@ class TestFanAutomorphisms:
     def test_sorted_deterministic(self, fans):
         autos = fan_automorphisms(fans["P2"])
         assert [a.matrix for a in autos] == sorted(a.matrix for a in autos)
+
+
+class TestAnchorInverse:
+    """The search inverts its anchor rows once; each leaf is an integer
+    product and a divisibility test, so the answers must not change."""
+
+    # complete, with every cone of determinant 2 or 4
+    NON_SMOOTH = Fan(2, [(1, 0), (-1, 2), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
+
+    def _fans(self, fans):
+        rng = random.Random(611)
+        out = [self.NON_SMOOTH]
+        out += [random_blow_up(rng, fans["P2"], rng.randint(1, 4)) for _ in range(6)]
+        out += [random_complete_fan_rank2(rng, extra=rng.randint(0, 3)) for _ in range(6)]
+        return out
+
+    def test_no_fraction_solve_per_leaf(self, fans, monkeypatch):
+        calls = []
+        solve = structure.solve_left
+        monkeypatch.setattr(structure, "solve_left",
+                            lambda a, b: calls.append(1) or solve(a, b))
+        fan = random_blow_up(random.Random(24), fans["P3"], 12)
+        # bypass the memo so that the search itself runs
+        autos = fan_automorphisms.__wrapped__(fan)
+        assert autos and calls == []
+
+    def test_anchor_determinant_above_one(self):
+        # the anchors are the sorted rays (-1,-2), (-1,2): d = ±4
+        anchors = structure._spanning_anchor_indices(self.NON_SMOOTH)
+        assert abs(det(tuple(self.NON_SMOOTH.rays[i] for i in anchors))) == 4
+        assert len(fan_automorphisms(self.NON_SMOOTH)) == 2
+
+    def test_orders_against_bijection_oracle(self, fans):
+        for fan in self._fans(fans):
+            assert len(fan.rays) <= 7
+            assert len(fan_automorphisms(fan)) == automorphism_order_oracle(fan), fan.rays
+
+    def test_conjugate_groups(self, fans):
+        rng = random.Random(612)
+        for fan in self._fans(fans):
+            group = {a.matrix for a in fan_automorphisms(fan)}
+            for _ in range(2):
+                u = random_unimodular(rng, 2)
+                u_inv = invert_unimodular(u)
+                conj = {a.matrix for a in fan_automorphisms(transform_fan(fan, u))}
+                assert conj == {mat_mul(mat_mul(u_inv, g), u) for g in group}, (fan.rays, u)
 
 
 class TestFanIsomorphism:
