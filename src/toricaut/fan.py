@@ -10,7 +10,10 @@ Dual descriptions are computed exactly by the double description method
 (constraints inserted one at a time, adjacent ray pairs combined, with a
 purely combinatorial adjacency test).  Complete simplicial fans are
 certified valid by a local ridge criterion; any other fan falls back to
-intersecting every pair of maximal cones.
+intersecting every pair of maximal cones.  A product fan takes its maximal
+cones from the factors' cones, whose facet normals it knows, so it runs no
+double description; it is still validated and tested for completeness like
+any other fan.
 """
 
 from __future__ import annotations
@@ -258,6 +261,29 @@ class ValidationReport:
         return "; ".join(e.message for e in self.entries)
 
 
+def _maximal(cones: list) -> tuple:
+    """The cones not properly contained in another listed cone.
+
+    A cone that contains c holds c's rarest ray, so c is only tested
+    against the cones through that ray; () is absorbed by any other cone.
+    """
+    sets = [frozenset(c) for c in cones]
+    through: dict = {}
+    for s in sets:
+        for i in s:
+            through.setdefault(i, []).append(s)
+    kept = []
+    for c, s in zip(cones, sets):
+        if c:
+            rarest = min(c, key=lambda i: len(through[i]))
+            absorbed = any(s < t for t in through[rarest])
+        else:
+            absorbed = len(cones) > 1
+        if not absorbed:
+            kept.append(c)
+    return tuple(kept)
+
+
 class Fan:
     """A fan in N_R, stored as global rays plus maximal cones by ray index.
 
@@ -286,8 +312,7 @@ class Fan:
         relabel = {old: new for new, old in enumerate(order)}
         self.rays: Mat = tuple(ray_list[i] for i in order)
         remapped = sorted({tuple(sorted(relabel[i] for i in c)) for c in cones})
-        maximal = [c for c in remapped if not any(set(c) < set(d) for d in remapped)]
-        self.max_cones: tuple = tuple(maximal) if maximal else ((),)
+        self.max_cones: tuple = _maximal(remapped) or ((),)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Fan) and self.rank == other.rank
@@ -495,10 +520,10 @@ def is_complete(fan: Fan) -> bool:
         adj[a].add(b)
         adj[b].add(a)
     seen = {fan.max_cones[0]}
-    frontier = [fan.max_cones[0]]
+    frontier = set(seen)
     while frontier:
-        seen.update(nxt := [b for c in frontier for b in adj[c] if b not in seen])
-        frontier = nxt
+        frontier = {b for c in frontier for b in adj[c]} - seen
+        seen |= frontier
     return len(seen) == len(fan.max_cones)
 
 
@@ -519,15 +544,51 @@ def is_smooth(fan: Fan) -> bool:
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:
-    """Fan of the product: rays embed block-wise, cones are all products."""
+    """Fan of the product: rays embed block-wise, cones are all products.
+
+    The maximal cones come from the factors' cones: for full-dimensional
+    sigma and tau the cone sigma x tau has the block rays and the facet
+    normals (g, 0) and (0, h) (Cox-Little-Schenck, Toric Varieties, 3.1),
+    so no double description runs on the product.  A pair with a
+    lower-dimensional cone is left to Fan.cone, since its lineality normals
+    depend on the basis.  Validation, completeness and the roots still run
+    on the product itself.
+    """
     f1.require_valid()
     f2.require_valid()
     n1, n2 = f1.rank, f2.rank
-    rays = [r + (0,) * n2 for r in f1.rays] + [(0,) * n1 + r for r in f2.rays]
-    k1 = len(f1.rays)
-    cones = [tuple(c1) + tuple(i + k1 for i in c2)
-             for c1 in f1.max_cones for c2 in f2.max_cones]
-    return Fan(n1 + n2, rays, cones)
+    rays = product_rays(f1, f2)
+    index = {r: i for i, r in enumerate(rays)}
+
+    def blocks(f: Fan, before: int, after: int) -> list:
+        """(product ray indices, padded facet normals or None when the cone
+        is not full dimensional) for each maximal cone of a factor."""
+        def pad(v):
+            return (0,) * before + v + (0,) * after
+        out = []
+        for c in f.max_cones:
+            cone = f.cone(c)
+            normals = tuple(map(pad, cone.facet_normals)) if cone.dim == f.rank else None
+            out.append((tuple(index[pad(f.rays[i])] for i in c), normals))
+        return out
+
+    left, right = blocks(f1, 0, n2), blocks(f2, n1, 0)
+    pf = Fan(n1 + n2, rays, [a + b for a, _ in left for b, _ in right])
+    for a, normals1 in left:
+        for b, normals2 in right:
+            if normals1 is not None and normals2 is not None:
+                key = tuple(sorted(a + b))
+                pf._cone_cache[key] = Cone(
+                    rank=n1 + n2, rays=tuple(rays[i] for i in key),
+                    facet_normals=tuple(sorted(normals1 + normals2)), dim=n1 + n2)
+    return pf
+
+
+def product_rays(f1: Fan, f2: Fan) -> Mat:
+    """The rays of product_fan(f1, f2) in its order: the block-embedded
+    rays of both factors, sorted."""
+    return tuple(sorted([r + (0,) * f2.rank for r in f1.rays]
+                        + [(0,) * f1.rank + r for r in f2.rays]))
 
 
 def skeleton(fan: Fan, i: int) -> tuple[Cone, ...]:

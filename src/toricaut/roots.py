@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .fan import Fan, IncompleteFanError, is_complete, product_fan
+from .fan import Fan, IncompleteFanError, is_complete, product_rays
 from .lattice import Vec, pairing, vec, vec_neg
 
 # An inequality row (a, c) means <a, x> >= c.
@@ -246,8 +246,7 @@ def product_roots(f1: Fan, f2: Fan) -> tuple[DemazureRoot, ...]:
     """
     _require_complete(f1)
     _require_complete(f2)
-    pf = product_fan(f1, f2)
-    index = {r: i for i, r in enumerate(pf.rays)}
+    index = {r: i for i, r in enumerate(product_rays(f1, f2))}
     n1, n2 = f1.rank, f2.rank
     out = []
     for r in demazure_roots(f1):

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from toricaut import cli
+from toricaut import fan as fan_module
 from toricaut.cli import (
     FanDocument,
     FanDocumentError,
@@ -12,6 +13,7 @@ from toricaut.cli import (
     fan_from_document,
     main,
     parse_fan,
+    run_certificates,
 )
 from toricaut.corpus import corpus
 from toricaut.lattice import pairing
@@ -213,6 +215,28 @@ class TestCommands:
                        '"max_cones": [[0,1],[1,2],[2,0]]}')
         code, _, err = run_cli(["validate", str(doc)], capsys)
         assert code == 0 and "normalized to [1, 2]" in err
+
+
+class TestProductCertificate:
+    """The product_roots certificate builds the product fan once, from the
+    factors' cones, and still validates it."""
+
+    def test_no_double_description_on_the_product(self, monkeypatch):
+        ranks, validated = [], []
+        build, validate = fan_module.cone_from_rays, fan_module.validate_fan
+        monkeypatch.setattr(fan_module, "cone_from_rays",
+                            lambda rays, rank: ranks.append(rank) or build(rays, rank))
+        monkeypatch.setattr(fan_module, "validate_fan",
+                            lambda fan: validated.append(fan.rank) or validate(fan))
+        # bypass the memo so that the product fan is validated here
+        monkeypatch.setattr(cli, "demazure_roots", cli.demazure_roots.__wrapped__)
+        doc = parse_fan((FIXTURES / "F3_conjugate.fan").read_text())
+        fan = fan_from_document(doc)
+        certificates = run_certificates([(doc, fan, doc.name)])
+        assert all(ok for _, _, ok, _ in certificates)
+        assert certificates[-1][0] == "product_roots"
+        assert validated == [2, 4]
+        assert ranks and set(ranks) == {2}
 
 
 class TestGoldens:

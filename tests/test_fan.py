@@ -23,6 +23,7 @@ from toricaut.fan import (
 from toricaut.lattice import pairing
 
 from util import (
+    maximal_cones_oracle,
     random_blow_up,
     random_complete_fan_rank2,
     random_pointed_cone_rays,
@@ -292,6 +293,80 @@ class TestProductFan:
 
     def test_rank0_product_is_identity(self, fans):
         assert product_fan(fans["P2"], Fan(0, [], [])) == fans["P2"]
+
+
+def _product_cases(corpus_fans):
+    """(label, f1, f2) factor pairs: every pair of corpus fans, seeded
+    blow-ups against corpus fans in both orders, a rank-0 factor, and
+    incomplete factors with cones of full and of lower dimension."""
+    rng = random.Random(7031)
+    named = list(corpus_fans.items())
+    cases = [(f"{a} x {b}", fa, fb) for k, (a, fa) in enumerate(named) for b, fb in named[k:]]
+    blow_ups = [random_blow_up(rng, corpus_fans["P2"], rng.randint(1, 6)) for _ in range(3)]
+    blow_ups += [random_blow_up(rng, corpus_fans["P3"], rng.randint(1, 3)) for _ in range(2)]
+    for k, fan in enumerate(blow_ups):
+        for name in ("P1", "P2", "F1", "P112"):
+            cases += [(f"blow-up {k} x {name}", fan, corpus_fans[name]),
+                      (f"{name} x blow-up {k}", corpus_fans[name], fan)]
+    point = Fan(0, [], [])
+    line = Fan(1, [], [])
+    quadrant = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    mixed = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)])
+    cases += [("point x P2", point, corpus_fans["P2"]), ("P2 x point", corpus_fans["P2"], point),
+              ("point x point", point, point), ("line x P1", line, corpus_fans["P1"]),
+              ("P2 x line", corpus_fans["P2"], line), ("quadrant x P1", quadrant, corpus_fans["P1"]),
+              ("quadrant x quadrant", quadrant, quadrant), ("mixed x F1", mixed, corpus_fans["F1"]),
+              ("P1 x mixed", corpus_fans["P1"], mixed), ("mixed x line", mixed, line)]
+    return cases
+
+
+class TestProductCones:
+    """product_fan builds the product's maximal cones from the factors'
+    cones; they must equal what double description gives on the rays."""
+
+    def test_cached_cones_match_double_description(self, fans):
+        for label, f1, f2 in _product_cases(fans):
+            pf = product_fan(f1, f2)
+            cached = dict(pf._cone_cache)
+            built = {c: cone_from_rays([pf.rays[i] for i in c], pf.rank) for c in pf.max_cones}
+            assert set(cached) == {c for c, cone in built.items() if cone.dim == pf.rank}, label
+            for c, cone in cached.items():
+                assert cone == built[c], (label, c)
+            assert {c: pf.cone(c) for c in pf.max_cones} == built, label
+
+    def test_fresh_fan_gets_same_verdicts(self, fans):
+        for label, f1, f2 in _product_cases(fans):
+            if f1.rank + f2.rank > 5:
+                continue
+            pf = product_fan(f1, f2)
+            fresh = Fan(pf.rank, pf.rays, pf.max_cones)
+            assert fresh == pf and not fresh._cone_cache
+            assert validate_fan(fresh) == pf.validation, label
+            assert is_complete(fresh) == is_complete(pf) == (
+                is_complete(f1) and is_complete(f2)), label
+
+
+class TestAbsorption:
+    def test_matches_all_pairs_rule(self):
+        rng = random.Random(4099)
+        lists = [[], [()], [(), ()], [(0,), ()], [(0, 1), (1, 0), (0,), ()]]
+        for _ in range(300):
+            k = rng.randint(1, 7)
+            cones = []
+            for _ in range(rng.randint(0, 6)):
+                chain = rng.sample(range(k), rng.randint(0, k))
+                # a nested chain: the chosen cone and some of its prefixes
+                cones += [chain[:j] for j in range(len(chain) + 1) if rng.random() < 0.4]
+                cones.append(chain)
+            cones += rng.sample(cones, len(cones) // 3)
+            if rng.random() < 0.3:
+                cones.append(())
+            rng.shuffle(cones)
+            lists.append(cones)
+        for cones in lists:
+            k = 1 + max((i for c in cones for i in c), default=0)
+            fan = Fan(1, [(i,) for i in range(k)], cones)
+            assert fan.max_cones == maximal_cones_oracle(cones), cones
 
 
 class TestSkeleton:

@@ -204,3 +204,11 @@ def extreme_rays_by_subset_enumeration(normals, n):
             if cand not in found and all(pairing(a, cand) >= 0 for a in rows):
                 found.add(cand)
     return tuple(sorted(found)), lin
+
+
+def maximal_cones_oracle(cones):
+    """Reference for Fan's absorption of non-maximal cones: the all-pairs
+    rule, for cones given by indices into already sorted rays."""
+    listed = sorted({tuple(sorted(set(c))) for c in cones})
+    maximal = [c for c in listed if not any(set(c) < set(d) for d in listed)]
+    return tuple(maximal) if maximal else ((),)
