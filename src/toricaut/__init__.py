@@ -38,8 +38,6 @@ from .roots import (
     classify_roots,
     demazure_roots,
     product_roots,
-    root_box_bound,
-    roots_oracle,
 )
 from .structure import (
     AutStructureReport,
@@ -116,8 +114,6 @@ __all__ = [
     "product_roots",
     "reconstruct",
     "regularity_check",
-    "root_box_bound",
-    "roots_oracle",
     "skeleton",
     "sublattice_direct_sum",
     "wreath_order_check",

@@ -288,15 +288,16 @@ def _run_product(args, fans) -> tuple:
     if len(fans) != 2:
         raise FanDocumentError("product needs exactly two fan files")
     (_, f1, n1), (_, f2, n2) = fans
-    obj = _document_obj(document_from_fan(product_fan(f1, f2), name=f"{n1} x {n2}"))
+    doc = document_from_fan(product_fan(f1, f2), name=f"{n1} x {n2}")
+    obj, text = _document_obj(doc), document_to_json(doc)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(obj, indent=2) + "\n")
+                handle.write(text + "\n")
         except OSError as exc:
             raise FanDocumentError(f"{args.output}: {exc}") from exc
         return 0, obj, lambda: [f"wrote product fan to {args.output}"]
-    return 0, obj, lambda: [json.dumps(obj, indent=2)]
+    return 0, obj, lambda: [text]
 
 
 def run_certificates(fans) -> list:

@@ -18,7 +18,6 @@ any other fan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -27,7 +26,6 @@ from typing import Iterable, Sequence, Union
 from .lattice import (
     Mat,
     Vec,
-    identity_matrix,
     is_primitive,
     is_unimodular,
     mat,
@@ -36,7 +34,7 @@ from .lattice import (
     primitive,
     rank_of,
     right_kernel_basis,
-    solve_left,
+    scaled_inverse,
     vec,
     vec_mat,
     vec_neg,
@@ -96,18 +94,12 @@ class DualCone:
 
 
 def _initial_simplex_rays(a0: Mat, d: int) -> list:
-    """Extreme rays of {y : A0 y >= 0} for invertible d x d A0: the scaled
-    columns of the inverse (A0 r_i is a positive multiple of e_i)."""
-    inv = solve_left(a0, identity_matrix(d))
+    """Extreme rays of {y : A0 y >= 0} for invertible d x d A0: the columns
+    of sign(det) * adj(A0) (A0 r_i is a positive multiple of e_i)."""
+    inv, det_a0 = scaled_inverse(a0)
     assert inv is not None
-    rays = []
-    for i in range(d):
-        col = [inv[r][i] for r in range(d)]
-        denom = 1
-        for x in col:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        rays.append(primitive(tuple(int(x * denom) for x in col)))
-    return rays
+    sign = 1 if det_a0 > 0 else -1
+    return [primitive(tuple(sign * row[i] for row in inv)) for i in range(d)]
 
 
 def _pointed_extreme_rays(rows: Sequence[Vec], d: int) -> list:

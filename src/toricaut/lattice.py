@@ -2,14 +2,16 @@
 
 Vectors are tuples of Python ints and matrices are tuples of row tuples,
 so every computation is arbitrary precision by construction; there is no
-floating point anywhere in this package.  All functions are pure and all
-values immutable, hence safe for unrestricted concurrent use.
+floating point anywhere in this package, and no rationals either: the one
+exact solve is `scaled_inverse`, fraction-free elimination returning
+A*R = d*I in integers, and every inverse or coordinate change is derived
+from it.  All functions are pure and all values immutable, hence safe for
+unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -215,37 +217,11 @@ def sublattice_direct_sum(bases: Sequence[Sequence[Sequence[int]]], n: int) -> b
     return abs(det(mat(stacked))) == 1
 
 
-def solve_left(a: Mat, b: Mat) -> Optional[Mat]:
-    """Solve A*X = B exactly over the rationals; None if A is singular.
-
-    A must be square; the result is a matrix of Fractions.
-    """
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("solve_left needs a square matrix")
-    width = len(b[0]) if b else 0
-    if len(b) != n:
-        raise ValueError("right-hand side has wrong height")
-    aug = [[Fraction(x) for x in list(a[i]) + list(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
-
-
 def scaled_inverse(a: Mat) -> tuple:
     """(R, d) with A*R = d*I and d = ±det A, all integers; (None, 0) if A
     is singular.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [A | I]: after
+    Integer-preserving (Bareiss) Gauss-Jordan elimination on [A | I]: after
     step k every pivot equals the leading (k+1)-minor of the row-permuted
     A and each division by the previous pivot is exact, so R = d*A^-1 is
     the adjugate of A up to sign.
@@ -270,19 +246,11 @@ def scaled_inverse(a: Mat) -> tuple:
     return tuple(tuple(r[n:]) for r in aug), prev
 
 
-def mat_is_integral(a) -> bool:
-    return all(Fraction(x).denominator == 1 for r in a for x in r)
-
-
-def mat_to_int(a) -> Mat:
-    return tuple(tuple(int(x) for x in r) for r in a)
-
-
 def invert_unimodular(u: Mat) -> Mat:
-    inv = solve_left(u, identity_matrix(len(u)))
-    if inv is None or not mat_is_integral(inv):
+    r, d = scaled_inverse(u)
+    if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return mat_to_int(inv)
+    return tuple(tuple(d * x for x in row) for row in r)
 
 
 def minors_gcd(rows: Mat, k: int) -> int:

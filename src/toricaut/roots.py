@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Optional, Sequence
@@ -62,7 +61,8 @@ class RootPolytope:
     def integer_box(self, rank: int) -> Optional[list]:
         """Per-coordinate integer ranges containing all solutions.
 
-        None if the rational relaxation is infeasible.  Raises
+        None if some coordinate's range holds no integer, in particular
+        if the rational relaxation is infeasible.  Raises
         IncompleteFanError if some coordinate is unbounded, which cannot
         happen over a complete fan.
         """
@@ -73,10 +73,7 @@ class RootPolytope:
             if interval is None:
                 return None
             lo, hi = interval
-            ilo, ihi = math.ceil(lo), math.floor(hi)
-            if ilo > ihi:
-                return None
-            box.append(range(ilo, ihi + 1))
+            box.append(range(lo, hi + 1))
         return box
 
 
@@ -136,7 +133,8 @@ def _eliminate(rows: list, var: int, step: int) -> Optional[list]:
 
 
 def _coordinate_interval(rows: list, k: int, rank: int):
-    """Project onto coordinate k; returns (lo, hi) Fractions or None."""
+    """Project onto coordinate k; returns the integer bounds (lo, hi), or
+    None if no integer lies between the rational ones."""
     current = [(a, c, frozenset([i])) for i, (a, c) in enumerate(rows)]
     step = 0
     for var in range(rank):
@@ -149,11 +147,11 @@ def _coordinate_interval(rows: list, k: int, rank: int):
     lo, hi = None, None
     for a, c, _ in current:
         coef = a[k]
-        if coef > 0:
-            bound = Fraction(c, coef)
+        if coef > 0:  # x_k >= c / coef
+            bound = -(-c // coef)
             lo = bound if lo is None else max(lo, bound)
-        elif coef < 0:
-            bound = Fraction(c, coef)
+        elif coef < 0:  # x_k <= c / coef
+            bound = c // coef
             hi = bound if hi is None else min(hi, bound)
     if lo is None or hi is None:
         raise IncompleteFanError("root polytope is unbounded; fan cannot be complete")
@@ -193,34 +191,6 @@ def demazure_roots(fan: Fan) -> tuple[DemazureRoot, ...]:
             if root_ray_index(fan, e) == j:
                 out.append(DemazureRoot(e=e, rho_e=j))
     return tuple(sorted(out, key=DemazureRoot.sort_key))
-
-
-def roots_oracle(fan: Fan, box_radius: int) -> tuple[DemazureRoot, ...]:
-    """Brute-force reference: filter every |e_i| <= box_radius by definition.
-
-    Agrees with demazure_roots whenever box_radius covers the root
-    polytopes' coordinate bounds.
-    """
-    _require_complete(fan)
-    out = []
-    for e in iproduct(*(range(-box_radius, box_radius + 1) for _ in range(fan.rank))):
-        j = root_ray_index(fan, e)
-        if j is not None:
-            out.append(DemazureRoot(e=e, rho_e=j))
-    return tuple(sorted(out, key=DemazureRoot.sort_key))
-
-
-def root_box_bound(fan: Fan) -> int:
-    """Smallest box radius guaranteed to contain every root polytope."""
-    _require_complete(fan)
-    bound = 0
-    for j in range(len(fan.rays)):
-        box = RootPolytope.for_ray(fan, j).integer_box(fan.rank)
-        if box is None:
-            continue
-        for rng in box:
-            bound = max(bound, abs(rng.start), abs(rng.stop - 1))
-    return bound
 
 
 def classify_roots(roots: Sequence[DemazureRoot]):

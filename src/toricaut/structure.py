@@ -40,15 +40,11 @@ from .lattice import (
     identity_matrix,
     invert_unimodular,
     mat,
-    mat_is_integral,
     mat_mul,
-    mat_to_int,
     rank_of,
     scaled_inverse,
-    solve_left,
     span_saturation_basis,
     sublattice_direct_sum,
-    transpose,
     vec_mat,
 )
 from .roots import demazure_roots
@@ -110,27 +106,17 @@ def _extend_span_map(anchors: Mat, images: Mat, n: int) -> Optional[Mat]:
     basis2 = span_saturation_basis(images, n)
     if len(basis1) != d or len(basis2) != d:
         return None
-    coeff1 = solve_left(mat_mul(basis1, transpose(basis1)),
-                        mat_mul(basis1, transpose(anchors)))
-    coeff2 = solve_left(mat_mul(basis2, transpose(basis2)),
-                        mat_mul(basis2, transpose(images)))
-    if coeff1 is None or coeff2 is None:
-        return None
-    pa = transpose(coeff1)  # anchors = pa * basis1
-    pb = transpose(coeff2)
-    if not (mat_is_integral(pa) and mat_is_integral(pb)):
-        return None
-    q = solve_left(mat_to_int(pa), mat_to_int(pb))
-    if q is None or not mat_is_integral(q):
-        return None
-    q = mat_to_int(q)
-    if abs(det(q)) != 1:
-        return None
     v1 = complete_to_unimodular(basis1, n)
     v2 = complete_to_unimodular(basis2, n)
+    w1 = invert_unimodular(v1)
+    # coordinates in the saturated bases: anchors = pa * basis1, images = pb * basis2
+    pa = tuple(r[:d] for r in mat_mul(anchors, w1))
+    pb = tuple(r[:d] for r in mat_mul(images, invert_unimodular(v2)))
+    q = _candidate_matrix(*scaled_inverse(pa), pb)
+    if q is None:
+        return None
     top = mat_mul(q, v2[:d])
-    u = mat_mul(invert_unimodular(v1), mat(tuple(top) + tuple(v2[d:])))
-    return u
+    return mat_mul(w1, mat(tuple(top) + tuple(v2[d:])))
 
 
 def _candidate_matrix(inverse: Mat, d: int, images: Sequence[Vec]) -> Optional[Mat]:
@@ -347,14 +333,6 @@ def _bipartitions(blocks: list):
                tuple(sorted(i for b in part_b for i in b)))
 
 
-def _coords_in_basis(v: Vec, basis: Mat) -> Vec:
-    gram = mat_mul(basis, transpose(basis))
-    rhs = mat_mul(basis, transpose([v], len(v)))
-    sol = solve_left(gram, rhs)
-    assert sol is not None and mat_is_integral(sol)
-    return tuple(int(row[0]) for row in sol)
-
-
 def _try_split(fan: Fan, part_a: tuple, part_b: tuple):
     """Either ((fan_a, basis_a), (fan_b, basis_b)) or a failure string."""
     n = fan.rank
@@ -375,13 +353,19 @@ def _try_split(fan: Fan, part_a: tuple, part_b: tuple):
     if pairs != {(ca, cb) for ca in set_a for cb in set_b}:
         return "product_equality"
 
-    def build(part, basis, cone_set):
+    # the stacked bases are unimodular (checked above), so every ray's
+    # coordinates are one product with the inverse, split between the factors
+    inverse = invert_unimodular(basis_a + basis_b)
+    da = len(basis_a)
+
+    def build(part, basis, cone_set, coords):
         local = {g: k for k, g in enumerate(part)}
-        rays = [_coords_in_basis(fan.rays[i], basis) for i in part]
+        rays = [vec_mat(fan.rays[i], inverse)[coords] for i in part]
         cones = [tuple(local[i] for i in c) for c in cone_set]
         return Fan(len(basis), rays, cones)
 
-    return (build(part_a, basis_a, set_a), basis_a), (build(part_b, basis_b, set_b), basis_b)
+    return ((build(part_a, basis_a, set_a, slice(None, da)), basis_a),
+            (build(part_b, basis_b, set_b, slice(da, None)), basis_b))
 
 
 def _decompose_rec(fan: Fan) -> list:

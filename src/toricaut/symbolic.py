@@ -20,12 +20,11 @@ from .lattice import (
     Vec,
     complete_to_unimodular,
     hermite_normal_form,
-    identity_matrix,
     invert_unimodular,
     is_primitive,
     pairing,
     right_kernel_basis,
-    solve_left,
+    scaled_inverse,
     vec,
     vec_add,
     vec_mat,
@@ -210,9 +209,12 @@ def _parallelepiped_points(gens: Sequence[Vec], d: int) -> set:
     for basis in combinations(gens, d):
         h, _ = hermite_normal_form(basis)
         if math.prod(h[i][i] for i in range(d)) > 1:  # 0: dependent, 1: origin only
-            inv = solve_left(basis, identity_matrix(d))
+            inv, det_b = scaled_inverse(basis)
             for x in product(*(range(h[i][i]) for i in range(d))):
-                points.add(vec(vec_mat(tuple(c % 1 for c in vec_mat(x, inv)), basis)))
+                # c % det_b / det_b is the fractional part of c / det_b for
+                # either sign of det_b
+                residues = tuple(c % det_b for c in vec_mat(x, inv))
+                points.add(tuple(c // det_b for c in vec_mat(residues, basis)))
     return points
 
 

@@ -23,7 +23,7 @@ from toricaut.lattice import (
     pairing,
     primitive,
 )
-from toricaut.roots import demazure_roots, product_roots, root_box_bound, roots_oracle
+from toricaut.roots import demazure_roots, product_roots
 from toricaut.structure import (
     decompose,
     fan_automorphisms,
@@ -45,6 +45,8 @@ from util import (
     random_complete_fan_rank2,
     random_pointed_cone_rays,
     random_unimodular,
+    root_box_bound,
+    roots_oracle,
 )
 
 RESULTS = []

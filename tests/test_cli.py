@@ -16,7 +16,9 @@ from toricaut.cli import (
     run_certificates,
 )
 from toricaut.corpus import corpus
-from toricaut.lattice import pairing
+from toricaut.fan import Fan
+from toricaut.lattice import mat, pairing
+from toricaut.structure import Decomposition, DecompositionFactor, reconstruct
 from toricaut.symbolic import action_additivity_check
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricaut" / "data"
@@ -141,6 +143,24 @@ class TestCommands:
         code, out, _ = run_cli(["report", str(DATA / "P1xP1.fan")], capsys)
         assert code == 0
         assert "Aut_{X1}^2 ⋊ S_2" in out and "dim Aut^0: 6" in out
+
+    def test_conjugated_product_fixture(self, capsys):
+        # P2 x P2 x P1 in a unitriangular times signed-permutation basis:
+        # the factors' coordinates come from the inverse of the stacked bases
+        path = FIXTURES / "P2xP2xP1_u.fan"
+        code, out, _ = run_cli(["decompose", "--json", str(path)], capsys)
+        assert code == 0
+        [entry] = json.loads(out)["fans"]
+        assert [f["rank"] for f in entry["factors"]] == [1, 2, 2]
+        dec = Decomposition(factors=tuple(
+            DecompositionFactor(fan=Fan(f["rank"], f["rays"], f["max_cones"]),
+                                basis=mat(f["basis"]),
+                                certified_indecomposable=f["certified_indecomposable"],
+                                certificate=())
+            for f in entry["factors"]))
+        assert reconstruct(dec, 5) == fan_from_document(parse_fan(path.read_text()))
+        code, out, _ = run_cli(["report", str(path)], capsys)
+        assert code == 0 and "structure: Aut_{X1} × Aut_{X2}^2 ⋊ S_2" in out
 
     def test_product_then_decompose(self, tmp_path, capsys):
         out_file = tmp_path / "prod.fan"

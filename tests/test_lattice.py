@@ -7,6 +7,7 @@ from toricaut.lattice import (
     det,
     hermite_normal_form,
     identity_matrix,
+    invert_unimodular,
     is_unimodular,
     mat,
     mat_mul,
@@ -16,6 +17,8 @@ from toricaut.lattice import (
     sublattice_direct_sum,
     vec_add,
 )
+
+from util import random_unimodular
 
 
 def int_matrix(max_dim=4, bound=9):
@@ -157,6 +160,23 @@ class TestScaledInverse:
     def test_non_square(self):
         with pytest.raises(ValueError):
             scaled_inverse(((1, 0, 0), (0, 1, 0)))
+
+
+class TestInvertUnimodular:
+    def test_seeded_random_unimodular(self):
+        rng = random.Random(20212)
+        for n in range(1, 7):
+            for _ in range(20):
+                u = random_unimodular(rng, n, steps=3 * n)
+                assert mat_mul(u, invert_unimodular(u)) == identity_matrix(n)
+
+    def test_rejects_non_unimodular(self):
+        for a in (((2,),), ((1, 1), (-1, 1)), ((0, 1), (2, 0)), ((1, 2), (2, 4)), ((0,),)):
+            with pytest.raises(ValueError):
+                invert_unimodular(a)
+
+    def test_empty(self):
+        assert invert_unimodular(()) == ()
 
 
 class TestSublatticeDirectSum:

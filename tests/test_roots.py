@@ -1,20 +1,26 @@
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from toricaut.fan import Fan, IncompleteFanError, product_fan
+from toricaut.fan import Fan, IncompleteFanError, product_fan, transform_fan
 from toricaut.lattice import pairing, vec_neg
 from toricaut.roots import (
+    RootPolytope,
     classify_roots,
     demazure_roots,
     product_roots,
-    root_box_bound,
     root_ray_index,
-    roots_oracle,
 )
 
-from util import random_complete_fan_rank2
+from util import (
+    random_complete_fan_rank2,
+    random_unimodular,
+    root_box_bound,
+    root_polytope_bounds,
+    roots_oracle,
+)
 
 EXPECTED_COUNTS = {
     "P1": 2, "P2": 6, "P3": 12, "P1xP1": 4,
@@ -96,6 +102,30 @@ class TestRootsOracle:
         for _ in range(25):
             fan = random_complete_fan_rank2(rng)
             assert demazure_roots(fan) == roots_oracle(fan, root_box_bound(fan))
+
+
+class TestIntegerBox:
+    def test_matches_rounded_rational_bounds(self, fans):
+        rng = random.Random(102)
+        weighted = [fans["P112"],
+                    Fan(2, [(-2, -3), (1, 0), (0, 1)], [(0, 1), (1, 2), (2, 0)]),
+                    # rays generating an index-3 sublattice: no roots at all
+                    Fan(2, [(2, 1), (-1, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])]
+        pool = [fans["F3"], fans["P3"]] + weighted
+        pool += [transform_fan(f, random_unimodular(rng, 2)) for f in weighted for _ in range(3)]
+        negative_fractions = 0
+        for fan in pool:
+            for j in range(len(fan.rays)):
+                bounds = root_polytope_bounds(fan, j)
+                box = RootPolytope.for_ray(fan, j).integer_box(fan.rank)
+                if bounds is None:
+                    assert box is None
+                    continue
+                expected = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds]
+                assert box == (None if any(not r for r in expected) else expected), (fan.rays, j)
+                negative_fractions += sum(b < 0 and b.denominator > 1
+                                          for pair in bounds for b in pair)
+        assert negative_fractions >= 20
 
 
 class TestClassifyRoots:

@@ -1,11 +1,23 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import toricaut
 from toricaut.fan import Fan, IncompleteFanError, transform_fan
 from toricaut import structure
-from toricaut.lattice import det, identity_matrix, invert_unimodular, mat_mul, vec_mat
+from toricaut.lattice import (
+    det,
+    identity_matrix,
+    invert_unimodular,
+    mat_mul,
+    minors_gcd,
+    vec_mat,
+)
 from toricaut.roots import demazure_roots
 from toricaut.structure import (
     aut_structure_report,
@@ -92,15 +104,19 @@ class TestAnchorInverse:
         out += [random_complete_fan_rank2(rng, extra=rng.randint(0, 3)) for _ in range(6)]
         return out
 
-    def test_no_fraction_solve_per_leaf(self, fans, monkeypatch):
-        calls = []
-        solve = structure.solve_left
-        monkeypatch.setattr(structure, "solve_left",
-                            lambda a, b: calls.append(1) or solve(a, b))
+    def test_no_fraction_solve_per_leaf(self, fans):
         fan = random_blow_up(random.Random(24), fans["P3"], 12)
         # bypass the memo so that the search itself runs
-        autos = fan_automorphisms.__wrapped__(fan)
-        assert autos and calls == []
+        assert fan_automorphisms.__wrapped__(fan)
+        # every solve is an integer one: a fresh interpreter importing the
+        # package and its command line loads neither fractions nor decimal
+        src = str(pathlib.Path(toricaut.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, toricaut, toricaut.cli; "
+                "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_anchor_determinant_above_one(self):
         # the anchors are the sorted rays (-1,-2), (-1,2): d = ±4
@@ -155,6 +171,32 @@ class TestFanIsomorphism:
         assert vec_mat((1, 0), iso.matrix) == (0, 1)
         from toricaut.lattice import det
         assert abs(det(iso.matrix)) == 1
+
+    # complete rank-2 fans whose rays generate sublattices of index 2 and 3
+    SQUARE = Fan(2, [(1, 1), (1, -1), (-1, 1), (-1, -1)], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    P2_MOD_3 = Fan(2, [(2, 1), (-1, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
+
+    def test_non_spanning_conjugates(self, fans):
+        rng = random.Random(614)
+        bases = [fans["P1"], fans["P2"], fans["F1"], fans["P112"], fans["P3"],
+                 random_complete_fan_rank2(rng), self.SQUARE, self.P2_MOD_3]
+        indices = set()
+        for base in bases:
+            d = base.rank
+            for n in range(d + 1, 5):
+                # a saturated embedding Z^d -> Z^n keeps the rays primitive and
+                # the index of the lattice they generate in its saturation
+                embed = random_unimodular(rng, n)[:d]
+                fan = Fan(n, [vec_mat(r, embed) for r in base.rays], base.max_cones)
+                indices.add(minors_gcd(fan.rays, d))
+                conj = transform_fan(fan, random_unimodular(rng, n))
+                for f1, f2 in ((fan, conj), (conj, fan)):
+                    iso = fan_isomorphism(f1, f2)
+                    assert iso is not None, (f1.rays, f2.rays)
+                    assert abs(det(iso.matrix)) == 1
+                    for i, r in enumerate(f1.rays):
+                        assert vec_mat(r, iso.matrix) == f2.rays[iso.ray_permutation[i]]
+        assert indices == {1, 2, 3}
 
     def test_trivial_fans(self):
         iso = fan_isomorphism(Fan(2, [], []), Fan(2, [], []))

@@ -1,5 +1,5 @@
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +15,10 @@ from toricaut.lattice import (
     vec_mat,
     vec_neg,
 )
+from toricaut.lattice import det
 from toricaut.roots import demazure_roots
 from toricaut.symbolic import (
+    _parallelepiped_points,
     GradedLaurentPoly,
     HomogeneousDerivation,
     LocalizationRequiredError,
@@ -31,7 +33,7 @@ from toricaut.symbolic import (
     regularity_check,
 )
 
-from util import witness_oracle
+from util import parallelepiped_points_oracle, witness_oracle
 
 SHEAR = mat_mul(mat_mul(((1, 1, 0), (0, 1, 0), (0, 0, 1)),
                         ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
@@ -187,6 +189,19 @@ class TestDualMonomials:
         cone = tuple(sorted(fan.rays.index(r) for r in ((-1, -2), (1, 0))))
         assert dual_monomials(fan, cone, 1) == (
             (0, -1), (0, 0), (1, -2), (1, -1), (2, -2), (2, -1), (3, -3), (3, -2))
+
+    def test_parallelepiped_points_oracle(self):
+        rng = random.Random(2023)
+        signs = set()
+        for _ in range(60):
+            d = rng.choice((2, 3))
+            gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + rng.randint(0, 1))]
+            dets = [det(b) for b in combinations(gens, d)]
+            if not any(dets) or max(abs(x) for x in dets) > 12:
+                continue
+            signs |= {(x > 0) - (x < 0) for x in dets if abs(x) > 1}
+            assert _parallelepiped_points(gens, d) == parallelepiped_points_oracle(gens, d), gens
+        assert signs == {1, -1}
 
     def test_lower_dimensional_cone(self, fans):
         # the dual of a ray is a half-plane: a generator pairing to 1 with the

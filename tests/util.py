@@ -2,28 +2,55 @@
 cones and unimodular matrices, plus brute-force oracles kept independent
 of the library code paths they check."""
 
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
 
-from toricaut.fan import Fan
+from toricaut.fan import Fan, IncompleteFanError, is_complete
 from toricaut.lattice import (
     det,
     identity_matrix,
     invert_unimodular,
     mat,
-    mat_is_integral,
     mat_mul,
-    mat_to_int,
     pairing,
     primitive,
     rank_of,
     right_kernel_basis,
-    solve_left,
+    transpose,
     vec,
     vec_mat,
     vec_neg,
 )
+from toricaut.roots import DemazureRoot, RootPolytope, root_ray_index
 from toricaut.structure import FanIsomorphism
+
+
+def solve_left(a, b):
+    """Solve A*X = B over the rationals by Gauss-Jordan elimination with
+    Fractions; None if the square matrix A is singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in list(a[i]) + list(b[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(aug[i][n:]) for i in range(n))
+
+
+def mat_is_integral(a):
+    return all(Fraction(x).denominator == 1 for r in a for x in r)
+
+
+def mat_to_int(a):
+    return tuple(tuple(int(x) for x in r) for r in a)
 
 
 def random_primitive(rng, rank, bound=4):
@@ -212,3 +239,64 @@ def maximal_cones_oracle(cones):
     listed = sorted({tuple(sorted(set(c))) for c in cones})
     maximal = [c for c in listed if not any(set(c) < set(d) for d in listed)]
     return tuple(maximal) if maximal else ((),)
+
+
+def roots_oracle(fan, box_radius):
+    """Reference for demazure_roots: filter every |e_i| <= box_radius by
+    the definition of a root."""
+    fan.require_valid()
+    if not is_complete(fan):
+        raise IncompleteFanError("fan is not complete: root set may be infinite")
+    out = []
+    for e in product(range(-box_radius, box_radius + 1), repeat=fan.rank):
+        j = root_ray_index(fan, e)
+        if j is not None:
+            out.append(DemazureRoot(e=e, rho_e=j))
+    return tuple(sorted(out, key=DemazureRoot.sort_key))
+
+
+def root_box_bound(fan):
+    """Smallest box radius that contains every root polytope's integer box."""
+    bound = 0
+    for j in range(len(fan.rays)):
+        box = RootPolytope.for_ray(fan, j).integer_box(fan.rank)
+        for rng in box or ():
+            bound = max(bound, abs(rng.start), abs(rng.stop - 1))
+    return bound
+
+
+def root_polytope_bounds(fan, j):
+    """Rational per-coordinate (min, max) of the root polytope of ray j, from
+    its vertices: every (rank - 1)-subset of the other rays, made tight together
+    with <rho_j, e> = -1, solved with Fractions; None if it has no vertex."""
+    rho = fan.rays[j]
+    others = [r for i, r in enumerate(fan.rays) if i != j]
+    vertices = []
+    for sub in combinations(others, fan.rank - 1):
+        x = solve_left((rho,) + sub, ((-1,),) + ((0,),) * len(sub))
+        if x is None:
+            continue
+        e = tuple(row[0] for row in x)
+        if all(pairing(r, e) >= 0 for r in others):
+            vertices.append(e)
+    if not vertices:
+        return None
+    return [(min(v[k] for v in vertices), max(v[k] for v in vertices))
+            for k in range(fan.rank)]
+
+
+def parallelepiped_points_oracle(gens, d):
+    """Reference for symbolic._parallelepiped_points: every integer point of
+    each independent d-subset's bounding box whose Fraction coordinates in
+    that basis all lie in [0, 1)."""
+    points = {(0,) * d}
+    for basis in combinations(gens, d):
+        if det(basis) == 0:
+            continue
+        ranges = [range(sum(min(0, b[k]) for b in basis), sum(max(0, b[k]) for b in basis) + 1)
+                  for k in range(d)]
+        for p in product(*ranges):
+            lam = solve_left(transpose(basis), tuple((c,) for c in p))
+            if all(0 <= row[0] < 1 for row in lam):
+                points.add(p)
+    return points
