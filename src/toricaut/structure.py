@@ -73,19 +73,17 @@ def invariant_vector(fan: Fan) -> tuple:
 
 
 def _ray_profiles(fan: Fan):
+    """The sorted dimensions of the faces through each ray and through each
+    ordered pair of rays, in one pass over the faces."""
     nrays = len(fan.rays)
-    single = []
-    for i in range(nrays):
-        dims = sorted(fan.all_cones[c] for c in fan.all_cones if i in c)
-        single.append(tuple(dims))
-    pair = [[None] * nrays for _ in range(nrays)]
-    for i in range(nrays):
-        for j in range(nrays):
-            if i != j:
-                dims = sorted(fan.all_cones[c] for c in fan.all_cones
-                              if i in c and j in c)
-                pair[i][j] = tuple(dims)
-    return single, pair
+    single = [[] for _ in range(nrays)]
+    pair = [[[] for _ in range(nrays)] for _ in range(nrays)]
+    for face, dim in fan.all_cones.items():
+        for i in face:
+            single[i].append(dim)
+            for j in face:
+                pair[i][j].append(dim)
+    return [tuple(sorted(d)) for d in single], [[tuple(sorted(d)) for d in row] for row in pair]
 
 
 def _spanning_anchor_indices(fan: Fan) -> list:

@@ -33,12 +33,6 @@ from .lattice import (
 )
 from .roots import DemazureRoot, demazure_roots
 
-#: Largest coefficient of a dual generator in the samples (dual_monomials) of
-#: the regularity and derivation-classification cross-checks.  The
-#: closed-form criteria are the real checks; sampling is a redundant
-#: cross-validation, so a fixed small height suffices.
-SAMPLE_HEIGHT = 4
-
 
 class LocalizationRequiredError(ValueError):
     """Comorphism values with negative pairing require localization."""
@@ -105,17 +99,6 @@ class GradedLaurentPoly:
         return GradedLaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "GradedLaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not representable")
-        if not self.terms:
-            return GradedLaurentPoly() if n else self
-        rank = len(next(iter(self.terms))[0][1])
-        result = GradedLaurentPoly.one(rank)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def s_coefficient(self, k: int) -> dict:
         """Map m -> coefficient of s^k chi^m."""
@@ -226,10 +209,14 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     The g lift the primitive generators of the dual modulo the annihilator
     L of the cone's span (the facet normals, for a full-dimensional cone)
     and include the +/- vectors of a basis of L; q runs over the lattice
-    points of the lifted generators' half-open parallelepipeds.  Every
-    lattice point of the dual is a sample at some height.  The samples of
-    a full-dimensional cone move with the fan under GL(n, Z); for a
-    lower-dimensional one only their number does not depend on the basis.
+    points of the lifted generators' half-open parallelepipeds.  The
+    height-1 samples hold every g and q, so they generate sigma^v cap M
+    (modulo L, a dual point is the parallelepiped point of an independent
+    set of the g plus a non-negative integer combination of that set): a
+    property closed under addition holds on the dual if it holds on them.
+    The samples of a full-dimensional cone move with the fan under
+    GL(n, Z); for a lower-dimensional one only their number does not
+    depend on the basis.
     """
     cone = fan.cone(cone_idx)
     lineality = right_kernel_basis(cone.rays, fan.rank)
@@ -249,8 +236,9 @@ class ConeChartCertificate:
     If the cone contains the distinguished ray, the chart is polynomial
     and the evidence is the ray-wise inequalities.  Otherwise the chart
     lives on the cone sigma' spanned by rho_e and the e-orthogonal face,
-    which must itself belong to the fan, and each sampled monomial gets an
-    explicit shift exponent moving it into the cone's dual.
+    which must itself belong to the fan, and each height-1 sample of the
+    dual of sigma' gets an explicit shift exponent moving it into the
+    cone's dual.
     """
 
     cone: tuple
@@ -260,7 +248,6 @@ class ConeChartCertificate:
     sigma_prime_in_fan: Optional[bool]
     samples_checked: int
     samples_ok: bool
-    max_shift: int
 
     @property
     def ok(self) -> bool:
@@ -282,7 +269,16 @@ class RegularityCertificate:
 
 
 def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
-    """Certify that the root-subgroup action is regular on every chart."""
+    """Certify that the root-subgroup action is regular on every chart.
+
+    On a chart sigma without rho_e, each m in the dual of sigma' is moved
+    by k(m) = max(0, -<rho, m>) over the rays with <rho, e> > 0, and
+    m + k(m)*e must lie in sigma^v.  The m that pass are closed under
+    addition: the rays with <rho, e> > 0 hold by the choice of k, and on
+    the others k(a+b) <= k(a) + k(b) does no harm.  So the height-1
+    samples of sigma'^v, which generate sigma'^v cap M, decide the test
+    for every character.
+    """
     fan.require_valid()
     if not is_complete(fan):
         raise IncompleteFanError("regularity certificates need a complete fan")
@@ -295,19 +291,17 @@ def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
             entries.append(ConeChartCertificate(
                 cone=cone_idx, contains_distinguished_ray=True,
                 ray_inequalities_ok=ok, sigma_prime=None, sigma_prime_in_fan=None,
-                samples_checked=0, samples_ok=True, max_shift=0))
+                samples_checked=0, samples_ok=True))
             continue
         values = {i: pairing(fan.rays[i], e) for i in cone_idx}
         ok = all(v >= 0 for v in values.values())
         sigma_prime = tuple(sorted([root.rho_e] + [i for i, v in values.items() if v == 0]))
         in_fan = sigma_prime in fan.all_cones
         samples_ok = True
-        max_shift = 0
-        samples = dual_monomials(fan, sigma_prime, SAMPLE_HEIGHT) if in_fan else ()
+        samples = dual_monomials(fan, sigma_prime, 1) if in_fan else ()
         for m in samples:
             shift = max([0] + [-pairing(fan.rays[i], m)
                                for i, v in values.items() if v > 0])
-            max_shift = max(max_shift, shift)
             shifted = vec_add(m, vec_scale(e, shift))
             if not all(pairing(fan.rays[i], shifted) >= 0 for i in cone_idx):
                 samples_ok = False
@@ -315,7 +309,7 @@ def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
             cone=cone_idx, contains_distinguished_ray=False,
             ray_inequalities_ok=ok, sigma_prime=sigma_prime,
             sigma_prime_in_fan=in_fan, samples_checked=len(samples),
-            samples_ok=samples_ok, max_shift=max_shift))
+            samples_ok=samples_ok))
     return RegularityCertificate(root=root, entries=tuple(entries))
 
 
@@ -364,7 +358,10 @@ def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Whether d_{p,e} preserves every cone algebra of the fan."""
+    """Whether d_{p,e} preserves every cone algebra of the fan: the closed
+    form (`preserved`) and the defining condition decided on generators of
+    each chart's dual semigroup (`sampler_preserved`; a failing chart,
+    character and ray in `sampler_witness`)."""
 
     p: Vec
     e: Vec
@@ -381,12 +378,16 @@ class ClassificationResult:
 
 def derivation_classification_check(fan: Fan, p: Sequence[int],
                                     e: Sequence[int]) -> ClassificationResult:
-    """Closed-form criterion plus a bounded brute-force cross-check.
+    """Closed-form criterion plus an exact cross-check on generators.
 
     The derivation d_{p,e} preserves every cone algebra iff e = 0 (torus
-    direction) or e is a root with p = +/- rho_e.  The sampler re-tests
-    the defining condition <rho, m+e> >= 0 on the sampled characters m of
-    each cone's dual (dual_monomials) with <p, m> != 0.
+    direction) or e is a root with p = +/- rho_e.  The cross-check tests
+    the defining condition <rho, m+e> >= 0 on the height-1 samples m of
+    each maximal cone's dual (dual_monomials) with <p, m> != 0.  By the
+    Leibniz rule d(chi^(a+b)) = <p, a+b> chi^(a+b+e): every m of the dual
+    with <p, m> != 0 is a generator a with <p, a> != 0 plus a character b
+    of the dual, and m + e lies in the dual whenever a + e does, so the
+    generators decide the condition on the whole dual.
     """
     p, e = vec(p), vec(e)
     if not is_primitive(p):
@@ -406,7 +407,7 @@ def derivation_classification_check(fan: Fan, p: Sequence[int],
     witness = None
     for cone_idx in fan.max_cones:
         rays = [fan.rays[i] for i in cone_idx]
-        for m in dual_monomials(fan, cone_idx, SAMPLE_HEIGHT):
+        for m in dual_monomials(fan, cone_idx, 1):
             if pairing(p, m) == 0:
                 continue
             shifted = vec_add(m, e)

@@ -40,11 +40,13 @@ from toricaut.symbolic import (
 )
 
 from util import (
+    classification_oracle,
     compose,
     inverse,
     random_complete_fan_rank2,
     random_pointed_cone_rays,
     random_unimodular,
+    regularity_oracle,
     root_box_bound,
     roots_oracle,
 )
@@ -133,7 +135,7 @@ def test_criterion_4_symbolic_certificates():
         box = [m for m in iproduct(*(range(-4, 5) for _ in range(fan.rank)))]
         for root in demazure_roots(fan):
             roots_checked += 1
-            if not regularity_check(fan, root).ok:
+            if not regularity_check(fan, root).ok or not regularity_oracle(fan, root)[0]:
                 failures.append(f"regularity {name} {root.e}")
             rho = fan.rays[root.rho_e]
             sample = [m for m in box if pairing(rho, m) >= 0]
@@ -161,7 +163,8 @@ def test_criterion_5_derivation_classification():
             for e in grid:
                 result = derivation_classification_check(fan, p, e)
                 checked += 1
-                if not result.agrees_with_sampler:
+                if not result.agrees_with_sampler or (
+                        result.sampler_preserved != classification_oracle(fan, p, e)):
                     failures.append(f"{name} p={p} e={e}")
     _record(5, "derivation classification vs sampler", not failures,
             "; ".join(failures[:4]) or f"{checked} (p, e) pairs, exact agreement")

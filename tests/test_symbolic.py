@@ -16,7 +16,7 @@ from toricaut.lattice import (
     vec_neg,
 )
 from toricaut.lattice import det
-from toricaut.roots import demazure_roots
+from toricaut.roots import DemazureRoot, demazure_roots
 from toricaut.symbolic import (
     _parallelepiped_points,
     GradedLaurentPoly,
@@ -33,7 +33,13 @@ from toricaut.symbolic import (
     regularity_check,
 )
 
-from util import parallelepiped_points_oracle, witness_oracle
+from util import (
+    classification_oracle,
+    parallelepiped_points_oracle,
+    regularity_oracle,
+    semigroup_contains,
+    witness_oracle,
+)
 
 SHEAR = mat_mul(mat_mul(((1, 1, 0), (0, 1, 0), (0, 0, 1)),
                         ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
@@ -165,19 +171,58 @@ class TestRegularity:
             for root in demazure_roots(fan):
                 assert regularity_check(fan, root).ok
 
-    def test_sample_counts_do_not_depend_on_basis(self, fans):
+    def test_checked_sets_generate_the_dual_semigroups(self, fans):
+        # the set checked on each sigma' keeps its size in a large basis
         count = 0
+        sigma_primes = set()
         for base, fan, cone_map, char_map in large_basis_conjugates(fans, (2, 3)):
             roots = {root.e: root for root in demazure_roots(fan)}
             for root in demazure_roots(base):
                 cert = regularity_check(fan, roots[char_map(root.e)])
                 assert cert.ok
-                samples = {entry.cone: entry.samples_checked for entry in cert.entries}
+                samples = {entry.cone: entry for entry in cert.entries}
                 for entry in regularity_check(base, root).entries:
-                    assert samples[cone_map(entry.cone)] == entry.samples_checked
-                    assert entry.contains_distinguished_ray or entry.samples_checked >= 25
+                    image = samples[cone_map(entry.cone)]
+                    assert image.samples_checked == entry.samples_checked
+                    if not entry.contains_distinguished_ray:
+                        sigma_primes |= {(base, entry.sigma_prime), (fan, image.sigma_prime)}
                 count += 1
         assert count == 60
+        # the height-1 samples of each such sigma', and of every cone of the
+        # small fans, lie in the cone's dual and generate it: every dual
+        # point with entries in -2..2 is a non-negative integer combination
+        small = [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]
+        cones = sigma_primes | {(fan, c) for fan in small for c in fan.all_cones if c}
+        points, dims = 0, set()
+        for fan, cone in cones:
+            gens = dual_monomials(fan, cone, 1)
+            rays = [fan.rays[i] for i in cone]
+            assert all(pairing(r, g) >= 0 for r in rays for g in gens)
+            dims.add(len(cone))
+            for m in iproduct(range(-2, 3), repeat=fan.rank):
+                if all(pairing(r, m) >= 0 for r in rays):
+                    assert semigroup_contains(gens, rays, m), (fan, cone, m)
+                    points += 1
+        # non-pointed duals (cones of dimension 1 and 2) and pointed ones
+        assert dims == {1, 2, 3} and (len(sigma_primes), len(cones), points) == (86, 155, 3733)
+
+    def test_height_4_oracle_on_non_roots(self, fans):
+        # a non-root (e, ray) pair gets the same chart verdicts from the
+        # height-1 generators as from every height-4 sample
+        checked = failed_charts = 0
+        for fan in [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]:
+            roots = set(demazure_roots(fan))
+            for e in iproduct(range(-2, 3), repeat=fan.rank):
+                for j in range(len(fan.rays)):
+                    root = DemazureRoot(e=e, rho_e=j)
+                    if root in roots:
+                        continue
+                    cert = regularity_check(fan, root)
+                    samples_ok = tuple(entry.samples_ok for entry in cert.entries)
+                    assert (cert.ok, samples_ok) == regularity_oracle(fan, root), (fan, root)
+                    failed_charts += samples_ok.count(False)
+                    checked += 1
+        assert checked == 2548 and failed_charts > 0
 
 
 class TestDualMonomials:
@@ -367,7 +412,10 @@ class TestClassification:
         assert res.agrees_with_sampler
 
     def test_agreement_grid(self, fans):
-        for fan in (fans["P2"], fans["F1"], fans["P112"], NON_SMOOTH):
+        # the closed form, the height-1 generators and every height-4 sample
+        # give the same verdict, FAILs included
+        verdicts = []
+        for fan in [f for f in fans.values() if f.rank == 2] + [NON_SMOOTH]:
             grid = [v for v in iproduct(range(-2, 3), range(-2, 3))]
             for p in grid:
                 if not any(p) or primitive(p) != p:
@@ -375,6 +423,9 @@ class TestClassification:
                 for e in grid:
                     res = derivation_classification_check(fan, p, e)
                     assert res.agrees_with_sampler, (fan, p, e, res)
+                    assert res.sampler_preserved == classification_oracle(fan, p, e), (fan, p, e)
+                    verdicts.append(res.sampler_preserved)
+        assert len(verdicts) == 3200 and {True, False} <= set(verdicts)
 
     def test_negated_ray_also_preserves(self, fans):
         fan = fans["P2"]

@@ -19,11 +19,13 @@ from toricaut.lattice import (
     right_kernel_basis,
     transpose,
     vec,
+    vec_add,
     vec_mat,
     vec_neg,
 )
 from toricaut.roots import DemazureRoot, RootPolytope, root_ray_index
 from toricaut.structure import FanIsomorphism
+from toricaut.symbolic import dual_monomials
 
 
 def solve_left(a, b):
@@ -300,3 +302,74 @@ def parallelepiped_points_oracle(gens, d):
             if all(0 <= row[0] < 1 for row in lam):
                 points.add(p)
     return points
+
+
+def regularity_oracle(fan, root):
+    """Reference for regularity_check on every height-4 sample instead of
+    the height-1 generators: (ok, per-chart samples_ok in max_cones order).
+    A chart without rho_e needs sigma' in the fan and each sample m of its
+    dual shifted into the chart's dual by the least k >= 0 with
+    <rho, m> + k >= 0 on the rays with <rho, e> > 0."""
+    ok, samples_ok = True, []
+    for cone in fan.max_cones:
+        values = {i: pairing(fan.rays[i], root.e) for i in cone if i != root.rho_e}
+        ok = ok and all(v >= 0 for v in values.values())
+        chart_ok = True
+        if root.rho_e not in cone:
+            sigma_prime = tuple(sorted([root.rho_e] + [i for i, v in values.items() if v == 0]))
+            ok = ok and sigma_prime in fan.all_cones
+            for m in dual_monomials(fan, sigma_prime, 4) if sigma_prime in fan.all_cones else ():
+                k = max([0] + [-pairing(fan.rays[i], m) for i, v in values.items() if v > 0])
+                chart_ok = chart_ok and all(pairing(fan.rays[i], m) + k * v >= 0
+                                            for i, v in values.items())
+            ok = ok and chart_ok
+        samples_ok.append(chart_ok)
+    return ok, tuple(samples_ok)
+
+
+def classification_oracle(fan, p, e):
+    """Reference for the classifier's cross-check on every height-4 sample:
+    does <rho, m + e> >= 0 hold for each maximal cone's rays rho and each
+    sample m of its dual with <p, m> != 0?"""
+    return all(pairing(fan.rays[i], vec_add(m, e)) >= 0
+               for cone in fan.max_cones for m in dual_monomials(fan, cone, 4)
+               if pairing(p, m) for i in cone)
+
+
+def _in_integer_span(basis, x):
+    """Is x an integer combination of the linearly independent basis?"""
+    gram = tuple(tuple(pairing(a, b) for b in basis) for a in basis)
+    coeffs = solve_left(gram, tuple((pairing(a, x),) for a in basis)) if basis else ()
+    return coeffs is not None and mat_is_integral(coeffs) and tuple(x) == tuple(
+        sum(int(c[0]) * a[k] for c, a in zip(coeffs, basis)) for k in range(len(x)))
+
+
+def semigroup_contains(gens, rays, m):
+    """Is m a non-negative integer combination of gens, which lie in the dual
+    of the cone over rays?  w, the sum of the rays, is positive on every
+    dual point outside the annihilator L of the rays and zero on L.  A
+    depth-first search subtracts generators with <w, g> > 0 while the rest
+    stays in the dual, so no path is longer than <w, m>.  A rest on L must
+    lie in the integer span of the generators on L, taken from a subset
+    that is a basis of it; that needs the generators on L to come in +/-
+    pairs, and the answer is False when they do not."""
+    w = tuple(map(sum, zip(*rays)))
+    positive = [g for g in gens if pairing(w, g) > 0]
+    kernel = [g for g in gens if any(g) and not pairing(w, g)]
+    if any(vec_neg(g) not in kernel for g in kernel):
+        return False
+    basis = next(b for b in combinations(kernel, rank_of(kernel) if kernel else 0)
+                 if all(_in_integer_span(b, g) for g in kernel))
+    stack, seen = [vec(m)], {vec(m)}
+    while stack:
+        x = stack.pop()
+        if not pairing(w, x):
+            if _in_integer_span(basis, x):
+                return True
+            continue
+        for g in positive:
+            y = tuple(a - b for a, b in zip(x, g))
+            if y not in seen and all(pairing(r, y) >= 0 for r in rays):
+                seen.add(y)
+                stack.append(y)
+    return False
