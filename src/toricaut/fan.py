@@ -1,4 +1,5 @@
-"""Rational polyhedral cones and complete fans.
+"""Rational polyhedral cones and complete fans, and the package's one
+exact polyhedral engine.
 
 Cones carry both a generator description (extremal primitive rays) and an
 inequality description (facet normals; for a cone of less than full
@@ -8,7 +9,10 @@ after construction and every query is pure, so concurrent reads are safe.
 
 Dual descriptions are computed exactly by the double description method
 (constraints inserted one at a time, adjacent ray pairs combined, with a
-purely combinatorial adjacency test).  Complete simplicial fans are
+purely combinatorial adjacency test); one Hermite normal form of the
+constraint rows gives both the lineality and the independent rows the
+method starts from.  The same engine bounds the root polytopes, as the
+extreme rays of their homogenisations.  Complete simplicial fans are
 certified valid by a local ridge criterion; any other fan falls back to
 intersecting every pair of maximal cones.  A product fan takes its maximal
 cones from the factors' cones, whose facet normals it knows, so it runs no
@@ -26,6 +30,7 @@ from typing import Iterable, Sequence, Union
 from .lattice import (
     Mat,
     Vec,
+    _pivots_and_kernel,
     is_primitive,
     is_unimodular,
     mat,
@@ -102,25 +107,17 @@ def _initial_simplex_rays(a0: Mat, d: int) -> list:
     return [primitive(tuple(sign * row[i] for row in inv)) for i in range(d)]
 
 
-def _pointed_extreme_rays(rows: Sequence[Vec], d: int) -> list:
+def _pointed_extreme_rays(rows: Sequence[Vec], idx: list) -> list:
     """Double description: extreme rays of a pointed cone {y : <a,y> >= 0}.
 
-    Starts from a simplicial subcone cut out by d independent constraints
-    and inserts the remaining constraints one at a time, combining only
+    idx lists the d = dim rows that lie outside the span of the rows
+    before them.  Starts from the simplicial subcone they cut out and
+    inserts the remaining constraints one at a time, combining only
     adjacent positive/negative ray pairs (exact combinatorial adjacency:
     no third ray is active on the common active set).
     """
-    if d == 0:
-        return []
-    idx: list = []
-    cur: list = []
-    for i, a in enumerate(rows):
-        if len(idx) == d:
-            break
-        if rank_of(cur + [a]) > len(cur):
-            idx.append(i)
-            cur.append(a)
-    assert len(idx) == d, "constraint rows of a pointed cone span the space"
+    d = len(idx)
+    cur = [rows[i] for i in idx]
     order = idx + [i for i in range(len(rows)) if i not in idx]
 
     def mask_of(ray: Vec, upto: int) -> int:
@@ -173,17 +170,20 @@ def halfspace_cone_generators(normals: Sequence[Sequence[int]], n: int) -> tuple
         if any(a) and a not in seen:
             seen.add(a)
             rows.append(a)
-    lin = right_kernel_basis(rows, n)
+    pivots, lin = _pivots_and_kernel(rows, n)
     d = n - len(lin)
     if d == 0:
         return (), lin
     if lin:
+        # The rows lie in the orthogonal complement of lin, on which the
+        # projection onto its basis is injective: the projected rows keep
+        # the same pivots.
         basis = right_kernel_basis(lin, n)
         assert len(basis) == d
         proj = [tuple(pairing(b, a) for b in basis) for a in rows]
-        ext = [primitive(vec_mat(y, basis)) for y in _pointed_extreme_rays(proj, d)]
+        ext = [primitive(vec_mat(y, basis)) for y in _pointed_extreme_rays(proj, pivots)]
         return tuple(sorted(ext)), lin
-    return tuple(_pointed_extreme_rays(rows, n)), lin
+    return tuple(_pointed_extreme_rays(rows, pivots)), lin
 
 
 def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
@@ -355,26 +355,26 @@ class Fan:
         return out
 
     def _faces_of(self, cidx: tuple) -> set:
-        cone = self.cone(cidx)
+        normals = self.cone(cidx).facet_normals
         local = [self.rays[i] for i in cidx]
-        k = len(cidx)
         faces = set()
-        for size in range(k + 1):
-            for sub in combinations(range(k), size):
-                chosen = [local[i] for i in sub]
-                active = [g for g in cone.facet_normals
-                          if all(pairing(r, g) == 0 for r in chosen)]
-                closure = tuple(i for i in range(k)
-                                if all(pairing(local[i], g) == 0 for g in active))
-                if closure == sub:
+        for size in range(len(cidx) + 1):
+            for sub in combinations(range(len(cidx)), size):
+                if _face_closure(local, normals, [local[i] for i in sub]) == sub:
                     faces.add(tuple(cidx[i] for i in sub))
         return faces
 
-    def _ridges(self, cidx: tuple) -> list:
-        """(ray indices, facet normal) for each facet of a full-dimensional
-        maximal cone: the rays of the facet are those the normal kills."""
-        return [(tuple(i for i in cidx if pairing(self.rays[i], g) == 0), g)
-                for g in self.cone(cidx).facet_normals]
+    @cached_property
+    def _ridge_owners(self) -> dict:
+        """{ridge: [(maximal cone, facet normal)]} over the facets of the
+        maximal cones, all full dimensional: a facet's rays are those its
+        normal kills."""
+        owners: dict = {}
+        for c in self.max_cones:
+            for g in self.cone(c).facet_normals:
+                ridge = tuple(i for i in c if pairing(self.rays[i], g) == 0)
+                owners.setdefault(ridge, []).append((c, g))
+        return owners
 
     def cones_of_dim(self, d: int) -> tuple:
         return tuple(sorted(c for c, dim in self.all_cones.items() if dim == d))
@@ -446,15 +446,11 @@ def _certified_complete_simplicial(fan: Fan, cones: dict) -> bool:
     n = fan.rank
     if any(len(c) != n or cone.dim != n for c, cone in cones.items()):
         return False
-    owners: dict = {}
-    for c in fan.max_cones:
-        for ridge, g in fan._ridges(c):
-            (apex,) = set(c) - set(ridge)
-            owners.setdefault(ridge, []).append((apex, g))
-    for sides in owners.values():
+    for ridge, sides in fan._ridge_owners.items():
         if len(sides) != 2:
             return False
-        (_, g), (apex, _) = sides
+        (_, g), (c, _) = sides
+        (apex,) = set(c) - set(ridge)
         if pairing(fan.rays[apex], g) >= 0:
             return False
     first, *others = fan.max_cones
@@ -480,10 +476,15 @@ def _pairwise_violations(fan: Fan, cones: dict) -> list:
 
 def _is_face_of(face_rays: Sequence[Vec], cone: Cone) -> bool:
     """Is the cone spanned by face_rays (a subset of cone) a face of cone?"""
-    active = [g for g in cone.facet_normals
-              if all(pairing(r, g) == 0 for r in face_rays)]
-    minimal = {r for r in cone.rays if all(pairing(r, g) == 0 for g in active)}
-    return minimal == set(face_rays)
+    closure = _face_closure(cone.rays, cone.facet_normals, face_rays)
+    return {cone.rays[i] for i in closure} == set(face_rays)
+
+
+def _face_closure(rays: Sequence[Vec], normals: Sequence[Vec], chosen: Sequence[Vec]) -> tuple:
+    """Indices of the rays on the smallest face holding the chosen ones:
+    those killed by every normal that kills all the chosen rays."""
+    active = [g for g in normals if all(pairing(r, g) == 0 for r in chosen)]
+    return tuple(i for i, r in enumerate(rays) if all(pairing(r, g) == 0 for g in active))
 
 
 def is_complete(fan: Fan) -> bool:
@@ -500,15 +501,11 @@ def is_complete(fan: Fan) -> bool:
             return False
     if n == 0:
         return True
-    ridge_owners: dict = {}
-    for c in fan.max_cones:
-        for ridge, _ in fan._ridges(c):
-            ridge_owners.setdefault(ridge, []).append(c)
-    if any(len(owners) != 2 for owners in ridge_owners.values()):
+    ridge_owners = fan._ridge_owners.values()
+    if any(len(owners) != 2 for owners in ridge_owners):
         return False
     adj = {c: set() for c in fan.max_cones}
-    for owners in ridge_owners.values():
-        a, b = owners
+    for (a, _), (b, _) in ridge_owners:
         adj[a].add(b)
         adj[b].add(a)
     seen = {fan.max_cones[0]}

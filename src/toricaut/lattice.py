@@ -176,23 +176,27 @@ def rank_of(rows: Sequence[Sequence[int]]) -> int:
     return sum(1 for r in h if any(r))
 
 
-def left_kernel_basis(a: Mat) -> Mat:
-    """Basis of the saturated lattice {x : x*A = 0}."""
-    a = mat(a)
-    if not a:
-        return ()
-    h, u = hermite_normal_form(a)
-    return tuple(u[i] for i in range(len(a)) if not any(h[i]))
+def _pivots_and_kernel(rows: Sequence[Sequence[int]], n: int) -> tuple[list, Mat]:
+    """(pivots, kernel) from one Hermite normal form of the transposed rows.
+
+    pivots are the pivot columns of the echelon form: the indices of the
+    rows that lie outside the span of the rows before them, i.e. the rows
+    a greedy scan in order keeps as linearly independent.  kernel is a
+    basis of the saturated lattice of x in Z^n orthogonal to every row.
+    """
+    rows = mat(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("row length does not match ambient rank")
+    if not rows:
+        return [], identity_matrix(n)
+    h, u = hermite_normal_form(transpose(rows, n))
+    pivots = [next(j for j, x in enumerate(r) if x) for r in h if any(r)]
+    return pivots, tuple(u[i] for i in range(n) if not any(h[i]))
 
 
 def right_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> Mat:
     """Basis of the saturated lattice of x in Z^n orthogonal to every row."""
-    rows = mat(rows)
-    if not rows:
-        return identity_matrix(n)
-    if any(len(r) != n for r in rows):
-        raise ValueError("row length does not match ambient rank")
-    return left_kernel_basis(transpose(rows, n))
+    return _pivots_and_kernel(rows, n)[1]
 
 
 def span_saturation_basis(rows: Sequence[Sequence[int]], n: int) -> Mat:

@@ -2,26 +2,24 @@
 
 A root is a vector e in M pairing to -1 with exactly one ray and
 non-negatively with all others.  For a complete fan the rays positively
-span N_R, so each per-ray constraint system is a bounded polytope; we
-compute exact per-coordinate bounds by Fourier-Motzkin projection, then
-enumerate the integer box and filter by the definition.  Completeness is a
+span N_R, so each per-ray constraint system is a bounded polytope; its
+exact per-coordinate bounds are the least and greatest coordinates of its
+vertices, which double description gives as the extreme rays of the
+polytope's homogenisation.  The integer box between them is then
+enumerated and filtered by the definition.  Completeness is a
 hard precondition: without it the root set may be infinite and the
 operation refuses to run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .fan import Fan, IncompleteFanError, is_complete, product_rays
-from .lattice import Vec, pairing, vec, vec_neg
-
-# An inequality row (a, c) means <a, x> >= c.
-_Row = tuple
+from .fan import Fan, IncompleteFanError, halfspace_cone_generators, is_complete, product_rays
+from .lattice import Vec, pairing, vec_neg
 
 
 @dataclass(frozen=True)
@@ -40,12 +38,12 @@ class RootPolytope:
     """Constraint system of the roots attached to one ray.
 
     equality: <ray, e> = -1 for the distinguished ray; inequalities:
-    <ray', e> >= 0 for every other ray.  Bounded whenever the fan is
-    complete.
+    <ray', e> >= 0 for every other ray, each a row (a, c) meaning
+    <a, e> >= c.  Bounded whenever the fan is complete.
     """
 
     ray_index: int
-    equality: _Row
+    equality: tuple
     inequalities: tuple
 
     @classmethod
@@ -54,110 +52,34 @@ class RootPolytope:
         ineqs = tuple((fan.rays[i], 0) for i in range(len(fan.rays)) if i != j)
         return cls(ray_index=j, equality=(rho, -1), inequalities=ineqs)
 
-    def rows(self) -> list:
-        a, c = self.equality
-        return [(a, c), (vec_neg(a), -c)] + list(self.inequalities)
-
     def integer_box(self, rank: int) -> Optional[list]:
         """Per-coordinate integer ranges containing all solutions.
 
-        None if some coordinate's range holds no integer, in particular
-        if the rational relaxation is infeasible.  Raises
-        IncompleteFanError if some coordinate is unbounded, which cannot
-        happen over a complete fan.
+        The ranges run from the least to the greatest coordinate of the
+        polytope's vertices.  These are the extreme rays (v, t) of the
+        homogenisation {(e, t) : <a, e> >= c t, t >= 0}, the equality
+        taken as two opposite rows, so lo_k = min ceil(v_k / t) and
+        hi_k = max floor(v_k / t).  None if the polytope is empty or some
+        coordinate's range holds no integer.  Raises IncompleteFanError if
+        the polytope is unbounded (a ray with t = 0, or a line), which
+        cannot happen over a complete fan.
         """
-        rows = [_normalize_row(a, c) for a, c in self.rows()]
+        rho, c = self.equality
+        rows = [(rho, c), (vec_neg(rho), -c)] + list(self.inequalities)
+        normals = [tuple(a) + (-b,) for a, b in rows] + [(0,) * rank + (1,)]
+        rays, lineality = halfspace_cone_generators(normals, rank + 1)
+        if lineality or any(v[-1] == 0 for v in rays):
+            raise IncompleteFanError("root polytope is unbounded; fan cannot be complete")
+        if not rays:
+            return None
         box = []
         for k in range(rank):
-            interval = _coordinate_interval(rows, k, rank)
-            if interval is None:
+            lo = min(-(-v[k] // v[-1]) for v in rays)
+            hi = max(v[k] // v[-1] for v in rays)
+            if lo > hi:
                 return None
-            lo, hi = interval
             box.append(range(lo, hi + 1))
         return box
-
-
-def _normalize_row(a: Sequence[int], c: int) -> _Row:
-    a = vec(a)
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-    g = math.gcd(g, c)
-    if g > 1:
-        a = tuple(x // g for x in a)
-        c //= g
-    return (a, c)
-
-
-def _eliminate(rows: list, var: int, step: int) -> Optional[list]:
-    """One Fourier-Motzkin step; None when infeasibility is detected.
-
-    Rows carry the index set of the original inequalities they combine.
-    Imbert's acceleration applies: after eliminating `step` variables a
-    row combined from more than step + 1 originals is redundant and is
-    dropped, which keeps the row count tame at higher rank.
-    """
-    keep, pos, neg = [], [], []
-    for a, c, anc in rows:
-        if a[var] > 0:
-            pos.append((a, c, anc))
-        elif a[var] < 0:
-            neg.append((a, c, anc))
-        else:
-            keep.append((a, c, anc))
-    out = {}
-    for a, c, anc in keep:
-        if not any(a):
-            if c > 0:
-                return None
-            continue
-        key = (a, c)
-        if key not in out or len(anc) < len(out[key]):
-            out[key] = anc
-    for ap, cp, anc_p in pos:
-        for an, cn, anc_n in neg:
-            anc = anc_p | anc_n
-            if len(anc) > step + 1:
-                continue
-            lam, mu = ap[var], -an[var]
-            a = tuple(mu * x + lam * y for x, y in zip(ap, an))
-            c = mu * cp + lam * cn
-            if not any(a):
-                if c > 0:
-                    return None
-                continue
-            key = _normalize_row(a, c)
-            if key not in out or len(anc) < len(out[key]):
-                out[key] = anc
-    return [(a, c, anc) for (a, c), anc in out.items()]
-
-
-def _coordinate_interval(rows: list, k: int, rank: int):
-    """Project onto coordinate k; returns the integer bounds (lo, hi), or
-    None if no integer lies between the rational ones."""
-    current = [(a, c, frozenset([i])) for i, (a, c) in enumerate(rows)]
-    step = 0
-    for var in range(rank):
-        if var == k:
-            continue
-        step += 1
-        current = _eliminate(current, var, step)
-        if current is None:
-            return None
-    lo, hi = None, None
-    for a, c, _ in current:
-        coef = a[k]
-        if coef > 0:  # x_k >= c / coef
-            bound = -(-c // coef)
-            lo = bound if lo is None else max(lo, bound)
-        elif coef < 0:  # x_k <= c / coef
-            bound = c // coef
-            hi = bound if hi is None else min(hi, bound)
-    if lo is None or hi is None:
-        raise IncompleteFanError("root polytope is unbounded; fan cannot be complete")
-    if lo > hi:
-        return None
-    return lo, hi
 
 
 def root_ray_index(fan: Fan, e: Sequence[int]) -> Optional[int]:

@@ -35,6 +35,7 @@ from .fan import (
 from .lattice import (
     Mat,
     Vec,
+    _pivots_and_kernel,
     complete_to_unimodular,
     det,
     identity_matrix,
@@ -87,13 +88,8 @@ def _ray_profiles(fan: Fan):
 
 
 def _spanning_anchor_indices(fan: Fan) -> list:
-    anchors = []
-    rows = []
-    for i in range(len(fan.rays)):
-        if rank_of(rows + [fan.rays[i]]) > len(anchors):
-            anchors.append(i)
-            rows.append(fan.rays[i])
-    return anchors
+    """The rays, in order, that lie outside the span of the rays before them."""
+    return _pivots_and_kernel(fan.rays, fan.rank)[0]
 
 
 def _extend_span_map(anchors: Mat, images: Mat, n: int) -> Optional[Mat]:

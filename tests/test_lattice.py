@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from toricaut.fan import Fan, halfspace_cone_generators
 from toricaut.lattice import (
+    _pivots_and_kernel,
     det,
     hermite_normal_form,
     identity_matrix,
@@ -13,12 +15,14 @@ from toricaut.lattice import (
     mat_mul,
     pairing,
     primitive,
+    right_kernel_basis,
     scaled_inverse,
     sublattice_direct_sum,
     vec_add,
 )
+from toricaut.structure import _spanning_anchor_indices
 
-from util import random_unimodular
+from util import greedy_independent_rows, random_unimodular
 
 
 def int_matrix(max_dim=4, bound=9):
@@ -189,3 +193,53 @@ class TestSublatticeDirectSum:
     def test_wrong_count_is_false(self):
         assert not sublattice_direct_sum([[(1, 0)]], 2)
         assert not sublattice_direct_sum([[(1, 0)], [(0, 1)], [(1, 1)]], 2)
+
+
+class TestPivotRows:
+    """The pivot columns of one Hermite normal form of the transposed rows
+    are the rows a greedy rank scan keeps, and the same form gives the
+    lineality of the cone the rows cut out."""
+
+    @staticmethod
+    def _matrices():
+        rng = random.Random(577)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 5)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    rows.append((0,) * n)
+                elif kind == 1 and rows:
+                    rows.append(rng.choice(rows))
+                elif kind == 2 and len(rows) >= 2:
+                    a, b = rng.sample(rows, 2)
+                    c = rng.choice([-2, -1, 2, 3])
+                    rows.append(tuple(c * x + y for x, y in zip(a, b)))
+                else:
+                    rows.append(tuple(rng.randint(-2, 2) for _ in range(n)))
+            rng.shuffle(rows)
+            yield n, rows
+
+    def test_pivots_are_the_greedy_rows(self):
+        zero = repeated = dependent = 0
+        for n, rows in self._matrices():
+            pivots, kernel = _pivots_and_kernel(rows, n)
+            assert pivots == greedy_independent_rows(rows), (n, rows)
+            assert len(kernel) == n - len(pivots)
+            zero += any(not any(r) for r in rows)
+            repeated += len(set(rows)) < len(rows)
+            dependent += len(pivots) < min(n, len({r for r in rows if any(r)}))
+        assert min(zero, repeated, dependent) >= 20
+
+    def test_anchors_are_the_greedy_rays(self):
+        for n, rows in self._matrices():
+            fan = Fan(n, rows, [()])
+            assert _spanning_anchor_indices(fan) == greedy_independent_rows(fan.rays), (n, rows)
+
+    def test_lineality_is_the_right_kernel(self):
+        for n, rows in self._matrices():
+            distinct = list(dict.fromkeys(r for r in rows if any(r)))
+            _, lineality = halfspace_cone_generators(rows, n)
+            assert lineality == right_kernel_basis(distinct, n), (n, rows)
+            assert all(pairing(r, b) == 0 for r in rows for b in lineality)

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from toricaut.roots import (
 )
 
 from util import (
+    random_blow_up,
     random_complete_fan_rank2,
     random_unimodular,
     root_box_bound,
@@ -113,19 +115,43 @@ class TestIntegerBox:
                     Fan(2, [(2, 1), (-1, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])]
         pool = [fans["F3"], fans["P3"]] + weighted
         pool += [transform_fan(f, random_unimodular(rng, 2)) for f in weighted for _ in range(3)]
-        negative_fractions = 0
+        rng = random.Random(104)
+        # a star subdivision's new ray is the sum of the rays of the cone it
+        # subdivides, so its root polytope is empty
+        higher = [random_blow_up(rng, fans["P3"], k) for k in (1, 2, 4)]
+        higher += [product_fan(fans["P1"], fans["P2"]), fans["P2xP2"],
+                   product_fan(fans["P1"], fans["P3"]),
+                   # P(1,1,2,1) and P(1,1,1,2,3): vertices off the lattice
+                   Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)],
+                       [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+                   Fan(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -2, -3)],
+                       list(combinations(range(5), 4)))]
+        pool += higher + [transform_fan(f, random_unimodular(rng, f.rank))
+                          for f in higher for _ in range(2)]
+        empty = negative_fractions = 0
         for fan in pool:
             for j in range(len(fan.rays)):
                 bounds = root_polytope_bounds(fan, j)
                 box = RootPolytope.for_ray(fan, j).integer_box(fan.rank)
                 if bounds is None:
-                    assert box is None
+                    assert box is None, (fan.rays, j)
+                    empty += 1
                     continue
                 expected = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds]
                 assert box == (None if any(not r for r in expected) else expected), (fan.rays, j)
                 negative_fractions += sum(b < 0 and b.denominator > 1
                                           for pair in bounds for b in pair)
-        assert negative_fractions >= 20
+        assert empty >= 1
+        assert negative_fractions >= 40  # 27 of them on the rank-2 fans
+
+    def test_incomplete_fan_raises(self):
+        # A^2: <e1, e> = -1 with e2 >= 0 is a ray, an unbounded polytope
+        quadrant = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
+        # a single ray of rank 2: <e1, e> = -1 alone leaves a line
+        half_line = Fan(2, [(1, 0)], [(0,)])
+        for fan in (quadrant, half_line):
+            with pytest.raises(IncompleteFanError, match="unbounded"):
+                RootPolytope.for_ray(fan, 0).integer_box(2)
 
 
 class TestClassifyRoots:

@@ -149,6 +149,17 @@ def inverse(a):
     return FanIsomorphism(matrix=inv, ray_permutation=tuple(perm))
 
 
+def greedy_independent_rows(rows):
+    """Reference for the pivot rows of one Hermite normal form: scan the rows
+    in order and keep each one that raises the rank of those kept."""
+    kept, chosen = [], []
+    for i, r in enumerate(rows):
+        if rank_of(chosen + [r]) > len(chosen):
+            kept.append(i)
+            chosen.append(r)
+    return kept
+
+
 def automorphism_order_oracle(fan):
     """Count fan automorphisms by exhausting all ray bijections.
 
@@ -159,12 +170,7 @@ def automorphism_order_oracle(fan):
     """
     rays = fan.rays
     n = fan.rank
-    anchors = []
-    rows = []
-    for i in range(len(rays)):
-        if rank_of(rows + [rays[i]]) > len(anchors):
-            anchors.append(i)
-            rows.append(rays[i])
+    anchors = greedy_independent_rows(rays)
     assert len(anchors) == n
     count = 0
     for perm in permutations(range(len(rays))):
