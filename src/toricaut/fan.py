@@ -11,8 +11,8 @@ Dual descriptions are computed exactly by the double description method
 (constraints inserted one at a time, adjacent ray pairs combined, with a
 purely combinatorial adjacency test); one Hermite normal form of the
 constraint rows gives both the lineality and the independent rows the
-method starts from.  The same engine bounds the root polytopes, as the
-extreme rays of their homogenisations.  Complete simplicial fans are
+method starts from.  The same engine gives the root polytopes' vertices,
+as the extreme rays of their homogenisations.  Complete simplicial fans are
 certified valid by a local ridge criterion; any other fan falls back to
 intersecting every pair of maximal cones.  A product fan takes its maximal
 cones from the factors' cones, whose facet normals it knows, so it runs no
@@ -30,6 +30,7 @@ from typing import Iterable, Sequence, Union
 from .lattice import (
     Mat,
     Vec,
+    _checked_rows,
     _pivots_and_kernel,
     is_primitive,
     is_unimodular,
@@ -38,7 +39,6 @@ from .lattice import (
     pairing,
     primitive,
     rank_of,
-    right_kernel_basis,
     scaled_inverse,
     vec,
     vec_mat,
@@ -117,7 +117,6 @@ def _pointed_extreme_rays(rows: Sequence[Vec], idx: list) -> list:
     no third ray is active on the common active set).
     """
     d = len(idx)
-    cur = [rows[i] for i in idx]
     order = idx + [i for i in range(len(rows)) if i not in idx]
 
     def mask_of(ray: Vec, upto: int) -> int:
@@ -127,7 +126,7 @@ def _pointed_extreme_rays(rows: Sequence[Vec], idx: list) -> list:
                 m |= 1 << j
         return m
 
-    current = [(r, mask_of(r, d)) for r in _initial_simplex_rays(mat(cur), d)]
+    current = [(r, mask_of(r, d)) for r in _initial_simplex_rays([rows[i] for i in idx], d)]
     for step in range(d, len(order)):
         a = rows[order[step]]
         vals = [(r, m, pairing(a, r)) for r, m in current]
@@ -163,13 +162,12 @@ def halfspace_cone_generators(normals: Sequence[Sequence[int]], n: int) -> tuple
     pointed part is computed inside the orthogonal complement of the
     lineality space, which keeps every step in exact lattice coordinates.
     """
-    rows = []
-    seen = set()
-    for a in normals:
-        a = vec(a)
-        if any(a) and a not in seen:
-            seen.add(a)
-            rows.append(a)
+    return _cone_generators(_checked_rows(normals, n), n)
+
+
+def _cone_generators(normals: Sequence[Vec], n: int) -> tuple[Mat, Mat]:
+    """halfspace_cone_generators of integer tuples of length n."""
+    rows = list(dict.fromkeys(a for a in normals if any(a)))
     pivots, lin = _pivots_and_kernel(rows, n)
     d = n - len(lin)
     if d == 0:
@@ -178,7 +176,7 @@ def halfspace_cone_generators(normals: Sequence[Sequence[int]], n: int) -> tuple
         # The rows lie in the orthogonal complement of lin, on which the
         # projection onto its basis is injective: the projected rows keep
         # the same pivots.
-        basis = right_kernel_basis(lin, n)
+        basis = _pivots_and_kernel(lin, n)[1]
         assert len(basis) == d
         proj = [tuple(pairing(b, a) for b in basis) for a in rows]
         ext = [primitive(vec_mat(y, basis)) for y in _pointed_extreme_rays(proj, pivots)]
@@ -204,16 +202,17 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         if p not in seen:
             seen.add(p)
             prim.append(p)
-    dual_gens, dual_lin = halfspace_cone_generators(prim, rank)
-    if rank_of(list(dual_gens) + list(dual_lin)) < rank:
-        raise NotStrictlyConvexError("not strictly convex: cone contains a line")
+    dual_gens, dual_lin = _cone_generators(prim, rank)
     normals = set(dual_gens)
     for b in dual_lin:
         normals.add(b)
         normals.add(vec_neg(b))
     normals = tuple(sorted(normals))
-    ext, ext_lin = halfspace_cone_generators(normals, rank)
-    assert not ext_lin and set(ext) <= seen
+    # the normals cut out the cone itself, so its lines are their lineality
+    ext, ext_lin = _cone_generators(normals, rank)
+    if ext_lin:
+        raise NotStrictlyConvexError("not strictly convex: cone contains a line")
+    assert set(ext) <= seen
     return Cone(rank=rank, rays=tuple(sorted(ext)), facet_normals=normals,
                 dim=rank - len(dual_lin))
 
@@ -229,7 +228,7 @@ def dual_cone(c: Cone) -> Union[Cone, DualCone]:
     """
     if c.dim == c.rank:
         return cone_from_rays(c.facet_normals, c.rank)
-    gens, lin = halfspace_cone_generators(c.rays, c.rank)
+    gens, lin = _cone_generators(c.rays, c.rank)
     return DualCone(rank=c.rank, generators=gens, lineality=lin)
 
 
@@ -463,7 +462,7 @@ def _pairwise_violations(fan: Fan, cones: dict) -> list:
     report each intersection that is not a face of both."""
     entries = []
     for a, b in combinations(fan.max_cones, 2):
-        inter, lin = halfspace_cone_generators(
+        inter, lin = _cone_generators(
             cones[a].facet_normals + cones[b].facet_normals, fan.rank)
         assert not lin
         for c in (a, b):

@@ -132,7 +132,11 @@ def hermite_normal_form(a: Mat) -> tuple[Mat, Mat]:
     into [0, pivot), and zero rows last.  The convention is fixed so that
     golden outputs stay stable.
     """
-    a = mat(a)
+    return _hermite(mat(a))
+
+
+def _hermite(a: Mat) -> tuple[Mat, Mat]:
+    """hermite_normal_form of rows already normalised by mat."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     h = [list(r) for r in a]
@@ -166,37 +170,43 @@ def hermite_normal_form(a: Mat) -> tuple[Mat, Mat]:
                 h[r] = [x - q * y for x, y in zip(h[r], h[row])]
                 u[r] = [x - q * y for x, y in zip(u[r], u[row])]
         row += 1
-    return mat(h), mat(u)
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
 def rank_of(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
-    h, _ = hermite_normal_form(mat(rows))
+    h, _ = _hermite(mat(rows))
     return sum(1 for r in h if any(r))
 
 
-def _pivots_and_kernel(rows: Sequence[Sequence[int]], n: int) -> tuple[list, Mat]:
-    """(pivots, kernel) from one Hermite normal form of the transposed rows.
+def _checked_rows(rows: Sequence[Sequence[int]], n: int) -> Mat:
+    """The rows normalised by mat; raises unless each has length n."""
+    rows = mat(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("row length does not match ambient rank")
+    return rows
+
+
+def _pivots_and_kernel(rows: Sequence[Vec], n: int) -> tuple[list, Mat]:
+    """(pivots, kernel) from one Hermite normal form of the transposed rows,
+    which must be integer tuples of length n (see _checked_rows).
 
     pivots are the pivot columns of the echelon form: the indices of the
     rows that lie outside the span of the rows before them, i.e. the rows
     a greedy scan in order keeps as linearly independent.  kernel is a
     basis of the saturated lattice of x in Z^n orthogonal to every row.
     """
-    rows = mat(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("row length does not match ambient rank")
     if not rows:
         return [], identity_matrix(n)
-    h, u = hermite_normal_form(transpose(rows, n))
+    h, u = _hermite(transpose(rows, n))
     pivots = [next(j for j, x in enumerate(r) if x) for r in h if any(r)]
     return pivots, tuple(u[i] for i in range(n) if not any(h[i]))
 
 
 def right_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> Mat:
     """Basis of the saturated lattice of x in Z^n orthogonal to every row."""
-    return _pivots_and_kernel(rows, n)[1]
+    return _pivots_and_kernel(_checked_rows(rows, n), n)[1]
 
 
 def span_saturation_basis(rows: Sequence[Sequence[int]], n: int) -> Mat:
@@ -285,7 +295,7 @@ def complete_to_unimodular(rows: Mat, n: int) -> Mat:
         return identity_matrix(n)
     if any(len(r) != n for r in rows):
         raise ValueError("wrong ambient rank")
-    h, u = hermite_normal_form(transpose(rows, n))
+    h, u = _hermite(transpose(rows, n))
     if sum(1 for r in h if any(r)) != d:
         raise ValueError("rows are not linearly independent")
     v = invert_unimodular(transpose(u))

@@ -356,6 +356,22 @@ def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
                            witness_character=vec_add(m0, root.e))
 
 
+def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial) -> bool:
+    """Does the witness show that the root subgroup acts faithfully?
+
+    It does when its chart sigma contains rho_e, <rho_e, m0> = 1, and both
+    m0 and m0 + e lie in sigma^v: then the comorphism sends chi^m0 to
+    chi^m0 + s*chi^(m0+e), whose s-term is a nonzero regular function on
+    the chart.  m0 + e leaves sigma^v when e pairs below -1 with rho_e or
+    negatively with another ray of sigma, so a non-root can fail here.
+    """
+    shifted = vec_add(witness.m0, root.e)
+    return (root.rho_e in witness.cone
+            and pairing(fan.rays[root.rho_e], witness.m0) == 1
+            and all(pairing(fan.rays[i], witness.m0) >= 0 and pairing(fan.rays[i], shifted) >= 0
+                    for i in witness.cone))
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     """Whether d_{p,e} preserves every cone algebra of the fan: the closed

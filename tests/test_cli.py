@@ -18,6 +18,7 @@ from toricaut.cli import (
 from toricaut.corpus import corpus
 from toricaut.fan import Fan
 from toricaut.lattice import mat, pairing
+from toricaut.roots import DemazureRoot, demazure_roots
 from toricaut.structure import Decomposition, DecompositionFactor, reconstruct
 from toricaut.symbolic import action_additivity_check
 
@@ -218,6 +219,15 @@ class TestCommands:
                 assert "FAIL" not in out
                 seen[path] = sorted(degrees)
             assert seen[FIXTURES / name] == seen[DATA / base], name
+
+    def test_check_fails_faithfulness_on_a_non_root(self, capsys, monkeypatch):
+        # negative control: a non-root among the roots FAILs faithfulness
+        fan = corpus()["P2"]
+        bad = DemazureRoot(e=(-1, -1), rho_e=fan.rays.index((1, 0)))
+        monkeypatch.setattr(cli, "demazure_roots", lambda f: demazure_roots(f) + (bad,))
+        code, out, _ = run_cli(["check", str(DATA / "P2.fan")], capsys)
+        assert code == 1
+        assert "FAIL faithfulness [P2] (witness per root)" in out
 
     def test_check_two_fans(self, capsys):
         code, out, _ = run_cli(["check", str(DATA / "P1.fan"), str(DATA / "P2.fan")], capsys)

@@ -45,8 +45,12 @@ class TestConeFromRays:
             assert sorted(pairing(r, g) for g in c.facet_normals)[0] == 0
 
     def test_line_rejected(self):
-        with pytest.raises(NotStrictlyConvexError):
-            cone_from_rays([(1, 0), (-1, 0)], 2)
+        # a line, a half-plane, the whole plane, and a wedge times a line
+        for rays, n in [([(1, 0), (-1, 0)], 2), ([(1, 0), (-1, 0), (0, 1)], 2),
+                        ([(1, 0), (0, 1), (-1, -1)], 2),
+                        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], 3)]:
+            with pytest.raises(NotStrictlyConvexError, match="^not strictly convex: cone contains a line$"):
+                cone_from_rays(rays, n)
 
     def test_zero_cone(self):
         c = cone_from_rays([], 2)

@@ -1,14 +1,19 @@
 import math
+import pathlib
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from toricaut import lattice, roots as roots_module
+from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import Fan, IncompleteFanError, product_fan, transform_fan
-from toricaut.lattice import pairing, vec_neg
+from toricaut.lattice import identity_matrix, invert_unimodular, mat_mul, pairing, transpose, vec_mat, vec_neg
 from toricaut.roots import (
     RootPolytope,
+    _lifted_candidates,
     classify_roots,
     demazure_roots,
     product_roots,
@@ -104,6 +109,120 @@ class TestRootsOracle:
         for _ in range(25):
             fan = random_complete_fan_rank2(rng)
             assert demazure_roots(fan) == roots_oracle(fan, root_box_bound(fan))
+
+
+def fibonacci(k):
+    """[[F(k+1), F(k)], [F(k), F(k-1)]], the k-th power of [[1, 1], [1, 0]]."""
+    u = identity_matrix(2)
+    for _ in range(k):
+        u = mat_mul(u, ((1, 1), (1, 0)))
+    return u
+
+
+def projective_space(n):
+    rays = list(identity_matrix(n)) + [(-1,) * n]
+    return Fan(n, rays, combinations(range(n + 1), n))
+
+
+# the normal fan of a square pyramid: the apex cone has four rays, and the
+# base's ray has nine roots
+SQUARE_PYRAMID = Fan(3, [(0, 0, -1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+                     [(1, 2, 3, 4), (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
+
+
+def large_conjugates(fans):
+    """(base, U) for seeded unimodular U over the corpus, F3 in basis F^20,
+    and P2xP2 in a rank-4 basis whose entries are all at least 8."""
+    rng = random.Random(111)
+    for fan in list(fans.values()) + [SQUARE_PYRAMID]:
+        for _ in range(3):
+            yield fan, random_unimodular(rng, fan.rank, steps=12)
+    yield fans["F3"], fibonacci(20)
+    upper = tuple(tuple(int(j >= i) for j in range(4)) for i in range(4))
+    shear = mat_mul(upper, transpose(upper))
+    u = mat_mul(mat_mul(shear, shear), upper)
+    assert min(x for row in u for x in row) >= 8
+    yield fans["P2xP2"], u
+
+
+def count_candidates(fan):
+    return sum(1 for _ in _lifted_candidates(fan))
+
+
+class TestChartEnumeration:
+    def test_conjugate_roots_are_mapped(self, fans):
+        count = 0
+        for base, u in large_conjugates(fans):
+            inverse = invert_unimodular(u)
+            expected = {(vec_mat(base.rays[r.rho_e], u), tuple(pairing(row, r.e) for row in inverse))
+                        for r in demazure_roots(base)}
+            fan = transform_fan(base, u)
+            assert {(fan.rays[r.rho_e], r.e) for r in demazure_roots(fan)} == expected, u
+            count += len(expected)
+        assert count == 3 * (74 + 13) + 6 + 12
+
+    def test_candidates_do_not_depend_on_basis(self, fans):
+        for base, u in large_conjugates(fans):
+            assert count_candidates(transform_fan(base, u)) == count_candidates(base), u
+
+    def test_candidates_bounded_by_roots_on_projective_spaces(self):
+        for n in range(4, 9):
+            fan = projective_space(n)
+            assert len(demazure_roots(fan)) == n * (n + 1)
+            assert count_candidates(fan) <= 2 * n * (n + 1)
+
+    def test_every_candidate_is_a_root(self, fans):
+        # the prefix test is exact once c is complete, and the coset filter
+        # drops the c whose R*c/d is not integral: on weighted projective
+        # spaces the least |det| through the heavy ray is 2 or more
+        rng = random.Random(112)
+        weighted = [fans["P112"], Fan(2, [(1, 0), (0, 1), (-2, -3)], [(0, 1), (1, 2), (2, 0)]),
+                    Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, -3, -5)],
+                        combinations(range(4), 3)),
+                    Fan(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -2, -3)],
+                        combinations(range(5), 4))]
+        for fan in weighted + [transform_fan(f, random_unimodular(rng, f.rank)) for f in weighted]:
+            assert sorted(_lifted_candidates(fan)) == [(r.rho_e, r.e) for r in demazure_roots(fan)]
+
+    def test_non_simplicial_chart(self):
+        assert len(demazure_roots(SQUARE_PYRAMID)) == 13
+        assert demazure_roots(SQUARE_PYRAMID) == roots_oracle(
+            SQUARE_PYRAMID, root_box_bound(SQUARE_PYRAMID))
+
+    def test_one_dd_per_ray_and_one_inverse_per_chart(self, fans, monkeypatch):
+        calls = {"dd": [], "inverse": []}
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                calls[name].append(tuple(map(tuple, args[0])))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(roots_module, "_cone_generators",
+                            recorded("dd", roots_module._cone_generators))
+        monkeypatch.setattr(roots_module, "scaled_inverse",
+                            recorded("inverse", lattice.scaled_inverse))
+        pool = [transform_fan(base, u) for base, u in large_conjugates(fans)]
+        pool += [random_blow_up(random.Random(104), fans["P3"], 12), projective_space(6)]
+        for fan in pool:
+            fan.require_valid()
+            for name in calls:
+                calls[name].clear()
+            demazure_roots.__wrapped__(fan)
+            assert len(calls["dd"]) == len(fan.rays)
+            # each chart once; a simplicial cone is its own chart
+            assert len(set(calls["inverse"])) == len(calls["inverse"])
+            if all(len(c) == fan.rank for c in fan.max_cones):
+                assert len(calls["inverse"]) <= len(fan.max_cones)
+
+    def test_f3_in_basis_f20(self, fans):
+        path = pathlib.Path(__file__).resolve().parent / "fixtures" / "F3_F20.fan"
+        fan = fan_from_document(parse_fan(path.read_text(encoding="utf-8")))
+        assert fan == transform_fan(fans["F3"], fibonacci(20))
+        start = time.perf_counter()
+        roots = demazure_roots.__wrapped__(fan)
+        assert time.perf_counter() - start < 1.0
+        assert len(roots) == 6
 
 
 class TestIntegerBox:

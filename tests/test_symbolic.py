@@ -31,6 +31,7 @@ from toricaut.symbolic import (
     infinitesimal_check,
     lie_dimension,
     regularity_check,
+    witness_holds,
 )
 
 from util import (
@@ -343,8 +344,34 @@ class TestFaithfulness:
                 assert w.cone in fan.max_cones and root.rho_e in w.cone
                 assert pairing(fan.rays[root.rho_e], w.m0) == 1
                 assert all(pairing(fan.rays[i], w.m0) >= 0 for i in w.cone)
+                assert witness_holds(fan, root, w)
                 count += 1
         assert count == 72
+
+    def test_non_root_fails(self, fans):
+        # on P2, e = (-1, -1) pairs to -1 with both (1, 0) and (0, 1): the
+        # witness chi^(1, 0) of ray (1, 0) would move to chi^(0, -1), which
+        # leaves the chart of (1, 0) and (0, 1)
+        fan = fans["P2"]
+        bad = DemazureRoot(e=(-1, -1), rho_e=fan.rays.index((1, 0)))
+        w = faithfulness_check(fan, bad)
+        assert w.m0 == (1, 0) and not witness_holds(fan, bad, w)
+        # every root passes.  A witness speaks for one chart, so a non-root
+        # e in -3..3 pairing to -1 with a ray fails when it breaks that
+        # chart, and otherwise regularity fails on some other chart
+        failed = 0
+        for name in ("P2", "F1", "F3", "P112"):
+            fan = fans[name]
+            roots = set(demazure_roots(fan))
+            for e in iproduct(range(-3, 4), repeat=2):
+                for j, rho in enumerate(fan.rays):
+                    if pairing(rho, e) != -1:
+                        continue
+                    root = DemazureRoot(e=e, rho_e=j)
+                    holds = witness_holds(fan, root, faithfulness_check(fan, root))
+                    assert holds == (root in roots) or not regularity_check(fan, root).ok
+                    failed += not holds
+        assert failed == 35
 
 
 class TestDerivation:
