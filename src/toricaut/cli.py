@@ -39,7 +39,8 @@ from .structure import (
 )
 from .symbolic import (
     action_additivity_check,
-    dual_monomials,
+    action_chart_check,
+    chart_pairings,
     faithfulness_check,
     infinitesimal_check,
     regularity_check,
@@ -321,14 +322,18 @@ def run_certificates(fans) -> list:
         roots = demazure_roots(fan)
         ok = all(regularity_check(fan, r).ok for r in roots)
         out.append(("regularity", name, ok, f"{len(roots)} roots"))
-        # the characters of the charts containing rho_e, so <rho_e, m> >= 0
-        samples = {i: {m for c in fan.max_cones if i in c for m in dual_monomials(fan, c, 2)}
-                   for i in {r.rho_e for r in roots}}
-        ok = all(action_additivity_check(fan, r, m)
-                 for r in roots for m in samples[r.rho_e])
+        # the chart conditions on the height-2 samples of the charts
+        # containing rho_e, from one table per chart; the binomial
+        # identities depend on a sample only through <rho_e, m>, so they
+        # run once per degree
+        rays = {r.rho_e for r in roots}
+        tables = {c: chart_pairings(fan, c) for c in fan.max_cones if rays.intersection(c)}
+        certs = [action_chart_check(fan, r, tables) for r in roots]
+        ok = all(c.additive and all(action_additivity_check(fan, c.root, m) for _, m in c.degrees)
+                 for c in certs)
         out.append(("additivity", name, ok, "height-2 samples"))
-        ok = all(infinitesimal_check(fan, r, m)
-                 for r in roots for m in samples[r.rho_e])
+        ok = all(c.infinitesimal and all(infinitesimal_check(fan, c.root, m) for _, m in c.degrees)
+                 for c in certs)
         out.append(("infinitesimal", name, ok, "height-2 samples"))
         ok = all(witness_holds(fan, r, faithfulness_check(fan, r)) for r in roots)
         out.append(("faithfulness", name, ok, "witness per root"))

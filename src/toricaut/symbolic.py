@@ -151,7 +151,14 @@ def comorphism_apply(fan: Fan, root: DemazureRoot,
 
 
 def infinitesimal_check(fan: Fan, root: DemazureRoot, m: Sequence[int]) -> bool:
-    """Does the s-linear part of the comorphism equal d_{rho_e, e}(chi^m)?"""
+    """Does the s-linear part of the comorphism equal d_{rho_e, e}(chi^m)?
+
+    With k = <rho_e, m> >= 0 the s-linear part is C(k, 1) chi^(m+e) and the
+    derivation gives k chi^(m+e); both vanish for k = 0.  So the verdict
+    depends on m only through k, and one m per k decides it for every
+    character of that degree.  Whether m + e lies in the chart's dual is
+    the separate chart condition of action_chart_check.
+    """
     m = vec(m)
     lhs = comorphism_apply(fan, root, m).s_coefficient(1)
     d = HomogeneousDerivation(p=fan.rays[root.rho_e], e=root.e)
@@ -163,7 +170,14 @@ def action_additivity_check(fan: Fan, root: DemazureRoot, m: Sequence[int]) -> b
     """Acting by s' and then by s equals acting by s + s'.
 
     Both sides are expanded as integer polynomials in two formal
-    parameters with character monomials and compared term by term.
+    parameters with character monomials and compared term by term.  With
+    k = <rho_e, m>, both index their terms by (j, i) with 0 <= i + j <= k,
+    each with the character m + (i+j)e, and the coefficients are
+    C(k,i) C(k-i,j) and C(k,i+j) C(i+j,j), both the multinomial
+    k! / (i! j! (k-i-j)!).  So the verdict depends on m only through k,
+    and one m per k decides it for every character of that degree.
+    Whether the characters m + i*e lie in the chart's dual is the separate
+    chart condition of action_chart_check.
     """
     m = vec(m)
     rho = fan.rays[root.rho_e]
@@ -227,6 +241,68 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     for g in [vec_mat(g, lift) for g in gens] + [u for l in lineality for u in (l, vec_neg(l))]:
         sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
     return tuple(sorted(sums))
+
+
+def chart_pairings(fan: Fan, cone_idx: tuple) -> tuple:
+    """The height-2 samples m of the cone's dual, sorted, each with its
+    pairings <rho_i, m> over the cone's rays in order: one table decides
+    the chart conditions of every root whose rho_e lies in the cone."""
+    rays = [fan.rays[i] for i in cone_idx]
+    return tuple((m, tuple(sum(a * b for a, b in zip(r, m)) for r in rays))
+                 for m in dual_monomials(fan, cone_idx, 2))
+
+
+@dataclass(frozen=True)
+class ActionChartCertificate:
+    """The chart conditions of a root's action law (`additive`) and of its
+    derivation (`infinitesimal`), and the least sample of each degree
+    k = <rho_e, m> as sorted (k, m) pairs (`degrees`): the characters on
+    which the binomial identities are checked, one per k."""
+
+    root: DemazureRoot
+    degrees: tuple
+    additive: bool
+    infinitesimal: bool
+
+
+def action_chart_check(fan: Fan, root: DemazureRoot, tables: dict) -> ActionChartCertificate:
+    """Decide the conditions under which the root's action and derivation
+    keep the algebra of each chart sigma containing rho_e.
+
+    For m in sigma^v, k = <rho_e, m> >= 0.  The comorphism sends chi^m to
+    sum_i C(k, i) s^i chi^(m+i*e), i = 0..k, which is regular on the chart
+    when every m + i*e lies in sigma^v; sigma^v is convex and holds m, so
+    exactly when m + k*e does.  The derivation d_{rho_e, e} sends chi^m to
+    k chi^(m+e), which needs m + e in sigma^v when k >= 1.  The first
+    condition is closed under addition (m -> m + <rho_e, m>e is linear);
+    the second too, by the Leibniz rule: a character with k >= 1 is a
+    generator a with <rho_e, a> >= 1 plus a dual character, and m + e lies
+    in sigma^v whenever a + e does.  The height-2 samples contain the
+    height-1 samples, which generate sigma^v cap M (dual_monomials), so
+    both verdicts hold for every character of the chart.
+
+    `tables` maps charts to their chart_pairings, so that roots sharing a
+    chart share its table; the charts in it that contain rho_e are read.
+    A ray rho_i of sigma can fail a condition only when <rho_i, e> < 0.
+    """
+    rho_e, e = root.rho_e, root.e
+    degrees = {}
+    additive = infinitesimal = True
+    for cone_idx, rows in tables.items():
+        if rho_e not in cone_idx:
+            continue
+        at = cone_idx.index(rho_e)
+        negative = [(i, c) for i, c in enumerate(pairing(fan.rays[j], e) for j in cone_idx)
+                    if c < 0]
+        additive = additive and all(row[i] + row[at] * c >= 0
+                                    for _, row in rows for i, c in negative)
+        infinitesimal = infinitesimal and all(row[i] + c >= 0
+                                              for _, row in rows if row[at] for i, c in negative)
+        for m, row in rows:
+            if row[at] not in degrees or m < degrees[row[at]]:
+                degrees[row[at]] = m
+    return ActionChartCertificate(root=root, degrees=tuple(sorted(degrees.items())),
+                                  additive=additive, infinitesimal=infinitesimal)
 
 
 @dataclass(frozen=True)

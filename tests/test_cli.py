@@ -20,7 +20,7 @@ from toricaut.fan import Fan
 from toricaut.lattice import mat, pairing
 from toricaut.roots import DemazureRoot, demazure_roots
 from toricaut.structure import Decomposition, DecompositionFactor, reconstruct
-from toricaut.symbolic import action_additivity_check
+from toricaut.symbolic import action_additivity_check, dual_monomials
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricaut" / "data"
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
@@ -204,6 +204,13 @@ class TestCommands:
         # <rho_e, m>: the samples move with the basis
         degrees = []
 
+        def chart_degrees(path):
+            # <rho_e, m> over every chart's height-2 samples, for each root
+            fan = fan_from_document(parse_fan(path.read_text()))
+            return sorted(pairing(fan.rays[r.rho_e], m) for r in demazure_roots(fan)
+                          for c in fan.max_cones if r.rho_e in c
+                          for m in dual_monomials(fan, c, 2))
+
         def recording_check(fan, root, m):
             degrees.append(pairing(fan.rays[root.rho_e], m))
             return action_additivity_check(fan, root, m)
@@ -219,6 +226,19 @@ class TestCommands:
                 assert "FAIL" not in out
                 seen[path] = sorted(degrees)
             assert seen[FIXTURES / name] == seen[DATA / base], name
+            assert chart_degrees(FIXTURES / name) == chart_degrees(DATA / base), name
+
+    def test_check_fails_the_action_certificates_on_a_non_root(self, capsys, monkeypatch):
+        # negative control: e = (-1, -1) pairs to -1 with the other ray (0, 1)
+        # of a chart through (1, 0), so m = (1, 0) of that chart's dual is
+        # sent to chi^(0, -1), outside it
+        fan = corpus()["P2"]
+        bad = DemazureRoot(e=(-1, -1), rho_e=fan.rays.index((1, 0)))
+        monkeypatch.setattr(cli, "demazure_roots", lambda f: demazure_roots(f) + (bad,))
+        code, out, _ = run_cli(["check", str(DATA / "P2.fan")], capsys)
+        assert code == 1
+        assert "FAIL additivity [P2] (height-2 samples)" in out
+        assert "FAIL infinitesimal [P2] (height-2 samples)" in out
 
     def test_check_fails_faithfulness_on_a_non_root(self, capsys, monkeypatch):
         # negative control: a non-root among the roots FAILs faithfulness
@@ -245,6 +265,25 @@ class TestCommands:
                        '"max_cones": [[0,1],[1,2],[2,0]]}')
         code, _, err = run_cli(["validate", str(doc)], capsys)
         assert code == 0 and "normalized to [1, 2]" in err
+
+
+class TestActionCertificateCalls:
+    """check runs each binomial identity once per root and distinct degree
+    <rho_e, m> of its height-2 samples, not once per sample."""
+
+    def test_one_call_per_root_and_degree(self, capsys, monkeypatch):
+        calls = {}
+        for name in ("action_additivity_check", "infinitesimal_check"):
+            original, calls[name] = getattr(cli, name), []
+
+            def counting(fan, root, m, original=original, seen=calls[name]):
+                seen.append((root, pairing(fan.rays[root.rho_e], m)))
+                return original(fan, root, m)
+            monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run_cli(["check", str(DATA / "P2xP2.fan")], capsys)
+        assert code == 0
+        for seen in calls.values():
+            assert len(seen) == len(set(seen)) == 36
 
 
 class TestProductCertificate:

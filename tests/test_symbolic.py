@@ -23,6 +23,8 @@ from toricaut.symbolic import (
     HomogeneousDerivation,
     LocalizationRequiredError,
     action_additivity_check,
+    action_chart_check,
+    chart_pairings,
     comorphism_apply,
     derivation_apply,
     derivation_classification_check,
@@ -35,6 +37,7 @@ from toricaut.symbolic import (
 )
 
 from util import (
+    action_chart_oracle,
     classification_oracle,
     parallelepiped_points_oracle,
     regularity_oracle,
@@ -420,6 +423,52 @@ class TestInfinitesimal:
                 for m in iproduct(*(range(-2, 3) for _ in range(fan.rank))):
                     if pairing(rho, m) >= 0:
                         assert infinitesimal_check(fan, root, m)
+
+
+class TestActionChartCheck:
+    """The chart conditions of the action law and the derivation, decided
+    on the height-2 samples from one pairing table per chart, and the one
+    sample per degree on which the binomial identities run."""
+
+    def test_roots_pass_with_least_sample_per_degree(self, fans):
+        for fan in list(fans.values()) + [NON_SMOOTH]:
+            tables = {c: chart_pairings(fan, c) for c in fan.max_cones}
+            for root in demazure_roots(fan):
+                cert = action_chart_check(fan, root, tables)
+                assert cert.additive and cert.infinitesimal, (fan, root)
+                rho = fan.rays[root.rho_e]
+                samples = sorted({m for c in fan.max_cones if root.rho_e in c
+                                  for m in dual_monomials(fan, c, 2)})
+                least = {}
+                for m in samples:
+                    least.setdefault(pairing(rho, m), m)
+                assert cert.degrees == tuple(sorted(least.items()))
+
+    def test_height_4_box_oracle_on_non_roots(self, fans):
+        # the non-root (e, ray) pairs of the regularity sweep get the same
+        # per-chart verdicts from the height-2 samples as from every dual
+        # character with entries in -4..4
+        checked, failed = 0, {"additive": 0, "infinitesimal": 0}
+        for fan in [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]:
+            roots = set(demazure_roots(fan))
+            tables = {c: chart_pairings(fan, c) for c in fan.max_cones}
+            for e in iproduct(range(-2, 3), repeat=fan.rank):
+                for j in range(len(fan.rays)):
+                    root = DemazureRoot(e=e, rho_e=j)
+                    if root in roots:
+                        continue
+                    charts = []
+                    for cone in (c for c in fan.max_cones if j in c):
+                        cert = action_chart_check(fan, root, {cone: tables[cone]})
+                        charts.append((cert.additive, cert.infinitesimal))
+                        assert charts[-1] == action_chart_oracle(fan, root, cone), (fan, root, cone)
+                        failed["additive"] += not cert.additive
+                        failed["infinitesimal"] += not cert.infinitesimal
+                    # the shared tables give the conjunction over the charts
+                    whole = action_chart_check(fan, root, tables)
+                    assert (whole.additive, whole.infinitesimal) == tuple(map(all, zip(*charts)))
+                    checked += 1
+        assert checked == 2548 and min(failed.values()) > 0
 
 
 class TestClassification:

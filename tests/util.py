@@ -3,7 +3,7 @@ cones and unimodular matrices, plus brute-force oracles kept independent
 of the library code paths they check."""
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import combinations, permutations, product
 
 from toricaut.fan import Fan, IncompleteFanError, is_complete
@@ -331,6 +331,34 @@ def regularity_oracle(fan, root):
             ok = ok and chart_ok
         samples_ok.append(chart_ok)
     return ok, tuple(samples_ok)
+
+
+def action_chart_oracle(fan, root, cone, radius=4):
+    """Reference for action_chart_check on one chart containing rho_e, on
+    every character of the chart's dual with entries in -radius..radius
+    instead of the height-2 samples: (additive, infinitesimal), where
+    additive asks m + i*e in the dual for every 0 <= i <= <rho_e, m>, and
+    infinitesimal asks m + e in the dual when <rho_e, m> >= 1."""
+    rays = [fan.rays[i] for i in cone]
+    values = [pairing(r, root.e) for r in rays]
+    at = cone.index(root.rho_e)
+    additive = infinitesimal = True
+    for m in _box_dual_points(fan, cone, radius):
+        row = [pairing(r, m) for r in rays]
+        additive = additive and all(p + i * v >= 0 for i in range(row[at] + 1)
+                                    for p, v in zip(row, values))
+        infinitesimal = infinitesimal and (row[at] == 0 or all(
+            p + v >= 0 for p, v in zip(row, values)))
+        if not (additive or infinitesimal):
+            break
+    return additive, infinitesimal
+
+
+@lru_cache(maxsize=None)
+def _box_dual_points(fan, cone, radius):
+    rays = [fan.rays[i] for i in cone]
+    return tuple(m for m in product(range(-radius, radius + 1), repeat=fan.rank)
+                 if all(pairing(r, m) >= 0 for r in rays))
 
 
 def classification_oracle(fan, p, e):
