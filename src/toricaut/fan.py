@@ -12,12 +12,13 @@ Dual descriptions are computed exactly by the double description method
 purely combinatorial adjacency test); one Hermite normal form of the
 constraint rows gives both the lineality and the independent rows the
 method starts from.  The same engine gives the root polytopes' vertices,
-as the extreme rays of their homogenisations.  Complete simplicial fans are
-certified valid by a local ridge criterion; any other fan falls back to
-intersecting every pair of maximal cones.  A product fan takes its maximal
-cones from the factors' cones, whose facet normals it knows, so it runs no
-double description; it is still validated and tested for completeness like
-any other fan.
+as the extreme rays of their homogenisations.  One local ridge certificate,
+computed once per fan, proves a fan both valid and complete; only an
+invalid or incomplete fan falls back to intersecting every pair of maximal
+cones.  The faces of a non-simplicial cone are the intersections of its
+facets' ray sets.  A product fan takes its maximal cones from the factors'
+cones, whose facet normals it knows, so it runs no double description; it
+is still validated and tested for completeness like any other fan.
 """
 
 from __future__ import annotations
@@ -340,7 +341,8 @@ class Fan:
         """Face closure: map from sorted ray-index tuple to cone dimension.
 
         Every subset of a simplicial cone's rays spans a face of dimension
-        equal to its size; only non-simplicial cones need the closure test.
+        equal to its size; a non-simplicial cone's faces come from its
+        facets.
         """
         out = {(): 0}
         for c in self.max_cones:
@@ -354,20 +356,21 @@ class Fan:
         return out
 
     def _faces_of(self, cidx: tuple) -> set:
-        normals = self.cone(cidx).facet_normals
-        local = [self.rays[i] for i in cidx]
-        faces = set()
-        for size in range(len(cidx) + 1):
-            for sub in combinations(range(len(cidx)), size):
-                if _face_closure(local, normals, [local[i] for i in sub]) == sub:
-                    faces.add(tuple(cidx[i] for i in sub))
+        """The cone and the intersections of its facets' ray sets, the rays
+        each normal kills: every face is the intersection of the facets
+        holding it (Kaibel-Pfetsch, Comput. Geom. 23, 2002)."""
+        faces = {cidx}
+        for g in self.cone(cidx).facet_normals:
+            facet = {i for i in cidx if pairing(self.rays[i], g) == 0}
+            faces |= {tuple(i for i in f if i in facet) for f in faces}
         return faces
 
     @cached_property
     def _ridge_owners(self) -> dict:
-        """{ridge: [(maximal cone, facet normal)]} over the facets of the
-        maximal cones, all full dimensional: a facet's rays are those its
-        normal kills."""
+        """{ridge: [(maximal cone, facet normal)]}: each facet of a maximal
+        cone, keyed by its ray set, the rays its normal kills.  Read only
+        once every maximal cone is full dimensional, so that each normal is
+        a facet's."""
         owners: dict = {}
         for c in self.max_cones:
             for g in self.cone(c).facet_normals:
@@ -375,12 +378,37 @@ class Fan:
                 owners.setdefault(ridge, []).append((c, g))
         return owners
 
+    @cached_property
+    def _certified_complete(self) -> bool:
+        """Local proof that the maximal cones form a complete fan.
+
+        Holds when every maximal cone is full dimensional, every ridge bounds
+        exactly two maximal cones, the second's rays off the ridge lie
+        strictly on the far side of the first's facet normal, and an interior
+        point of one maximal cone lies in no other.  Crossing a ridge then
+        swaps one covering cone for another, so every generic point is
+        covered as often as that interior point, i.e. once.  Near a relative
+        interior point of a ridge only its two owners are present, so the
+        cones meet face to face, and any two meet in a common face (the
+        covering argument for polyhedral subdivisions, De Loera-Rambau-
+        Santos, Triangulations, ch. 4).  False means the fan is invalid or
+        incomplete.  Read only after every maximal cone passed its own
+        checks.
+        """
+        if any(self.cone(c).dim != self.rank for c in self.max_cones):
+            return False
+        for ridge, sides in self._ridge_owners.items():
+            if len(sides) != 2:
+                return False
+            (_, g), (c, _) = sides
+            if any(pairing(self.rays[i], g) >= 0 for i in c if i not in ridge):
+                return False
+        first, *others = self.max_cones
+        point = tuple(map(sum, zip(*(self.rays[i] for i in first))))
+        return not any(self.cone(c).contains(point) for c in others)
+
     def cones_of_dim(self, d: int) -> tuple:
         return tuple(sorted(c for c, dim in self.all_cones.items() if dim == d))
-
-    def contains_point(self, v: Sequence[int]) -> bool:
-        """Does the support of the fan contain v?"""
-        return any(self.cone(c).contains(v) for c in self.max_cones)
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
@@ -425,36 +453,9 @@ def validate_fan(fan: Fan) -> ValidationReport:
         cones[c] = cone
     if entries:
         return ValidationReport(tuple(entries))
-    if _certified_complete_simplicial(fan, cones):
+    if fan._certified_complete:
         return ValidationReport(())
     return ValidationReport(tuple(_pairwise_violations(fan, cones)))
-
-
-def _certified_complete_simplicial(fan: Fan, cones: dict) -> bool:
-    """Local proof that the maximal cones form a complete simplicial fan.
-
-    Holds when every maximal cone is full dimensional and simplicial, every
-    ridge bounds exactly two maximal cones whose remaining rays lie strictly
-    on opposite sides of it, and an interior point of one maximal cone lies
-    in no other.  Crossing a ridge then swaps one covering cone for another,
-    so every generic point is covered as often as that interior point, i.e.
-    once; with the ridge pairing this makes any two cones meet in a common
-    face (the covering argument of De Loera-Rambau-Santos, Triangulations,
-    ch. 4).  False means only that the certificate does not apply.
-    """
-    n = fan.rank
-    if any(len(c) != n or cone.dim != n for c, cone in cones.items()):
-        return False
-    for ridge, sides in fan._ridge_owners.items():
-        if len(sides) != 2:
-            return False
-        (_, g), (c, _) = sides
-        (apex,) = set(c) - set(ridge)
-        if pairing(fan.rays[apex], g) >= 0:
-            return False
-    first, *others = fan.max_cones
-    point = tuple(map(sum, zip(*(fan.rays[i] for i in first))))
-    return not any(cones[c].contains(point) for c in others)
 
 
 def _pairwise_violations(fan: Fan, cones: dict) -> list:
@@ -487,32 +488,17 @@ def _face_closure(rays: Sequence[Vec], normals: Sequence[Vec], chosen: Sequence[
 
 
 def is_complete(fan: Fan) -> bool:
-    """Support equals N_R, by the facet-pairing criterion.
+    """Support equals N_R: a valid fan is complete exactly when the ridge
+    certificate that validation computed holds.
 
-    All maximal cones must be full dimensional, every (n-1)-dimensional
-    face of a maximal cone must be a face of exactly two maximal cones,
-    and the facet-adjacency graph must be connected.
+    A complete valid fan has full-dimensional maximal cones (a lower one
+    would be a face of its neighbours), its cones meet in common faces, so
+    each ridge lies in two cones that meet only there, on opposite sides,
+    and an interior point of one cone lies in no other.  Conversely the
+    certificate's covering argument covers every point.
     """
     fan.require_valid()
-    n = fan.rank
-    for c in fan.max_cones:
-        if fan.cone(c).dim != n:
-            return False
-    if n == 0:
-        return True
-    ridge_owners = fan._ridge_owners.values()
-    if any(len(owners) != 2 for owners in ridge_owners):
-        return False
-    adj = {c: set() for c in fan.max_cones}
-    for (a, _), (b, _) in ridge_owners:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {fan.max_cones[0]}
-    frontier = set(seen)
-    while frontier:
-        frontier = {b for c in frontier for b in adj[c]} - seen
-        seen |= frontier
-    return len(seen) == len(fan.max_cones)
+    return fan._certified_complete
 
 
 def is_simplicial(fan: Fan) -> bool:

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from toricaut import fan as fan_module
 from toricaut.fan import (
     Cone,
     DualCone,
     Fan,
     NotStrictlyConvexError,
     ValidationReport,
-    _certified_complete_simplicial,
     _pairwise_violations,
     cone_from_rays,
     dual_cone,
@@ -22,13 +22,18 @@ from toricaut.fan import (
 )
 from toricaut.lattice import pairing
 
+from test_roots import SQUARE_PYRAMID
 from util import (
+    complete_by_adjacency,
+    cube_fan,
+    faces_by_subset_scan,
     maximal_cones_oracle,
     random_blow_up,
     random_complete_fan_rank2,
     random_pointed_cone_rays,
     random_primitive,
     random_unimodular,
+    support_contains,
 )
 
 
@@ -167,8 +172,8 @@ class TestValidateFan:
 
 def _equivalence_fans(corpus_fans):
     """(label, fan, certified) cases for the local certificate: seeded valid
-    complete simplicial fans it must certify, and fans that must fall back
-    to the pairwise check."""
+    complete fans it must certify, simplicial or not, and fans that must
+    fall back to the pairwise check."""
     rng = random.Random(20210108)
     p2, p3 = corpus_fans["P2"], corpus_fans["P3"]
     cases = [(name, fan, True) for name, fan in corpus_fans.items()]
@@ -181,7 +186,7 @@ def _equivalence_fans(corpus_fans):
                       ("blow-up 3", blow_ups[3]), ("blow-up 15", blow_ups[15])]:
         cases.append((f"{name} conjugate", transform_fan(fan, random_unimodular(rng, fan.rank)), True))
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 0)]
-    cube = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    cube = cube_fan(3)
     cases += [
         ("half-plane", Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)]), False),
         ("overlapping", Fan(2, [(1, 0), (0, 1), (1, 1), (-1, 2)], [(0, 1), (2, 3)]), False),
@@ -195,25 +200,73 @@ def _equivalence_fans(corpus_fans):
         # (1, 1, 0) splits the cone over e1, e2, e3 but not the one over e1, e2, -e3
         ("T-junction", Fan(3, e, [(0, 6, 2), (6, 1, 2), (0, 1, 5), (1, 3, 2), (1, 3, 5),
                                   (3, 4, 2), (3, 4, 5), (4, 0, 2), (4, 0, 5)]), False),
-        ("cube", Fan(3, cube, [[i for i, r in enumerate(cube) if r[axis] == sign]
-                               for axis in range(3) for sign in (-1, 1)]), False),
+        ("cube", cube, True),
         ("winds twice", Fan(2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
                             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), False),
     ]
+    # non-simplicial fans: the cube face fans, their products, conjugates,
+    # seeded blow-ups, the cube with one vertex pushed off its facets'
+    # planes, and mutations
+    moved = tuple((1, 2, 3) if r == (1, 1, 1) else r for r in cube.rays)
+    apex = tuple((2, 0, -1) if r == (0, 0, -1) else r for r in SQUARE_PYRAMID.rays)
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    cube4, cube_p1 = cube_fan(4), product_fan(cube, corpus_fans["P1"])
+    cases += [("cube4", cube4, True),
+              ("cube x P1", cube_p1, True),
+              ("cube x cube", product_fan(cube, cube), True),
+              ("square pyramid", SQUARE_PYRAMID, True),
+              ("cube, moved ray", Fan(3, moved, cube.max_cones), True)]
+    cases += [(f"cube conjugate {k}", transform_fan(cube, random_unimodular(rng, 3)), True)
+              for k in range(3)]
+    cases += [(f"cube blow-up {k}", random_blow_up(rng, base, rng.randint(1, 3)), True)
+              for k, base in enumerate([cube, cube, cube4, cube_p1])]
+    cases += [("cube minus a cone", Fan(3, cube.rays, cube.max_cones[1:]), False),
+              ("overlaid cubes", _overlay(cube, transform_fan(cube, shear)), False),
+              # the apex leaves the cone opposite the square, so the cones through it fold
+              ("pyramid, swapped ray", Fan(3, apex, SQUARE_PYRAMID.max_cones), False)]
     return cases
+
+
+def _overlay(f, g):
+    """The maximal cones of two fans of one rank, as one fan on their joint rays."""
+    rays = sorted(set(f.rays) | set(g.rays))
+    index = {r: i for i, r in enumerate(rays)}
+    return Fan(f.rank, rays, [[index[h.rays[i]] for i in c] for h in (f, g) for c in h.max_cones])
+
+
+INVALID = {"overlapping", "three cones on a ray", "folded", "two P2s", "T-junction",
+           "winds twice", "overlaid cubes", "pyramid, swapped ray"}
 
 
 class TestLocalCertificate:
     def test_matches_pairwise_check(self, fans):
         for label, fan, certified in _equivalence_fans(fans):
             cones = {c: fan.cone(c) for c in fan.max_cones}
-            assert _certified_complete_simplicial(fan, cones) == certified, label
+            assert fan._certified_complete == certified, label
             pairwise = ValidationReport(tuple(_pairwise_violations(fan, cones)))
             assert validate_fan(fan) == pairwise, label
-            assert pairwise.ok == (label not in {"overlapping", "three cones on a ray", "folded",
-                                                 "two P2s", "T-junction", "winds twice"}), label
+            assert pairwise.ok == (label not in INVALID), label
 
-    def test_cube_fan_falls_back_valid_and_complete(self, fans):
+    def test_completeness_matches_adjacency_rule(self, fans):
+        for label, fan, certified in _equivalence_fans(fans):
+            if label not in INVALID:
+                assert is_complete(fan) == complete_by_adjacency(fan) == certified, label
+
+    def test_faces_match_subset_scan(self, fans):
+        sizes = {}
+        for label, fan, _ in _equivalence_fans(fans):
+            if all(len(c) == fan.cone(c).dim for c in fan.max_cones):
+                continue
+            sizes[label] = len(fan.all_cones)
+            # the scan is exponential in a cone's rays: cube x cube has 16
+            if label != "cube x cube":
+                scanned = set().union(*(faces_by_subset_scan(fan, c) for c in fan.max_cones))
+                assert set(fan.all_cones) == scanned, label
+        assert sizes["cube"] == 27 and sizes["cube4"] == 81 and sizes["cube x P1"] == 81
+        # the faces of a product are the products of the factors' faces
+        assert sizes["cube x cube"] == 27 ** 2
+
+    def test_cube_fan_certified_valid_and_complete(self, fans):
         fan = next(f for label, f, _ in _equivalence_fans(fans) if label == "cube")
         assert validate_fan(fan).ok
         assert is_complete(fan) and not is_simplicial(fan)
@@ -222,6 +275,31 @@ class TestLocalCertificate:
         fan = next(f for label, f, _ in _equivalence_fans(fans) if label == "winds twice")
         report = validate_fan(fan)
         assert [e.code for e in report.entries] == ["intersection_not_face"] * 10
+
+
+class TestNoFallbackOnCompleteFans:
+    """A complete fan is proved valid by its ridge certificate alone, and a
+    non-simplicial cone's faces are read off its facets: neither the
+    pairwise intersections nor a face closure per ray subset runs."""
+
+    def test_no_pairwise_intersections(self, monkeypatch):
+        calls = []
+        pairwise = fan_module._pairwise_violations
+        monkeypatch.setattr(fan_module, "_pairwise_violations",
+                            lambda fan, cones: calls.append(fan) or pairwise(fan, cones))
+        fan = product_fan(cube_fan(4), cube_fan(3))
+        assert len(fan.max_cones) == 48
+        assert validate_fan(fan).ok and is_complete(fan)
+        assert len(calls) == 0
+
+    def test_no_face_closure_in_the_face_lattice(self, monkeypatch):
+        calls = []
+        closure = fan_module._face_closure
+        monkeypatch.setattr(fan_module, "_face_closure",
+                            lambda *args: calls.append(args) or closure(*args))
+        fan = cube_fan(5)
+        assert len(fan.all_cones) == 3 ** 5
+        assert len(calls) == 0
 
 
 class TestCompleteness:
@@ -243,10 +321,10 @@ class TestCompleteness:
         for name in ("P2", "F2", "P112", "P3"):
             fan = fans[name]
             for _ in range(100):
-                assert fan.contains_point(random_primitive(rng, fan.rank))
+                assert support_contains(fan, random_primitive(rng, fan.rank))
         half = Fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
         assert not is_complete(half)
-        assert any(not half.contains_point(random_primitive(rng, 2))
+        assert any(not support_contains(half, random_primitive(rng, 2))
                    for _ in range(100))
 
     def test_rank0_trivial_fan_complete(self):

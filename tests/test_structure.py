@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import toricaut
+from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import Fan, IncompleteFanError, transform_fan
 from toricaut import structure
 from toricaut.lattice import (
@@ -84,6 +85,13 @@ class TestFanAutomorphisms:
     def test_incomplete_rejected(self):
         with pytest.raises(IncompleteFanError):
             fan_automorphisms(Fan(2, [(1, 0), (0, 1)], [(0, 1)]))
+
+    def test_cube5_fixture_hyperoctahedral(self):
+        # the face fan of the 5-cube: 32 rays, 10 non-simplicial cones of 16
+        path = pathlib.Path(__file__).resolve().parent / "fixtures" / "cube5.fan"
+        fan = fan_from_document(parse_fan(path.read_text()))
+        assert len(fan.rays) == 32 and sorted(map(len, fan.max_cones)) == [16] * 10
+        assert len(fan_automorphisms(fan)) == 2 ** 5 * math.factorial(5) == 3840
 
     def test_sorted_deterministic(self, fans):
         autos = fan_automorphisms(fans["P2"])

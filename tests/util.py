@@ -86,15 +86,19 @@ def random_complete_fan_rank2(rng, extra=3):
 
 
 def star_subdivision(fan, cone):
-    """Star subdivision of a simplicial fan at one of its cones: the new ray
-    is the primitive sum of the cone's rays, and every maximal cone holding
-    the cone is split into one cone per ray of it."""
+    """Star subdivision of a fan at one of its cones: the new ray is the
+    primitive sum of the cone's rays, and every maximal cone holding the
+    cone is split into the pyramids over the new ray and each facet of it
+    that misses part of the cone (for a simplicial cone, one per ray of
+    the cone)."""
     new = primitive(tuple(map(sum, zip(*(fan.rays[i] for i in cone)))))
     k = len(fan.rays)
     cones = []
     for c in fan.max_cones:
         if set(cone) <= set(c):
-            cones += [tuple(j for j in c if j != i) + (k,) for i in cone]
+            facets = {tuple(j for j in c if pairing(fan.rays[j], g) == 0)
+                      for g in fan.cone(c).facet_normals}
+            cones += [f + (k,) for f in facets if not set(cone) <= set(f)]
         else:
             cones.append(c)
     return Fan(fan.rank, fan.rays + (new,), cones)
@@ -122,6 +126,14 @@ def random_unimodular(rng, n, steps=8):
     result = mat(m)
     assert abs(det(result)) == 1
     return result
+
+
+def cube_fan(n):
+    """Face fan of the cube [-1, 1]^n: one cone over each facet, 2^(n-1)
+    rays each, so non-simplicial for n >= 3."""
+    rays = list(product((-1, 1), repeat=n))
+    return Fan(n, rays, [[i for i, r in enumerate(rays) if r[axis] == sign]
+                         for axis in range(n) for sign in (-1, 1)])
 
 
 def random_pointed_cone_rays(rng, rank, count):
@@ -247,6 +259,50 @@ def maximal_cones_oracle(cones):
     listed = sorted({tuple(sorted(set(c))) for c in cones})
     maximal = [c for c in listed if not any(set(c) < set(d) for d in listed)]
     return tuple(maximal) if maximal else ((),)
+
+
+def faces_by_subset_scan(fan, cidx):
+    """Reference for Fan._faces_of: every subset of the cone's rays that is
+    its own face closure, i.e. equals the rays killed by every facet normal
+    killing it."""
+    normals = fan.cone(cidx).facet_normals
+    faces = set()
+    for size in range(len(cidx) + 1):
+        for sub in combinations(cidx, size):
+            active = [g for g in normals if all(pairing(fan.rays[i], g) == 0 for i in sub)]
+            if tuple(i for i in cidx if all(pairing(fan.rays[i], g) == 0 for g in active)) == sub:
+                faces.add(sub)
+    return faces
+
+
+def complete_by_adjacency(fan):
+    """Reference for is_complete on a valid fan: every maximal cone is full
+    dimensional, every ridge lies in exactly two maximal cones, and the
+    facet-adjacency graph is connected."""
+    if any(fan.cone(c).dim != fan.rank for c in fan.max_cones):
+        return False
+    if fan.rank == 0:
+        return True
+    owners = {}
+    for c in fan.max_cones:
+        for g in fan.cone(c).facet_normals:
+            owners.setdefault(tuple(i for i in c if pairing(fan.rays[i], g) == 0), []).append(c)
+    if any(len(cs) != 2 for cs in owners.values()):
+        return False
+    adj = {c: set() for c in fan.max_cones}
+    for a, b in owners.values():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, frontier = {fan.max_cones[0]}, [fan.max_cones[0]]
+    while frontier:
+        frontier = [b for c in frontier for b in adj[c] - seen]
+        seen.update(frontier)
+    return len(seen) == len(fan.max_cones)
+
+
+def support_contains(fan, v):
+    """Does the support of the fan contain v?"""
+    return any(fan.cone(c).contains(v) for c in fan.max_cones)
 
 
 def roots_oracle(fan, box_radius):
