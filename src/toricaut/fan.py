@@ -12,13 +12,16 @@ Dual descriptions are computed exactly by the double description method
 purely combinatorial adjacency test); one Hermite normal form of the
 constraint rows gives both the lineality and the independent rows the
 method starts from.  The same engine gives the root polytopes' vertices,
-as the extreme rays of their homogenisations.  One local ridge certificate,
-computed once per fan, proves a fan both valid and complete; only an
-invalid or incomplete fan falls back to intersecting every pair of maximal
-cones.  The faces of a non-simplicial cone are the intersections of its
-facets' ray sets.  A product fan takes its maximal cones from the factors'
-cones, whose facet normals it knows, so it runs no double description; it
-is still validated and tested for completeness like any other fan.
+as the extreme rays of their homogenisations.  Each fan keeps one table
+of its maximal cones' facets, each normal with the rays it kills.  The
+ridge certificate groups it by ray set and proves a fan both valid and
+complete, once per fan; the faces of a non-simplicial cone are the
+intersections of its facets' ray sets; and only an invalid or incomplete
+fan falls back to intersecting every pair of maximal cones, an
+intersection being a face when its rays are one of those ray sets.  A
+product fan takes its maximal cones from the factors' cones, whose facet
+normals it knows, so it runs no double description; it is still
+validated and tested for completeness like any other fan.
 """
 
 from __future__ import annotations
@@ -355,28 +358,25 @@ class Fan:
                         out[f] = rank_of([self.rays[i] for i in f])
         return out
 
+    @cached_property
+    def _facets(self) -> dict:
+        """{maximal cone: ((normal, the cone's rays it kills), ...)} over
+        its facet normals.  Read only once every maximal cone passed its
+        own checks."""
+        return {c: tuple((g, tuple(i for i in c if pairing(self.rays[i], g) == 0))
+                         for g in self.cone(c).facet_normals)
+                for c in self.max_cones}
+
     def _faces_of(self, cidx: tuple) -> set:
-        """The cone and the intersections of its facets' ray sets, the rays
-        each normal kills: every face is the intersection of the facets
-        holding it (Kaibel-Pfetsch, Comput. Geom. 23, 2002)."""
+        """The ray sets of a maximal cone's faces: the cone and the
+        intersections of its facets' ray sets, since every face is the
+        intersection of the facets holding it (Kaibel-Pfetsch, Comput.
+        Geom. 23, 2002).  The zero cone is always among them."""
         faces = {cidx}
-        for g in self.cone(cidx).facet_normals:
-            facet = {i for i in cidx if pairing(self.rays[i], g) == 0}
+        for _, killed in self._facets[cidx]:
+            facet = set(killed)
             faces |= {tuple(i for i in f if i in facet) for f in faces}
         return faces
-
-    @cached_property
-    def _ridge_owners(self) -> dict:
-        """{ridge: [(maximal cone, facet normal)]}: each facet of a maximal
-        cone, keyed by its ray set, the rays its normal kills.  Read only
-        once every maximal cone is full dimensional, so that each normal is
-        a facet's."""
-        owners: dict = {}
-        for c in self.max_cones:
-            for g in self.cone(c).facet_normals:
-                ridge = tuple(i for i in c if pairing(self.rays[i], g) == 0)
-                owners.setdefault(ridge, []).append((c, g))
-        return owners
 
     @cached_property
     def _certified_complete(self) -> bool:
@@ -397,7 +397,13 @@ class Fan:
         """
         if any(self.cone(c).dim != self.rank for c in self.max_cones):
             return False
-        for ridge, sides in self._ridge_owners.items():
+        # once every maximal cone is full dimensional, each normal is a
+        # facet's; group the facets by the rays they kill
+        owners: dict = {}
+        for c, facets in self._facets.items():
+            for g, ridge in facets:
+                owners.setdefault(ridge, []).append((c, g))
+        for ridge, sides in owners.items():
             if len(sides) != 2:
                 return False
             (_, g), (c, _) = sides
@@ -460,31 +466,23 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
 def _pairwise_violations(fan: Fan, cones: dict) -> list:
     """Intersect every pair of maximal cones by double description and
-    report each intersection that is not a face of both."""
+    report each intersection that is not a face of both.  It is a face of
+    a cone when its rays are rays of the fan whose indices form one of the
+    cone's faces."""
+    index = {r: i for i, r in enumerate(fan.rays)}
+    faces = {c: fan._faces_of(c) for c in fan.max_cones}
     entries = []
     for a, b in combinations(fan.max_cones, 2):
         inter, lin = _cone_generators(
             cones[a].facet_normals + cones[b].facet_normals, fan.rank)
         assert not lin
+        face = tuple(index.get(r) for r in inter)
         for c in (a, b):
-            if not _is_face_of(inter, cones[c]):
+            if face not in faces[c]:
                 entries.append(ValidationEntry(
                     "intersection_not_face",
                     f"intersection of cones {list(a)} and {list(b)} is not a face of {list(c)}"))
     return entries
-
-
-def _is_face_of(face_rays: Sequence[Vec], cone: Cone) -> bool:
-    """Is the cone spanned by face_rays (a subset of cone) a face of cone?"""
-    closure = _face_closure(cone.rays, cone.facet_normals, face_rays)
-    return {cone.rays[i] for i in closure} == set(face_rays)
-
-
-def _face_closure(rays: Sequence[Vec], normals: Sequence[Vec], chosen: Sequence[Vec]) -> tuple:
-    """Indices of the rays on the smallest face holding the chosen ones:
-    those killed by every normal that kills all the chosen rays."""
-    active = [g for g in normals if all(pairing(r, g) == 0 for r in chosen)]
-    return tuple(i for i, r in enumerate(rays) if all(pairing(r, g) == 0 for g in active))
 
 
 def is_complete(fan: Fan) -> bool:

@@ -8,6 +8,9 @@ inverts the anchor rays once per search, as an integer matrix R and
 d = ±det with A*R = d*I, so each leaf costs one integer product R*B and a
 divisibility test by d; a candidate is kept only if it is integral,
 unimodular and carries the whole cone set bijectively onto the target's.
+When the rays do not span N, both fans' rays are first written in
+coordinates of their saturated spans, once per search, and the anchors
+are inverted there.
 
 Decomposition seeds blocks with the connected components of the ray
 configuration's linear matroid (a circuit can never split across direct
@@ -92,27 +95,6 @@ def _spanning_anchor_indices(fan: Fan) -> list:
     return _pivots_and_kernel(fan.rays, fan.rank)[0]
 
 
-def _extend_span_map(anchors: Mat, images: Mat, n: int) -> Optional[Mat]:
-    """Unimodular U with anchors*U = images when the anchors span a proper
-    subspace; None when no lattice-compatible extension exists."""
-    d = len(anchors)
-    basis1 = span_saturation_basis(anchors, n)
-    basis2 = span_saturation_basis(images, n)
-    if len(basis1) != d or len(basis2) != d:
-        return None
-    v1 = complete_to_unimodular(basis1, n)
-    v2 = complete_to_unimodular(basis2, n)
-    w1 = invert_unimodular(v1)
-    # coordinates in the saturated bases: anchors = pa * basis1, images = pb * basis2
-    pa = tuple(r[:d] for r in mat_mul(anchors, w1))
-    pb = tuple(r[:d] for r in mat_mul(images, invert_unimodular(v2)))
-    q = _candidate_matrix(*scaled_inverse(pa), pb)
-    if q is None:
-        return None
-    top = mat_mul(q, v2[:d])
-    return mat_mul(w1, mat(tuple(top) + tuple(v2[d:])))
-
-
 def _candidate_matrix(inverse: Mat, d: int, images: Sequence[Vec]) -> Optional[Mat]:
     """The unimodular U with A*U = B, given R = d*A^-1 from `scaled_inverse`
     and the image rows B; None unless R*B/d is integral and unimodular."""
@@ -163,22 +145,34 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
     single1, pair1 = _ray_profiles(f1)
     single2, pair2 = (single1, pair1) if f1 is f2 else _ray_profiles(f2)
     anchors = _spanning_anchor_indices(f1)
-    anchor_rows = tuple(f1.rays[i] for i in anchors)
-    inverse, d = scaled_inverse(anchor_rows) if len(anchors) == n else (None, 0)
+    d = len(anchors)
+    anchor_rows, rays2 = tuple(f1.rays[i] for i in anchors), f2.rays
+    if d < n:
+        # the rays span a proper subspace: take them in the first d
+        # coordinates of a unimodular frame V per fan, whose first d rows
+        # are a basis of the saturated span of its rays, W = V^-1
+        bases = [span_saturation_basis(f.rays, n) for f in (f1, f2)]
+        if len(bases[1]) != d:
+            return []
+        v1, v2 = (complete_to_unimodular(b, n) for b in bases)
+        w1, w2 = invert_unimodular(v1), invert_unimodular(v2)
+        anchor_rows = tuple(vec_mat(r, w1)[:d] for r in anchor_rows)
+        rays2 = tuple(vec_mat(r, w2)[:d] for r in f2.rays)
+    inverse, scale = scaled_inverse(anchor_rows)
     results = []
-    seen = set()
 
     def backtrack(pos: int, chosen: list):
-        if pos == len(anchors):
-            images = tuple(f2.rays[b] for b in chosen)
-            u = (_candidate_matrix(inverse, d, images) if inverse is not None
-                 else _extend_span_map(anchor_rows, images, n))
-            if u is None or u in seen:
+        if pos == d:
+            # distinct leaves give distinct U: the anchors are independent,
+            # and a valid fan repeats no ray, so their images differ
+            u = _candidate_matrix(inverse, scale, tuple(rays2[b] for b in chosen))
+            if u is None:
                 return False
+            if d < n:
+                u = mat_mul(w1, mat_mul(u, v2[:d]) + v2[d:])
             iso = _check_iso(f1, f2, u)
             if iso is None:
                 return False
-            seen.add(u)
             results.append(iso)
             return True
         a = anchors[pos]

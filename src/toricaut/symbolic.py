@@ -20,7 +20,6 @@ from .lattice import (
     Vec,
     complete_to_unimodular,
     hermite_normal_form,
-    invert_unimodular,
     is_primitive,
     pairing,
     right_kernel_basis,
@@ -403,8 +402,8 @@ class WitnessMonomial:
 def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
     """Construct a witness monomial for the root.
 
-    Since rho_e is primitive, some m1 has <rho_e, m1> = 1: the first
-    column of the inverse of a unimodular matrix whose first row is rho_e.
+    Since rho_e is primitive, some m1 has <rho_e, m1> = 1: the first row
+    of the transform U in the Hermite normal form U*rho_e^T = e_1.
     In each chart sigma containing rho_e, the sum w of the facet normals of
     sigma vanishing on rho_e lies in the relative interior of the face
     sigma^v cap rho_e^perp, so <r, w> > 0 for every other ray r of sigma;
@@ -416,7 +415,7 @@ def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
     if not charts:
         raise ValueError("distinguished ray lies in no maximal cone")
     rho = fan.rays[root.rho_e]
-    m1 = tuple(row[0] for row in invert_unimodular(complete_to_unimodular((rho,), fan.rank)))
+    m1 = hermite_normal_form(tuple((x,) for x in rho))[1][0]
     candidates = []
     for cone_idx in charts:
         w = (0,) * fan.rank

@@ -111,6 +111,20 @@ class TestCommands:
         code, out, _ = run_cli(["validate", str(bad)], capsys)
         assert code == 1 and "intersection_not_face" in out
 
+    def test_validate_invalid_non_simplicial_fixture(self, capsys):
+        # the square pyramid with its apex moved to (2, 0, -1): the cones
+        # through the apex fold over the square base
+        code, out, err = run_cli(["validate", str(FIXTURES / "pyramid_swapped.fan")], capsys)
+        pairs = [([0, 1, 2, 3], [0, 1, 4], [0, 1, 2, 3]), ([0, 1, 2, 3], [0, 1, 4], [0, 1, 4]),
+                 ([0, 1, 2, 3], [0, 2, 4], [0, 1, 2, 3]), ([0, 1, 2, 3], [0, 2, 4], [0, 2, 4]),
+                 ([0, 1, 4], [1, 3, 4], [0, 1, 4]), ([0, 1, 4], [2, 3, 4], [0, 1, 4]),
+                 ([0, 2, 4], [1, 3, 4], [0, 2, 4]), ([0, 2, 4], [2, 3, 4], [0, 2, 4])]
+        assert code == 1 and err == ""
+        assert out == "".join(
+            ["square pyramid with its apex moved to (2, 0, -1): INVALID\n"]
+            + [f"  - [intersection_not_face] intersection of cones {a} and {b} "
+               f"is not a face of {c}\n" for a, b, c in pairs])
+
     def test_parse_error_exit2(self, tmp_path, capsys):
         doc = tmp_path / "schema.fan"
         doc.write_text('{"rank": 2, "rays": [[1,0],[0,1],[-1,-1]], "max_cones": [[0,7]]}')

@@ -28,6 +28,7 @@ from util import (
     cube_fan,
     faces_by_subset_scan,
     maximal_cones_oracle,
+    pairwise_violations_by_closure,
     random_blow_up,
     random_complete_fan_rank2,
     random_pointed_cone_rays,
@@ -247,6 +248,15 @@ class TestLocalCertificate:
             assert validate_fan(fan) == pairwise, label
             assert pairwise.ok == (label not in INVALID), label
 
+    def test_pairwise_matches_closure_rule(self, fans):
+        cases = _equivalence_fans(fans)
+        assert len(cases) == 64
+        for label, fan, _ in cases:
+            cones = {c: fan.cone(c) for c in fan.max_cones}
+            expected = pairwise_violations_by_closure(fan)
+            assert _pairwise_violations(fan, cones) == expected, label
+            assert bool(expected) == (label in INVALID), label
+
     def test_completeness_matches_adjacency_rule(self, fans):
         for label, fan, certified in _equivalence_fans(fans):
             if label not in INVALID:
@@ -278,9 +288,8 @@ class TestLocalCertificate:
 
 
 class TestNoFallbackOnCompleteFans:
-    """A complete fan is proved valid by its ridge certificate alone, and a
-    non-simplicial cone's faces are read off its facets: neither the
-    pairwise intersections nor a face closure per ray subset runs."""
+    """A complete fan is proved valid by its ridge certificate alone: the
+    pairwise intersections do not run."""
 
     def test_no_pairwise_intersections(self, monkeypatch):
         calls = []
@@ -290,15 +299,6 @@ class TestNoFallbackOnCompleteFans:
         fan = product_fan(cube_fan(4), cube_fan(3))
         assert len(fan.max_cones) == 48
         assert validate_fan(fan).ok and is_complete(fan)
-        assert len(calls) == 0
-
-    def test_no_face_closure_in_the_face_lattice(self, monkeypatch):
-        calls = []
-        closure = fan_module._face_closure
-        monkeypatch.setattr(fan_module, "_face_closure",
-                            lambda *args: calls.append(args) or closure(*args))
-        fan = cube_fan(5)
-        assert len(fan.all_cones) == 3 ** 5
         assert len(calls) == 0
 
 

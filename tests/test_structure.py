@@ -9,7 +9,7 @@ import pytest
 
 import toricaut
 from toricaut.cli import fan_from_document, parse_fan
-from toricaut.fan import Fan, IncompleteFanError, transform_fan
+from toricaut.fan import Fan, IncompleteFanError, is_complete, transform_fan
 from toricaut import structure
 from toricaut.lattice import (
     det,
@@ -38,6 +38,8 @@ from util import (
     random_complete_fan_rank2,
     random_unimodular,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 EXPECTED_ORDERS = {
     "P1": 2, "P2": 6, "F1": 2, "P1xP1": 8,
@@ -88,7 +90,7 @@ class TestFanAutomorphisms:
 
     def test_cube5_fixture_hyperoctahedral(self):
         # the face fan of the 5-cube: 32 rays, 10 non-simplicial cones of 16
-        path = pathlib.Path(__file__).resolve().parent / "fixtures" / "cube5.fan"
+        path = FIXTURES / "cube5.fan"
         fan = fan_from_document(parse_fan(path.read_text()))
         assert len(fan.rays) == 32 and sorted(map(len, fan.max_cones)) == [16] * 10
         assert len(fan_automorphisms(fan)) == 2 ** 5 * math.factorial(5) == 3840
@@ -209,6 +211,47 @@ class TestFanIsomorphism:
     def test_trivial_fans(self):
         iso = fan_isomorphism(Fan(2, [], []), Fan(2, [], []))
         assert iso is not None and iso.matrix == identity_matrix(2)
+
+
+class TestOneFramePerSearch:
+    """When the rays span a proper subspace, the search writes both fans'
+    rays in saturated-span coordinates once, and every leaf is the same
+    integer product as for spanning rays."""
+
+    def _count_completions(self, monkeypatch):
+        calls = []
+        complete = structure.complete_to_unimodular
+        monkeypatch.setattr(structure, "complete_to_unimodular",
+                            lambda *args: calls.append(args) or complete(*args))
+        return calls
+
+    def test_two_completions_per_non_spanning_search(self, fans, monkeypatch):
+        calls, searches = self._count_completions(monkeypatch), []
+        search = structure._isomorphism_search
+        monkeypatch.setattr(structure, "_isomorphism_search",
+                            lambda f1, f2, find_all: searches.append(f1) or search(f1, f2, find_all))
+        TestFanIsomorphism().test_non_spanning_conjugates(fans)
+        assert len(searches) == 32 and len(calls) == 2 * len(searches)
+
+    def test_no_completion_on_complete_fans(self, fans, monkeypatch):
+        calls = self._count_completions(monkeypatch)
+        for fan in fans.values():
+            # bypass the memo so that the search itself runs
+            assert fan_automorphisms.__wrapped__(fan)
+        assert calls == []
+
+    def test_matrices_pairwise_distinct(self, fans):
+        # distinct anchor images give distinct matrices, so the search
+        # keeps no set of the matrices it has seen
+        documents = sorted(FIXTURES.glob("*.fan"))
+        fixtures = [fan_from_document(parse_fan(path.read_text())) for path in documents]
+        checked = 0
+        for fan in list(fans.values()) + fixtures:
+            if fan.validation.ok and is_complete(fan):
+                matrices = [a.matrix for a in fan_automorphisms(fan)]
+                assert len(set(matrices)) == len(matrices), fan
+                checked += 1
+        assert checked == len(fans) + len(fixtures) - 1  # pyramid_swapped is invalid
 
 
 class TestDecompose:

@@ -6,7 +6,13 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, permutations, product
 
-from toricaut.fan import Fan, IncompleteFanError, is_complete
+from toricaut.fan import (
+    Fan,
+    IncompleteFanError,
+    ValidationEntry,
+    halfspace_cone_generators,
+    is_complete,
+)
 from toricaut.lattice import (
     det,
     identity_matrix,
@@ -273,6 +279,32 @@ def faces_by_subset_scan(fan, cidx):
             if tuple(i for i in cidx if all(pairing(fan.rays[i], g) == 0 for g in active)) == sub:
                 faces.add(sub)
     return faces
+
+
+def is_face_by_closure(face_rays, cone):
+    """Is the cone spanned by face_rays (a subset of cone) a face of it?
+    Its closure, the rays killed by every facet normal killing all of
+    face_rays, must be face_rays themselves."""
+    active = [g for g in cone.facet_normals if all(pairing(r, g) == 0 for r in face_rays)]
+    closure = {r for r in cone.rays if all(pairing(r, g) == 0 for g in active)}
+    return closure == set(face_rays)
+
+
+def pairwise_violations_by_closure(fan):
+    """Reference for fan._pairwise_violations: each pair of maximal cones,
+    intersected by their joint facet normals, with is_face_by_closure as
+    the face test."""
+    entries = []
+    for a, b in combinations(fan.max_cones, 2):
+        inter, lin = halfspace_cone_generators(
+            fan.cone(a).facet_normals + fan.cone(b).facet_normals, fan.rank)
+        assert not lin
+        for c in (a, b):
+            if not is_face_by_closure(inter, fan.cone(c)):
+                entries.append(ValidationEntry(
+                    "intersection_not_face",
+                    f"intersection of cones {list(a)} and {list(b)} is not a face of {list(c)}"))
+    return entries
 
 
 def complete_by_adjacency(fan):
