@@ -9,6 +9,12 @@ Exit codes: 0 success, 1 mathematical/validation failure, 2 usage or
 parse error.  All reports are deterministic.  Each command builds its
 --json object once and renders the human report from that object, so the
 two carry the same fields.
+
+Documents are loaded into one Fan per canonical fan per process: every
+subcommand run in the same process on the same fan (in any ray or cone
+order, under any name) reads the same object, so its validation, cones and
+ridge certificate are computed once.  The loaded fans are kept for the
+life of the process.
 """
 
 from __future__ import annotations
@@ -116,8 +122,17 @@ def parse_fan(text: str) -> FanDocument:
                        name=name, warnings=tuple(warnings))
 
 
+_LOADED: dict = {}  # canonical fan -> the first Fan loaded for it
+
+
 def fan_from_document(doc: FanDocument) -> Fan:
-    return Fan(doc.rank, doc.rays, doc.max_cones)
+    """The process's one Fan for the document's canonical fan (rank, sorted
+    rays, maximal cones), so that its per-Fan caches fill once however many
+    subcommands load it.  The Fan is kept for the life of the process, as
+    the module-level memos of roots and automorphisms keep every fan they
+    see.  Fan(...) itself still returns a fresh, uncached object."""
+    fan = Fan(doc.rank, doc.rays, doc.max_cones)
+    return _LOADED.setdefault(fan, fan)
 
 
 def document_from_fan(fan: Fan, name: Optional[str] = None) -> FanDocument:

@@ -17,8 +17,10 @@ of its maximal cones' facets, each normal with the rays it kills.  The
 ridge certificate groups it by ray set and proves a fan both valid and
 complete, once per fan; the faces of a non-simplicial cone are the
 intersections of its facets' ray sets; and only an invalid or incomplete
-fan falls back to intersecting every pair of maximal cones, an
-intersection being a face when its rays are one of those ray sets.  A
+fan falls back to intersecting every pair of maximal cones.  An
+intersection is a face of a simplicial cone when its rays are among the
+cone's, with no list of faces, and of a non-simplicial cone when its rays
+are one of those intersections of facet ray sets.  A
 product fan takes its maximal cones from the factors' cones, whose facet
 normals it knows, so it runs no double description; it is still
 validated and tested for completeness like any other fan.
@@ -467,10 +469,17 @@ def validate_fan(fan: Fan) -> ValidationReport:
 def _pairwise_violations(fan: Fan, cones: dict) -> list:
     """Intersect every pair of maximal cones by double description and
     report each intersection that is not a face of both.  It is a face of
-    a cone when its rays are rays of the fan whose indices form one of the
-    cone's faces."""
+    a cone when its rays are rays of the fan whose indices are a subset of
+    the cone's, for a simplicial cone (every subset of its rays spans a
+    face), or one of the cone's faces otherwise."""
     index = {r: i for i, r in enumerate(fan.rays)}
-    faces = {c: fan._faces_of(c) for c in fan.max_cones}
+    faces = {c: fan._faces_of(c) for c in fan.max_cones if len(c) != cones[c].dim}
+
+    def is_face(face: tuple, c: tuple) -> bool:
+        if c in faces:
+            return face in faces[c]
+        return None not in face and set(face) <= set(c)
+
     entries = []
     for a, b in combinations(fan.max_cones, 2):
         inter, lin = _cone_generators(
@@ -478,7 +487,7 @@ def _pairwise_violations(fan: Fan, cones: dict) -> list:
         assert not lin
         face = tuple(index.get(r) for r in inter)
         for c in (a, b):
-            if face not in faces[c]:
+            if not is_face(face, c):
                 entries.append(ValidationEntry(
                     "intersection_not_face",
                     f"intersection of cones {list(a)} and {list(b)} is not a face of {list(c)}"))

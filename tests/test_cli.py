@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,11 +20,13 @@ from toricaut.cli import (
     run_certificates,
 )
 from toricaut.corpus import corpus
-from toricaut.fan import Fan
+from toricaut.fan import Fan, product_fan, transform_fan
 from toricaut.lattice import mat, pairing
 from toricaut.roots import DemazureRoot, demazure_roots
 from toricaut.structure import Decomposition, DecompositionFactor, reconstruct
 from toricaut.symbolic import action_additivity_check, dual_monomials
+
+from util import random_unimodular
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricaut" / "data"
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
@@ -273,6 +279,16 @@ class TestCommands:
         code, out, _ = run_cli(["check", str(doc)], capsys)
         assert code == 1 and "FAIL complete" in out
 
+    def test_validate_incomplete_fixture(self, capsys):
+        # P^12 without one maximal cone: valid, not complete, decided by the
+        # pairwise fallback over 66 pairs of rank-12 cones
+        code, out, err = run_cli(["validate", "--json", str(FIXTURES / "P12_minus_cone.fan")],
+                                 capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"command": "validate", "fans": [{
+            "name": "P12 minus its first maximal cone", "valid": True, "violations": [],
+            "complete": False, "smooth": True, "simplicial": True}]}
+
     def test_warning_emitted(self, tmp_path, capsys):
         doc = tmp_path / "imp.fan"
         doc.write_text('{"rank": 2, "rays": [[2,4],[0,1],[-1,-3]], '
@@ -314,12 +330,93 @@ class TestProductCertificate:
         # bypass the memo so that the product fan is validated here
         monkeypatch.setattr(cli, "demazure_roots", cli.demazure_roots.__wrapped__)
         doc = parse_fan((FIXTURES / "F3_conjugate.fan").read_text())
-        fan = fan_from_document(doc)
+        # a fresh Fan: the loader's may have been validated by another test
+        fan = Fan(doc.rank, doc.rays, doc.max_cones)
         certificates = run_certificates([(doc, fan, doc.name)])
         assert all(ok for _, _, ok, _ in certificates)
         assert certificates[-1][0] == "product_roots"
         assert validated == [2, 4]
         assert ranks and set(ranks) == {2}
+
+
+# the subcommands that take one fan
+FAN_COMMANDS = ("validate", "roots", "autos", "decompose", "report", "check")
+
+
+def _document_text(rank, rays, cones, name):
+    return json.dumps({"rank": rank, "rays": [list(r) for r in rays],
+                       "max_cones": [list(c) for c in cones], "name": name})
+
+
+class TestLoadedFans:
+    """The loader keeps one Fan per canonical fan per process, so every
+    subcommand on one document reads the same validation and cones."""
+
+    def test_one_object_per_canonical_fan(self):
+        p2 = parse_fan(P2_DOC)
+        assert fan_from_document(parse_fan(P2_DOC)) is fan_from_document(p2)
+        # the same fan with its rays and cones listed in another order
+        order = [2, 0, 1]
+        where = {old: new for new, old in enumerate(order)}
+        shuffled = _document_text(2, [p2.rays[i] for i in order],
+                                  [[where[i] for i in c] for c in reversed(p2.max_cones)],
+                                  "P2 shuffled")
+        assert parse_fan(shuffled).rays != p2.rays
+        assert fan_from_document(parse_fan(shuffled)) is fan_from_document(p2)
+        # a unimodular conjugate is another fan
+        sheared = _document_text(2, [(x, x + y) for x, y in p2.rays], p2.max_cones, "P2 sheared")
+        assert fan_from_document(parse_fan(sheared)) is not fan_from_document(p2)
+        # fresh constructors stay fresh
+        assert Fan(2, p2.rays, p2.max_cones) is not fan_from_document(p2)
+
+    def test_equal_documents_keep_their_names(self, capsys):
+        f0, p1xp1 = (parse_fan((DATA / f"{name}.fan").read_text()) for name in ("F0", "P1xP1"))
+        assert fan_from_document(f0) is fan_from_document(p1xp1)
+        code, out, _ = run_cli(["report", "--json", str(DATA / "F0.fan"),
+                                str(DATA / "P1xP1.fan")], capsys)
+        assert code == 0
+        assert [e["name"] for e in json.loads(out)["fans"]] == ["F0", "P1xP1"]
+
+    def test_validated_once_across_subcommands(self, tmp_path, capsys, monkeypatch):
+        # a seeded conjugate of F1 x P1 that no other test loads
+        fan = transform_fan(product_fan(corpus()["F1"], corpus()["P1"]),
+                            random_unimodular(random.Random(151515), 3))
+        path = tmp_path / "conjugate.fan"
+        path.write_text(_document_text(3, fan.rays, fan.max_cones, "F1 x P1 conjugate"))
+        calls = []
+        validate = fan_module.validate_fan
+
+        def counting(f):
+            if f == fan:
+                calls.append(f)
+            return validate(f)
+        monkeypatch.setattr(fan_module, "validate_fan", counting)
+        for command in FAN_COMMANDS:
+            code, _, err = run_cli([command, str(path)], capsys)
+            assert code == 0 and err == "", command
+        assert len(calls) == 1
+
+    def test_outputs_do_not_depend_on_load_order(self, capsys):
+        # 72 operations forward in this process, and in reverse order in a
+        # fresh one: the same bytes and exit codes
+        ops = [[command, "--json", str(DATA / f"{name}.fan")] for name in sorted(corpus())
+               for command in FAN_COMMANDS]
+        forward = [list(run_cli(args, capsys)) for args in ops]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from toricaut.cli import main\n"
+            "out = []\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    stdout, stderr = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+            "        code = main(args)\n"
+            "    out.append([code, stdout.getvalue(), stderr.getvalue()])\n"
+            "print(json.dumps(out))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(DATA.parent.parent), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(ops[::-1])],
+                              capture_output=True, text=True, env=env, check=True)
+        assert json.loads(done.stdout)[::-1] == forward
 
 
 class TestGoldens:

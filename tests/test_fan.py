@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -300,6 +301,51 @@ class TestNoFallbackOnCompleteFans:
         assert len(fan.max_cones) == 48
         assert validate_fan(fan).ok and is_complete(fan)
         assert len(calls) == 0
+
+
+def _projective(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan(n, rays, list(combinations(range(n + 1), n)))
+
+
+def _minus_first_cone(fan):
+    return Fan(fan.rank, fan.rays, fan.max_cones[1:])
+
+
+class TestSimplicialFaceTest:
+    """The pairwise fallback tests an intersection against a simplicial
+    cone by its ray indices, without listing the cone's 2^d faces.  The
+    corpus, mutation and non-simplicial cases are in
+    TestLocalCertificate.test_pairwise_matches_closure_rule."""
+
+    def test_matches_closure_rule_on_high_rank_fans(self):
+        cases = [(f"P{n} minus a cone", _minus_first_cone(_projective(n)), False)
+                 for n in range(3, 9)]
+        # P^n overlaid with a copy sheared by e1 -> e1 + e2: some
+        # intersections are faces of both cones, some are not
+        for n in range(3, 7):
+            shear = [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
+            fan = _projective(n)
+            cases.append((f"overlaid P{n}", _overlay(fan, transform_fan(fan, shear)), True))
+        for label, fan, invalid in cases:
+            cones = {c: fan.cone(c) for c in fan.max_cones}
+            assert all(len(c) == cone.dim for c, cone in cones.items()), label
+            expected = pairwise_violations_by_closure(fan)
+            assert _pairwise_violations(fan, cones) == expected, label
+            assert bool(expected) == invalid, label
+
+    def test_no_face_lists_on_simplicial_cones(self, monkeypatch):
+        calls = []
+        faces_of = Fan._faces_of
+        monkeypatch.setattr(Fan, "_faces_of",
+                            lambda fan, c: calls.append(c) or faces_of(fan, c))
+        fan = _minus_first_cone(_projective(8))
+        assert validate_fan(fan).ok and not fan._certified_complete
+        assert calls == []
+        # a non-simplicial cone still lists its faces
+        cube = cube_fan(3)
+        assert validate_fan(Fan(3, cube.rays, cube.max_cones[1:])).ok
+        assert len(calls) == len(cube.max_cones) - 1
 
 
 class TestCompleteness:
