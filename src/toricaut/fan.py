@@ -18,12 +18,12 @@ ridge certificate groups it by ray set and proves a fan both valid and
 complete, once per fan; the faces of a non-simplicial cone are the
 intersections of its facets' ray sets; and only an invalid or incomplete
 fan falls back to intersecting every pair of maximal cones.  An
-intersection is a face of a simplicial cone when its rays are among the
-cone's, with no list of faces, and of a non-simplicial cone when its rays
-are one of those intersections of facet ray sets.  A
-product fan takes its maximal cones from the factors' cones, whose facet
-normals it knows, so it runs no double description; it is still
-validated and tested for completeness like any other fan.
+intersection is a face of a cone when its rays are rays of the fan equal
+to their closure, the cone's rays on every facet holding them all, a test
+polynomial in the number of facets that lists no faces.  A product fan
+takes its maximal cones from the factors' cones, whose facet normals it
+knows, so it runs no double description; it is still validated and
+tested for completeness like any other fan.
 """
 
 from __future__ import annotations
@@ -469,16 +469,16 @@ def validate_fan(fan: Fan) -> ValidationReport:
 def _pairwise_violations(fan: Fan, cones: dict) -> list:
     """Intersect every pair of maximal cones by double description and
     report each intersection that is not a face of both.  It is a face of
-    a cone when its rays are rays of the fan whose indices are a subset of
-    the cone's, for a simplicial cone (every subset of its rays spans a
-    face), or one of the cone's faces otherwise."""
+    a cone when its rays are rays of the fan whose indices equal their
+    closure in the cone: the cone's rays on every facet that holds them
+    all, since every face is the intersection of the facets holding it."""
     index = {r: i for i, r in enumerate(fan.rays)}
-    faces = {c: fan._faces_of(c) for c in fan.max_cones if len(c) != cones[c].dim}
+    facets = {c: [set(killed) for _, killed in fan._facets[c]] for c in fan.max_cones}
 
     def is_face(face: tuple, c: tuple) -> bool:
-        if c in faces:
-            return face in faces[c]
-        return None not in face and set(face) <= set(c)
+        rays = set(face)
+        return None not in rays and rays == set(c).intersection(
+            *(facet for facet in facets[c] if rays <= facet))
 
     entries = []
     for a, b in combinations(fan.max_cones, 2):

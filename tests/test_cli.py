@@ -330,8 +330,7 @@ class TestProductCertificate:
         # bypass the memo so that the product fan is validated here
         monkeypatch.setattr(cli, "demazure_roots", cli.demazure_roots.__wrapped__)
         doc = parse_fan((FIXTURES / "F3_conjugate.fan").read_text())
-        # a fresh Fan: the loader's may have been validated by another test
-        fan = Fan(doc.rank, doc.rays, doc.max_cones)
+        fan = fan_from_document(doc)
         certificates = run_certificates([(doc, fan, doc.name)])
         assert all(ok for _, _, ok, _ in certificates)
         assert certificates[-1][0] == "product_roots"
@@ -378,7 +377,7 @@ class TestLoadedFans:
         assert [e["name"] for e in json.loads(out)["fans"]] == ["F0", "P1xP1"]
 
     def test_validated_once_across_subcommands(self, tmp_path, capsys, monkeypatch):
-        # a seeded conjugate of F1 x P1 that no other test loads
+        # a seeded conjugate of F1 x P1
         fan = transform_fan(product_fan(corpus()["F1"], corpus()["P1"]),
                             random_unimodular(random.Random(151515), 3))
         path = tmp_path / "conjugate.fan"
