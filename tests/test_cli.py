@@ -20,11 +20,21 @@ from toricaut.cli import (
     run_certificates,
 )
 from toricaut.corpus import corpus
-from toricaut.fan import Fan, product_fan, transform_fan
+from toricaut.fan import Fan, IncompleteFanError, product_fan, transform_fan
 from toricaut.lattice import mat, pairing
-from toricaut.roots import DemazureRoot, demazure_roots
-from toricaut.structure import Decomposition, DecompositionFactor, reconstruct
-from toricaut.symbolic import action_additivity_check, dual_monomials
+from toricaut.roots import DemazureRoot, demazure_roots, product_roots
+from toricaut.structure import (
+    Decomposition,
+    DecompositionFactor,
+    reconstruct,
+    wreath_order_check,
+)
+from toricaut.symbolic import (
+    action_additivity_check,
+    dual_monomials,
+    lie_dimension,
+    regularity_check,
+)
 
 from util import random_unimodular
 
@@ -145,11 +155,32 @@ class TestCommands:
         code, out, _ = run_cli(["roots", str(DATA / "P2.fan")], capsys)
         assert code == 0 and "6 roots" in out and "semisimple pairs" in out
 
-    def test_roots_incomplete_exit1(self, tmp_path, capsys):
-        doc = tmp_path / "a2.fan"
-        doc.write_text('{"rank": 2, "rays": [[1,0],[0,1]], "max_cones": [[0,1]]}')
-        code, _, err = run_cli(["roots", str(doc)], capsys)
-        assert code == 1 and "complete" in err
+    @pytest.mark.parametrize("command, message", [
+        ("roots", "fan is not complete: root set may be infinite"),
+        ("autos", "automorphism groups of non-complete fans may be infinite"),
+        ("decompose", "only complete fans are decomposed"),
+        ("report", "structure reports need a complete fan"),
+    ])
+    def test_roots_incomplete_exit1(self, command, message, capsys):
+        code, out, err = run_cli([command, str(FIXTURES / "P12_minus_cone.fan")], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_incomplete_messages_in_process(self):
+        # the library calls that the subcommands above do not reach first
+        fan = fan_from_document(parse_fan((FIXTURES / "P12_minus_cone.fan").read_text()))
+        p1 = corpus()["P1"]
+        calls = [
+            (lambda: regularity_check(fan, DemazureRoot(e=(0,) * 12, rho_e=0)),
+             "regularity certificates need a complete fan"),
+            (lambda: lie_dimension(fan), "Lie dimension is defined for complete fans"),
+            (lambda: wreath_order_check(fan), "theorem check needs a complete fan"),
+            (lambda: product_roots(p1, fan), "fan is not complete: root set may be infinite"),
+            (lambda: product_roots(fan, p1), "fan is not complete: root set may be infinite"),
+        ]
+        for call, message in calls:
+            with pytest.raises(IncompleteFanError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_autos(self, capsys):
         code, out, _ = run_cli(["autos", str(DATA / "P1xP1.fan")], capsys)
