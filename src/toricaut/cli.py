@@ -78,7 +78,7 @@ def parse_fan(text: str) -> FanDocument:
     """Parse a fan document; rays are auto-primitivized with a warning."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
         raise FanDocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FanDocumentError("document must be a JSON object")
@@ -159,7 +159,7 @@ def _load(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FanDocumentError(f"{path}: {exc}") from exc
     doc = parse_fan(text)
     name = doc.name if doc.name is not None else path
@@ -199,7 +199,6 @@ def _validate_lines(e: dict) -> list:
 
 
 def _roots_entry(fan: Fan, name: str) -> dict:
-    fan.require_valid()
     roots = demazure_roots(fan)
     pairs, unipotent = classify_roots(roots)
     return {"name": name, "count": len(roots), "roots": _roots_obj(fan, roots),

@@ -38,10 +38,10 @@ from .lattice import (
     Vec,
     _checked_rows,
     _pivots_and_kernel,
+    _saturated,
     is_primitive,
     is_unimodular,
     mat,
-    minors_gcd,
     pairing,
     primitive,
     rank_of,
@@ -508,6 +508,14 @@ def is_complete(fan: Fan) -> bool:
     return fan._certified_complete
 
 
+def require_complete(fan: Fan, reason: str) -> None:
+    """Raise FanValidationError unless the fan is valid, and
+    IncompleteFanError(reason) unless it is complete: the precondition of
+    the roots, Aut(fan) and the decomposition."""
+    if not is_complete(fan):
+        raise IncompleteFanError(reason)
+
+
 def is_simplicial(fan: Fan) -> bool:
     """Every cone's rays are linearly independent."""
     fan.require_valid()
@@ -517,11 +525,7 @@ def is_simplicial(fan: Fan) -> bool:
 def is_smooth(fan: Fan) -> bool:
     """Every cone's rays extend to a Z-basis of N."""
     fan.require_valid()
-    for c in fan.max_cones:
-        rays = [fan.rays[i] for i in c]
-        if len(c) != fan.cone(c).dim or minors_gcd(mat(rays), len(c)) != 1:
-            return False
-    return True
+    return all(_saturated([fan.rays[i] for i in c], fan.rank) for c in fan.max_cones)
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:

@@ -12,7 +12,6 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple
@@ -267,20 +266,18 @@ def invert_unimodular(u: Mat) -> Mat:
     return tuple(tuple(d * x for x in row) for row in r)
 
 
-def minors_gcd(rows: Mat, k: int) -> int:
-    """gcd of all k x k minors (0 if there are none or all vanish)."""
-    rows = mat(rows)
-    if k == 0:
-        return 1
-    g = 0
-    n = len(rows[0]) if rows else 0
-    for ri in combinations(range(len(rows)), k):
-        for ci in combinations(range(n), k):
-            sub = tuple(tuple(rows[i][j] for j in ci) for i in ri)
-            g = math.gcd(g, det(sub))
-            if g == 1:
-                return 1
-    return g
+def _saturated(rows: Sequence[Vec], n: int) -> bool:
+    """Do the k integer rows of length n extend to a basis of Z^n?
+
+    True when the top k x k block of the Hermite form of the transposed
+    rows has |det| = 1.  That block is upper triangular with the pivots on
+    its diagonal when the rows are independent, and has a zero on its
+    diagonal otherwise, so the test reads the diagonal.
+    """
+    if len(rows) > n:
+        return False
+    h = _hermite(transpose(rows, n))[0]
+    return all(h[i][i] == 1 for i in range(len(rows)))
 
 
 def complete_to_unimodular(rows: Mat, n: int) -> Mat:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .fan import Fan, IncompleteFanError, _cone_generators, is_complete, product_rays
+from .fan import Fan, IncompleteFanError, _cone_generators, product_rays, require_complete
 from .lattice import Mat, Vec, _pivots_and_kernel, pairing, scaled_inverse, vec_neg
 
 
@@ -110,10 +110,7 @@ def root_ray_index(fan: Fan, e: Sequence[int]) -> Optional[int]:
     return negatives[0] if negatives else None
 
 
-def _require_complete(fan: Fan) -> None:
-    fan.require_valid()
-    if not is_complete(fan):
-        raise IncompleteFanError("fan is not complete: root set may be infinite")
+_INFINITE = "fan is not complete: root set may be infinite"
 
 
 def _chart(fan: Fan, j: int, cone: tuple) -> tuple:
@@ -203,7 +200,7 @@ def _lifted_candidates(fan: Fan):
 @lru_cache(maxsize=None)
 def demazure_roots(fan: Fan) -> tuple[DemazureRoot, ...]:
     """All Demazure roots, duplicate free, sorted by (ray index, e)."""
-    _require_complete(fan)
+    require_complete(fan, _INFINITE)
     out = [DemazureRoot(e=e, rho_e=j) for j, e in _lifted_candidates(fan)
            if root_ray_index(fan, e) == j]
     return tuple(sorted(out, key=DemazureRoot.sort_key))
@@ -230,8 +227,8 @@ def product_roots(f1: Fan, f2: Fan) -> tuple[DemazureRoot, ...]:
     Every root of a product has the form (e, 0) or (0, e'); the result
     equals demazure_roots(product_fan(f1, f2)) exactly.
     """
-    _require_complete(f1)
-    _require_complete(f2)
+    require_complete(f1, _INFINITE)
+    require_complete(f2, _INFINITE)
     index = {r: i for i, r in enumerate(product_rays(f1, f2))}
     n1, n2 = f1.rank, f2.rank
     out = []

@@ -28,11 +28,11 @@ from typing import Optional, Sequence
 
 from .fan import (
     Fan,
-    IncompleteFanError,
     is_complete,
     is_simplicial,
     is_smooth,
     product_fan,
+    require_complete,
     transform_fan,
 )
 from .lattice import (
@@ -68,9 +68,8 @@ class FanIsomorphism:
 
 def invariant_vector(fan: Fan) -> tuple:
     """Cheap isomorphism invariants used to short-circuit searches."""
-    fan.require_valid()
-    counts = tuple(len(fan.cones_of_dim(d)) for d in range(fan.rank + 1))
     complete = is_complete(fan)
+    counts = tuple(len(fan.cones_of_dim(d)) for d in range(fan.rank + 1))
     nroots = len(demazure_roots(fan)) if complete else -1
     return (fan.rank, len(fan.rays), counts, is_smooth(fan), is_simplicial(fan),
             complete, nroots)
@@ -205,9 +204,7 @@ def fan_automorphisms(fan: Fan) -> tuple:
 
     Completeness guarantees finiteness and is required.
     """
-    fan.require_valid()
-    if not is_complete(fan):
-        raise IncompleteFanError("automorphism groups of non-complete fans may be infinite")
+    require_complete(fan, "automorphism groups of non-complete fans may be infinite")
     return tuple(_isomorphism_search(fan, fan, find_all=True))
 
 
@@ -386,9 +383,7 @@ def decompose(fan: Fan) -> Decomposition:
     bases gives a unimodular change of coordinates under which the product
     of the factors reproduces the input exactly.
     """
-    fan.require_valid()
-    if not is_complete(fan):
-        raise IncompleteFanError("only complete fans are decomposed")
+    require_complete(fan, "only complete fans are decomposed")
     if fan.rank == 0:
         return Decomposition(factors=())
     factors = _decompose_rec(fan)
@@ -455,9 +450,7 @@ def _group_factors(dec: Decomposition) -> list:
 def aut_structure_report(fan: Fan) -> AutStructureReport:
     """Full structure report: roots, neutral-component dimension, fan
     automorphisms and the product/wreath decomposition."""
-    fan.require_valid()
-    if not is_complete(fan):
-        raise IncompleteFanError("structure reports need a complete fan")
+    require_complete(fan, "structure reports need a complete fan")
     dec = decompose(fan)
     roots = demazure_roots(fan)
     autos = fan_automorphisms(fan)
@@ -498,9 +491,7 @@ def wreath_order_check(fan: Fan) -> bool:
     its summand, so this says the automorphism is a block permutation of
     isomorphic factors composed with block-wise factor automorphisms.
     """
-    fan.require_valid()
-    if not is_complete(fan):
-        raise IncompleteFanError("theorem check needs a complete fan")
+    require_complete(fan, "theorem check needs a complete fan")
     dec = decompose(fan)
     autos = fan_automorphisms(fan)
     classes = _group_factors(dec)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .fan import Fan, IncompleteFanError, halfspace_cone_generators, is_complete
+from .fan import Fan, halfspace_cone_generators, require_complete
 from .lattice import (
     Vec,
     complete_to_unimodular,
@@ -354,9 +354,7 @@ def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
     samples of sigma'^v, which generate sigma'^v cap M, decide the test
     for every character.
     """
-    fan.require_valid()
-    if not is_complete(fan):
-        raise IncompleteFanError("regularity certificates need a complete fan")
+    require_complete(fan, "regularity certificates need a complete fan")
     e = root.e
     entries = []
     for cone_idx in fan.max_cones:
@@ -516,7 +514,5 @@ def derivation_classification_check(fan: Fan, p: Sequence[int],
 def lie_dimension(fan: Fan) -> int:
     """rank(N) + number of roots: the torus directions plus one
     independent derivation per root degree."""
-    fan.require_valid()
-    if not is_complete(fan):
-        raise IncompleteFanError("Lie dimension is defined for complete fans")
+    require_complete(fan, "Lie dimension is defined for complete fans")
     return fan.rank + len(demazure_roots(fan))

@@ -96,12 +96,15 @@ class TestParseFan:
         with pytest.raises(FanDocumentError, match="cone 0"):
             parse_fan('{"rank": 1, "rays": [[1],[-1]], "max_cones": [[false],[1]]}')
 
-    def test_data_documents_match_builders(self, fans):
+    def test_data_documents_are_the_corpus(self):
+        fans = corpus()
+        assert list(fans) == sorted(path.stem for path in DATA.glob("*.fan"))
         for name, fan in fans.items():
             doc = parse_fan((DATA / f"{name}.fan").read_text())
             assert doc.name == name
-            assert fan_from_document(doc) == fan
             assert doc.warnings == ()
+            loaded = fan_from_document(doc)
+            assert loaded == fan and loaded is not fan
 
     def test_roundtrip_canonical_form(self, fans):
         for fan in fans.values():
@@ -141,11 +144,20 @@ class TestCommands:
             + [f"  - [intersection_not_face] intersection of cones {a} and {b} "
                f"is not a face of {c}\n" for a, b, c in pairs])
 
-    def test_parse_error_exit2(self, tmp_path, capsys):
-        doc = tmp_path / "schema.fan"
-        doc.write_text('{"rank": 2, "rays": [[1,0],[0,1],[-1,-1]], "max_cones": [[0,7]]}')
-        code, _, err = run_cli(["validate", str(doc)], capsys)
-        assert code == 2 and "out of range" in err
+    @pytest.mark.parametrize("content, message", [
+        (b'{"rank": 2, "rays": [[1,0],[0,1],[-1,-1]], "max_cones": [[0,7]]}', "out of range"),
+        (b"\xff", "codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+        # an integer literal over the interpreter's 4,300-digit limit
+        (b'{"rank": 1, "rays": [[1],[-1]], "max_cones": [[0],[1]], "name": '
+         + b"1" * 5000 + b"}", "not valid JSON"),
+    ], ids=["schema", "not-utf8", "nested-too-deep", "long-integer"])
+    def test_parse_error_exit2(self, content, message, tmp_path, capsys):
+        doc = tmp_path / "bad.fan"
+        doc.write_bytes(content)
+        code, out, err = run_cli(["validate", str(doc)], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert message in err and "Traceback" not in err
 
     def test_missing_file_exit2(self, capsys):
         code, _, err = run_cli(["roots", "/nonexistent/path.fan"], capsys)
@@ -160,7 +172,7 @@ class TestCommands:
         ("autos", "automorphism groups of non-complete fans may be infinite"),
         ("decompose", "only complete fans are decomposed"),
         ("report", "structure reports need a complete fan"),
-    ])
+    ], ids=["roots", "autos", "decompose", "report"])
     def test_roots_incomplete_exit1(self, command, message, capsys):
         code, out, err = run_cli([command, str(FIXTURES / "P12_minus_cone.fan")], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from toricaut.fan import Fan, halfspace_cone_generators
 from toricaut.lattice import (
     _pivots_and_kernel,
+    _saturated,
     det,
     hermite_normal_form,
     identity_matrix,
@@ -22,7 +23,7 @@ from toricaut.lattice import (
 )
 from toricaut.structure import _spanning_anchor_indices
 
-from util import greedy_independent_rows, random_unimodular
+from util import greedy_independent_rows, minors_gcd, random_unimodular
 
 
 def int_matrix(max_dim=4, bound=9):
@@ -193,6 +194,27 @@ class TestSublatticeDirectSum:
     def test_wrong_count_is_false(self):
         assert not sublattice_direct_sum([[(1, 0)]], 2)
         assert not sublattice_direct_sum([[(1, 0)], [(0, 1)], [(1, 1)]], 2)
+
+
+class TestSaturated:
+    def test_matches_the_minors_gcd(self):
+        # k x n integer rows, k from 0 to n + 1: random small entries, and
+        # rows taken from a unimodular matrix, scaled or not
+        rng = random.Random(1731)
+        outcomes = {(short, ok): 0 for short in (True, False) for ok in (True, False)}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            k = rng.randint(0, n + 1)
+            if rng.random() < 0.5:
+                rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+            else:
+                rows = list(random_unimodular(rng, n)[:k])
+                if rows and rng.random() < 0.3:
+                    rows[0] = tuple(2 * x for x in rows[0])
+            ok = minors_gcd(rows, len(rows)) == 1
+            assert _saturated(rows, n) == ok, (n, rows)
+            outcomes[len(rows) < n, ok] += 1
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestPivotRows:

@@ -16,7 +16,6 @@ from toricaut.lattice import (
     identity_matrix,
     invert_unimodular,
     mat_mul,
-    minors_gcd,
     vec_mat,
 )
 from toricaut.roots import demazure_roots
@@ -34,6 +33,7 @@ from util import (
     automorphism_order_oracle,
     compose,
     inverse,
+    minors_gcd,
     random_blow_up,
     random_complete_fan_rank2,
     random_unimodular,

@@ -2,6 +2,7 @@
 cones and unimodular matrices, plus brute-force oracles kept independent
 of the library code paths they check."""
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, permutations, product
@@ -165,6 +166,21 @@ def inverse(a):
     for i, j in enumerate(a.ray_permutation):
         perm[j] = i
     return FanIsomorphism(matrix=inv, ray_permutation=tuple(perm))
+
+
+def minors_gcd(rows, k):
+    """gcd of all k x k minors of the rows (0 if there are none or all
+    vanish); k rows extend to a basis of Z^n exactly when it is 1."""
+    if k == 0:
+        return 1
+    g = 0
+    n = len(rows[0]) if rows else 0
+    for ri in combinations(range(len(rows)), k):
+        for ci in combinations(range(n), k):
+            g = math.gcd(g, det(tuple(tuple(rows[i][j] for j in ci) for i in ri)))
+            if g == 1:
+                return 1
+    return g
 
 
 def greedy_independent_rows(rows):
