@@ -76,9 +76,11 @@ class FanDocument:
 
 def parse_fan(text: str) -> FanDocument:
     """Parse a fan document; rays are auto-primitivized with a warning."""
+    # ValueError: malformed JSON, or an integer literal over Python's digit
+    # limit; RecursionError: nesting deeper than the recursion limit
     try:
         raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
+    except (ValueError, RecursionError) as exc:
         raise FanDocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FanDocumentError("document must be a JSON object")

@@ -12,13 +12,13 @@ import pathlib
 
 from .fan import Fan
 
-DATA = pathlib.Path(__file__).resolve().parent / "data"
+_DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def corpus() -> dict:
     """File stem -> a fresh Fan for every bundled document, sorted by name."""
     fans = {}
-    for path in sorted(DATA.glob("*.fan")):
+    for path in sorted(_DATA.glob("*.fan")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         fans[path.stem] = Fan(doc["rank"], doc["rays"], doc["max_cones"])
     return fans

@@ -198,8 +198,9 @@ class TestSublatticeDirectSum:
 
 class TestSaturated:
     def test_matches_the_minors_gcd(self):
-        # k x n integer rows, k from 0 to n + 1: random small entries, and
-        # rows taken from a unimodular matrix, scaled or not
+        # k x n integer rows: k from 0 to n + 1 rows of small random entries,
+        # or the first k <= n rows of a unimodular matrix, the first one
+        # doubled or not
         rng = random.Random(1731)
         outcomes = {(short, ok): 0 for short in (True, False) for ok in (True, False)}
         for _ in range(300):
