@@ -120,6 +120,12 @@ def parse_fan(text: str) -> FanDocument:
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise FanDocumentError("'name' must be a string")
+    # a JSON escape such as \ud800 can spell a lone surrogate, which no
+    # UTF-8 stream can print
+    try:
+        (name or "").encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FanDocumentError(f"'name' is not valid Unicode text: {exc.reason}") from exc
     return FanDocument(rank=rank, rays=tuple(rays), max_cones=tuple(cones),
                        name=name, warnings=tuple(warnings))
 

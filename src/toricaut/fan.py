@@ -9,21 +9,23 @@ after construction and every query is pure, so concurrent reads are safe.
 
 Dual descriptions are computed exactly by the double description method
 (constraints inserted one at a time, adjacent ray pairs combined, with a
-purely combinatorial adjacency test); one Hermite normal form of the
+purely combinatorial adjacency test on active sets that each new ray
+inherits from its two parents); one Hermite normal form of the
 constraint rows gives both the lineality and the independent rows the
-method starts from.  The same engine gives the root polytopes' vertices,
-as the extreme rays of their homogenisations.  Each fan keeps one table
-of its maximal cones' facets, each normal with the rays it kills.  The
-ridge certificate groups it by ray set and proves a fan both valid and
-complete, once per fan; the faces of a non-simplicial cone are the
-intersections of its facets' ray sets; and only an invalid or incomplete
-fan falls back to intersecting every pair of maximal cones.  An
-intersection is a face of a cone when its rays are rays of the fan equal
-to their closure, the cone's rays on every facet holding them all, a test
-polynomial in the number of facets that lists no faces.  A product fan
-takes its maximal cones from the factors' cones, whose facet normals it
-knows, so it runs no double description; it is still validated and
-tested for completeness like any other fan.
+method starts from.  The same engine bounds the root polytopes, as the
+extreme rays of their homogenisations in chart coordinates, where the
+unit rows are the starting simplex and no Hermite form is needed.  Each
+fan keeps one table of its maximal cones' facets, each normal with the
+rays it kills.  The ridge certificate groups it by ray set and proves a
+fan both valid and complete, once per fan; the faces of a non-simplicial
+cone are the intersections of its facets' ray sets; and only an invalid
+or incomplete fan falls back to intersecting every pair of maximal
+cones.  An intersection is a face of a cone when its rays are rays of
+the fan equal to their closure, the cone's rays on every facet holding
+them all, a test polynomial in the number of facets that lists no faces.
+A product fan takes its maximal cones from the factors' cones, whose
+facet normals it knows, so it runs no double description; it is still
+validated and tested for completeness like any other fan.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .lattice import (
@@ -120,41 +124,45 @@ def _pointed_extreme_rays(rows: Sequence[Vec], idx: list) -> list:
     before them.  Starts from the simplicial subcone they cut out and
     inserts the remaining constraints one at a time, combining only
     adjacent positive/negative ray pairs (exact combinatorial adjacency:
-    no third ray is active on the common active set).
+    no third ray is active on the common active set).  Each ray carries
+    its active set as a bit mask over the rows inserted so far: simplex
+    ray i is active on every starting row but the i-th, and the ray made
+    from a positive and a negative ray is active exactly where both are,
+    and on the new row (Fukuda-Prodon, "Double description method
+    revisited", 1996).  Adjacent rays share at least d - 2 active rows,
+    so pairs with fewer are never tested.
     """
     d = len(idx)
     order = idx + [i for i in range(len(rows)) if i not in idx]
-
-    def mask_of(ray: Vec, upto: int) -> int:
-        m = 0
-        for j in range(upto):
-            if pairing(rows[order[j]], ray) == 0:
-                m |= 1 << j
-        return m
-
-    current = [(r, mask_of(r, d)) for r in _initial_simplex_rays([rows[i] for i in idx], d)]
+    full = (1 << d) - 1
+    current = [(r, full ^ (1 << i))
+               for i, r in enumerate(_initial_simplex_rays([rows[i] for i in idx], d))]
     for step in range(d, len(order)):
         a = rows[order[step]]
-        vals = [(r, m, pairing(a, r)) for r, m in current]
-        neg = [(r, m, v) for r, m, v in vals if v < 0]
+        bit = 1 << step
+        pos, neg, new = [], [], []
+        for r, m in current:
+            v = sum(map(mul, a, r))
+            if v > 0:
+                pos.append((r, m, v))
+                new.append((r, m))
+            elif v < 0:
+                neg.append((r, m, v))
+            else:
+                new.append((r, m | bit))
         if not neg:
-            current = [(r, m | ((1 << step) if v == 0 else 0)) for r, m, v in vals]
+            current = new
             continue
-        pos = [(r, m, v) for r, m, v in vals if v > 0]
-        new = [(r, m) for r, m, v in vals if v > 0]
-        new += [(r, m | (1 << step)) for r, m, v in vals if v == 0]
-        seen = {r for r, _ in new}
+        masks = [m for _, m in current]
         for rp, mp, vp in pos:
             for rn, mn, vn in neg:
                 common = mp & mn
-                adjacent = not any((mr & common) == common
-                                   for r, mr, _ in vals if r is not rp and r is not rn)
-                if not adjacent:
+                if common.bit_count() < d - 2 or any(
+                        m & common == common for m in masks if m != mp and m != mn):
                     continue
-                w = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
-                if w not in seen:
-                    seen.add(w)
-                    new.append((w, mask_of(w, step + 1)))
+                w = tuple(vp * x - vn * y for x, y in zip(rn, rp))
+                g = gcd(*w)
+                new.append((tuple(x // g for x in w), common | bit))
         current = new
     return sorted(r for r, _ in current)
 

@@ -2,31 +2,50 @@
 
 A root is a vector e in M pairing to -1 with exactly one ray and
 non-negatively with all others.  For a complete fan the rays positively
-span N_R, so each per-ray constraint system is a bounded polytope, and
-double description gives its vertices as the extreme rays of the
-polytope's homogenisation.  A root is fixed by its pairings c_i =
-<rho_i, e> with the rays of one chart (Cox, "The homogeneous coordinate
-ring of a toric variety", J. Algebraic Geom. 4 (1995), section 4), so the
-roots of ray j are enumerated in those coordinates rather than in the
-coordinates of M: the chart is a maximal cone through rho_j of least
-|det|, each c_i runs between its least and greatest value on the
-vertices, and c is fixed one coordinate at a time, dropping a prefix as
-soon as some other ray can no longer pair non-negatively with e.  A
-complete c gives e = R*c/d (A*R = d*I for the chart's rays A) when that is
-integral, and e is kept if it passes the definition.  The search, and its
-size, are the same for a fan and each of its GL(n, Z)-conjugates.
-Completeness is a hard precondition: without it the root set may be
-infinite and the operation refuses to run.
+span N_R, so each per-ray constraint system is a bounded polytope.  A root
+is fixed by its pairings c_i = <rho_i, e> with the rays of one chart (Cox,
+"The homogeneous coordinate ring of a toric variety", J. Algebraic Geom. 4
+(1995), section 4), so the roots of ray j are bounded and enumerated in
+those coordinates rather than in the coordinates of M.  The chart is
+picked first: a basis of N_R among the rays of a maximal cone through
+rho_j, of least |det|.  One double description per ray, in the chart's n
+coordinates, gives the vertices of the polytope's homogenisation; there
+the constraints c_i >= 0 on the chart's other rays and t >= 0 are the unit
+rows, the method's starting simplex.  Each c_i runs between its least and
+greatest value on the vertices, and c is fixed one coordinate at a time,
+dropping a prefix as soon as some other ray can no longer pair
+non-negatively with e.  A complete c gives e = R*c/d (A*R = d*I for the
+chart's rays A) when that is integral, and e is kept if it passes the
+definition.  The search, and its size, are the same for a fan and each of
+its GL(n, Z)-conjugates.  Completeness is a hard precondition: without it
+the root set may be infinite and the operation refuses to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
-from .fan import Fan, IncompleteFanError, _cone_generators, product_rays, require_complete
-from .lattice import Mat, Vec, _pivots_and_kernel, pairing, scaled_inverse, vec_neg
+from .fan import (
+    Fan,
+    IncompleteFanError,
+    _cone_generators,
+    _pointed_extreme_rays,
+    product_rays,
+    require_complete,
+)
+from .lattice import (
+    Mat,
+    Vec,
+    _pivots_and_kernel,
+    identity_matrix,
+    pairing,
+    scaled_inverse,
+    vec_mat,
+    vec_neg,
+)
 
 
 @dataclass(frozen=True)
@@ -113,40 +132,48 @@ def root_ray_index(fan: Fan, e: Sequence[int]) -> Optional[int]:
 _INFINITE = "fan is not complete: root set may be infinite"
 
 
-def _chart(fan: Fan, j: int, cone: tuple) -> tuple:
-    """Ray indices of a maximal cone through ray j whose rays are a basis of
-    N_R: the cone itself when it is simplicial, else ray j and each further
-    ray outside the span of those before it."""
-    if len(cone) == fan.rank:
-        return cone
-    order = (j,) + tuple(i for i in cone if i != j)
-    pivots = _pivots_and_kernel([fan.rays[i] for i in order], fan.rank)[0]
-    return tuple(sorted(order[p] for p in pivots))
+def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int) -> tuple:
+    """(ranges, rows) for the roots of ray j in the coordinates
+    c_p = <rho_chart[p], e> of a chart through it, with A*R = d*I for the
+    chart's rays A.
 
-
-def _lift(fan: Fan, chart: tuple, vertices: Mat, r: Mat, d: int) -> list:
-    """The e = R*c/d in M, over the integer c with c_p = <rho_chart[p], e>
-    between its least and greatest value on the vertices, for which every
-    ray outside the chart pairs non-negatively with e.
-
-    With w_k = sign(d) * rho_k * R, <rho_k, e> >= 0 reads <w_k, c> >= 0.
-    c is fixed one coordinate at a time, and a prefix is dropped once some
-    w_k can no longer reach 0 even with the most the remaining coordinates
-    can add, so every complete c that is reached meets all the constraints.
+    With w_k = sign(d) * rho_k * R, the root condition on a ray outside
+    the chart reads <w_k, c> >= 0; rows lists these w_k.  In the chart's
+    coordinates the root polytope is {c : c_j = -1, c_i >= 0 for the
+    chart's other rays, <w_k, c> >= 0}, and its homogenisation, with t in
+    place of -c_j, is {y >= 0 : <w_k, y> >= 0 with the j-th entry of w_k
+    negated}.  Its n unit rows are independent, so one double description
+    starts from them.  Each c_i ranges between its least and greatest value
+    on the vertices y / t, c_j is -1, and ranges is None when the polytope
+    is empty or some range holds no integer.  The map e -> c is linear and
+    invertible, so these are exactly the ranges of <rho_i, e> on the
+    polytope in M.
     """
-    n = fan.rank
-    ranges = []
-    for i in chart:
-        values = [(sum(a * b for a, b in zip(fan.rays[i], v)), v[-1]) for v in vertices]
-        lo = min(-(-x // t) for x, t in values)
-        hi = max(x // t for x, t in values)
-        if lo > hi:
-            return []
-        ranges.append(range(lo, hi + 1))
+    n, p = fan.rank, chart.index(j)
     sign = 1 if d > 0 else -1
     cols = tuple(zip(*r))
-    rows = [tuple(sign * sum(a * b for a, b in zip(fan.rays[k], col)) for col in cols)
+    rows = [tuple(sign * sum(map(mul, fan.rays[k], col)) for col in cols)
             for k in range(len(fan.rays)) if k not in chart]
+    homogenised = list(identity_matrix(n)) + [w[:p] + (-w[p],) + w[p + 1:] for w in rows]
+    vertices = _pointed_extreme_rays(homogenised, list(range(n)))
+    if not vertices:
+        return None, rows
+    ranges = [range(-1, 0) if q == p else
+              range(min(-(-v[q] // v[p]) for v in vertices),
+                    max(v[q] // v[p] for v in vertices) + 1)
+              for q in range(n)]
+    return (None if any(not x for x in ranges) else ranges), rows
+
+
+def _lift(ranges: list, rows: list, r: Mat, d: int) -> list:
+    """The e = R*c/d in M, over the integer c with c_p in ranges[p], for
+    which <w, c> >= 0 for every row w.
+
+    c is fixed one coordinate at a time, and a prefix is dropped once some
+    w can no longer reach 0 even with the most the remaining coordinates
+    can add, so every complete c that is reached meets all the constraints.
+    """
+    n = len(ranges)
     # reach[p][k]: the most coordinates p, p+1, ... can add to <w_k, c>
     reach = [[0] * len(rows)]
     for p in reversed(range(n)):
@@ -175,26 +202,48 @@ def _lift(fan: Fan, chart: tuple, vertices: Mat, r: Mat, d: int) -> list:
 def _lifted_candidates(fan: Fan):
     """(j, e) for each lifted chart point of each ray's root polytope.
 
-    One double description per ray gives the vertices; an empty polytope
-    is skipped at once.  Otherwise the chart is the maximal cone through
-    ray j of least |det|, ties broken by its index tuple, and each chart is
-    inverted once per call.
+    The chart of ray j is a basis of N_R among the rays of a maximal cone
+    through it: ray j and each further ray of the cone outside the span of
+    those before it.  Of these, the chart of least |det| is taken, ties
+    broken by its index tuple, and then one double description bounds the
+    roots of ray j in its coordinates (_chart_bounds).  Each cone's first
+    basis (its rays outside the span of those before them) is found and
+    inverted once per call, A*R = d*I.  When ray j is not in it,
+    ray j = (y/d)*A with y = rho_j*R, and its chart exchanges for ray j the
+    last basis ray f with y_f != 0 (the least basis holding ray j), so
+    |det| = |y_f| needs no second elimination.  Only the chosen chart is
+    inverted.
     """
+    n = fan.rank
     inverses = {}
+    bases = {}
 
-    def chart_key(chart: tuple) -> tuple:
+    def inverse(chart: tuple) -> tuple:
         if chart not in inverses:
             inverses[chart] = scaled_inverse([fan.rays[i] for i in chart])
-        return abs(inverses[chart][1]), chart
+        return inverses[chart]
+
+    def chart_key(j: int, cone: tuple) -> tuple:
+        if cone not in bases:
+            # a simplicial maximal cone of a complete fan is its own basis
+            pivots = range(n) if len(cone) == n else _pivots_and_kernel(
+                [fan.rays[i] for i in cone], n)[0]
+            bases[cone] = tuple(cone[p] for p in pivots)
+        basis = bases[cone]
+        r, d = inverse(basis)
+        if j in basis:
+            return abs(d), basis
+        y = vec_mat(fan.rays[j], r)
+        f = max(q for q in range(n) if y[q])
+        return abs(y[f]), tuple(sorted(basis[:f] + basis[f + 1:] + (j,)))
 
     for j in range(len(fan.rays)):
-        vertices = RootPolytope.for_ray(fan, j).vertices(fan.rank)
-        if not vertices:
-            continue
-        chart = min((_chart(fan, j, c) for c in fan.max_cones if j in c), key=chart_key)
-        r, d = inverses[chart]
-        for e in _lift(fan, chart, vertices, r, d):
-            yield j, e
+        chart = min(chart_key(j, c) for c in fan.max_cones if j in c)[1]
+        r, d = inverse(chart)
+        ranges, rows = _chart_bounds(fan, j, chart, r, d)
+        if ranges is not None:
+            for e in _lift(ranges, rows, r, d):
+                yield j, e
 
 
 @lru_cache(maxsize=None)

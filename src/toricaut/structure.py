@@ -1,9 +1,14 @@
 """Fan isomorphisms and automorphisms, indecomposable factorization, and
 the product/wreath structure of the automorphism group.
 
-The isomorphism search assigns images to a spanning set of rays,
+The isomorphism search assigns images to a spanning set of anchor rays,
 backtracking with combinatorial pruning (cone-incidence profiles of rays
-and ray pairs, which are preserved by any lattice isomorphism).  It
+and ray pairs, which are preserved by any lattice isomorphism).  The
+anchors are the independent rays of one maximal cone, the one whose rays
+have the fewest candidate images (then of the other rays, when that cone
+does not span), a first step toward the leaf pruning of McKay-Piperno
+(J. Symbolic Comput. 60, 2014): on a blow-up of P3 by 24 star
+subdivisions the search tests 2 leaves instead of 4,080.  It
 inverts the anchor rays once per search, as an integer matrix R and
 d = ±det with A*R = d*I, so each leaf costs one integer product R*B and a
 divisibility test by d; a candidate is kept only if it is integral,
@@ -22,6 +27,7 @@ bipartitions as its indecomposability certificate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -94,6 +100,22 @@ def _spanning_anchor_indices(fan: Fan) -> list:
     return _pivots_and_kernel(fan.rays, fan.rank)[0]
 
 
+def _cone_anchor_indices(fan: Fan, single: list) -> list:
+    """The pivots of the rays of one maximal cone, then of the other rays:
+    the rays, in that order, outside the span of the rays before them.
+
+    The cone is the one whose rays have the fewest candidate images, the
+    least product of their single-profile class sizes, ties broken by the
+    least index tuple.  On a complete fan its rays span N, so every anchor
+    is a ray of that cone.  The class sizes come from the cone incidences
+    alone, so the bound on the leaves does not depend on the lattice basis.
+    """
+    size = Counter(single)
+    cone = min(fan.max_cones, key=lambda c: (math.prod(size[single[i]] for i in c), c))
+    order = list(cone) + [i for i in range(len(fan.rays)) if i not in cone]
+    return [order[p] for p in _pivots_and_kernel([fan.rays[i] for i in order], fan.rank)[0]]
+
+
 def _candidate_matrix(inverse: Mat, d: int, images: Sequence[Vec]) -> Optional[Mat]:
     """The unimodular U with A*U = B, given R = d*A^-1 from `scaled_inverse`
     and the image rows B; None unless R*B/d is integral and unimodular."""
@@ -143,7 +165,7 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
         return []
     single1, pair1 = _ray_profiles(f1)
     single2, pair2 = (single1, pair1) if f1 is f2 else _ray_profiles(f2)
-    anchors = _spanning_anchor_indices(f1)
+    anchors = _cone_anchor_indices(f1, single1)
     d = len(anchors)
     anchor_rows, rays2 = tuple(f1.rays[i] for i in anchors), f2.rays
     if d < n:
@@ -192,8 +214,10 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
 
 
 def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[FanIsomorphism]:
-    """Some isomorphism f1 -> f2, or None; the first hit in search order
-    (anchor images tried by increasing target ray index)."""
+    """Some isomorphism f1 -> f2, or None; the first hit in search order:
+    the anchors are the independent rays of one maximal cone of f1 (see
+    _cone_anchor_indices), and their images are tried by increasing
+    target ray index."""
     found = _isomorphism_search(f1, f2, find_all=False)
     return found[0] if found else None
 

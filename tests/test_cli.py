@@ -151,7 +151,10 @@ class TestCommands:
         # an integer literal over the interpreter's 4,300-digit limit
         (b'{"rank": 1, "rays": [[1],[-1]], "max_cones": [[0],[1]], "name": '
          + b"1" * 5000 + b"}", "not valid JSON"),
-    ], ids=["schema", "not-utf8", "nested-too-deep", "long-integer"])
+        # a lone surrogate, which the human report could not print
+        (b'{"rank": 1, "rays": [[1],[-1]], "max_cones": [[0],[1]], "name": "a\\ud800"}',
+         "'name' is not valid Unicode text"),
+    ], ids=["schema", "not-utf8", "nested-too-deep", "long-integer", "lone-surrogate-name"])
     def test_parse_error_exit2(self, content, message, tmp_path, capsys):
         doc = tmp_path / "bad.fan"
         doc.write_bytes(content)

@@ -21,7 +21,7 @@ from toricaut.fan import (
     transform_fan,
     validate_fan,
 )
-from toricaut.lattice import pairing
+from toricaut.lattice import pairing, primitive
 
 from test_roots import SQUARE_PYRAMID
 from util import (
@@ -119,6 +119,25 @@ class TestHalfspaceGenerators:
                     rows.append(v)
             assert halfspace_cone_generators(rows, n) == \
                 extreme_rays_by_subset_enumeration(rows, n), (n, rows)
+
+    def test_matches_subset_oracle_on_degenerate_systems(self):
+        # duplicate and redundant rows, and many rays on common faces: the
+        # active sets carried from the parent rays and the d - 2 filter on
+        # adjacent pairs must still give exactly the extreme rays
+        from toricaut.fan import halfspace_cone_generators
+        from util import degenerate_cone_rows, extreme_rays_by_subset_enumeration
+        rng = random.Random(141421)
+        degenerate = 0
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            for rows in degenerate_cone_rows(rng, n):
+                rays, lin = halfspace_cone_generators(rows, n)
+                assert (rays, lin) == extreme_rays_by_subset_enumeration(rows, n), (n, rows)
+                # a ray active on more than n - 1 distinct rows
+                distinct = {primitive(a) for a in rows}
+                degenerate += any(sum(pairing(a, r) == 0 for a in distinct) > n - 1
+                                  for r in rays)
+        assert degenerate >= 40  # 45 of the 80 systems
 
     def test_matches_subset_oracle_degenerate(self):
         # systems with opposite pairs force implicit equalities, the

@@ -9,8 +9,8 @@ import pytest
 
 from toricaut import lattice, roots as roots_module
 from toricaut.cli import fan_from_document, parse_fan
-from toricaut.fan import Fan, IncompleteFanError, product_fan, transform_fan
-from toricaut.lattice import identity_matrix, invert_unimodular, mat_mul, pairing, transpose, vec_mat, vec_neg
+from toricaut.fan import Fan, IncompleteFanError, is_complete, product_fan, transform_fan
+from toricaut.lattice import det, identity_matrix, invert_unimodular, mat_mul, pairing, transpose, vec_mat, vec_neg
 from toricaut.roots import (
     RootPolytope,
     _lifted_candidates,
@@ -21,6 +21,7 @@ from toricaut.roots import (
 )
 
 from util import (
+    greedy_independent_rows,
     random_blow_up,
     random_complete_fan_rank2,
     random_unimodular,
@@ -28,6 +29,8 @@ from util import (
     root_polytope_bounds,
     roots_oracle,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 EXPECTED_COUNTS = {
     "P1": 2, "P2": 6, "P3": 12, "P1xP1": 4,
@@ -198,8 +201,8 @@ class TestChartEnumeration:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(roots_module, "_cone_generators",
-                            recorded("dd", roots_module._cone_generators))
+        monkeypatch.setattr(roots_module, "_pointed_extreme_rays",
+                            recorded("dd", roots_module._pointed_extreme_rays))
         monkeypatch.setattr(roots_module, "scaled_inverse",
                             recorded("inverse", lattice.scaled_inverse))
         pool = [transform_fan(base, u) for base, u in large_conjugates(fans)]
@@ -214,6 +217,76 @@ class TestChartEnumeration:
             assert len(set(calls["inverse"])) == len(calls["inverse"])
             if all(len(c) == fan.rank for c in fan.max_cones):
                 assert len(calls["inverse"]) <= len(fan.max_cones)
+
+    def chart_pool(self, fans):
+        documents = sorted(FIXTURES.glob("*.fan"))
+        fixtures = [fan_from_document(parse_fan(path.read_text())) for path in documents]
+        rng = random.Random(113)
+        pool = list(fans.values()) + [SQUARE_PYRAMID]
+        pool += [f for f in fixtures if f.validation.ok and is_complete(f)]
+        pool += [random_blow_up(rng, fans[base], k) for base in ("P2", "P3") for k in (1, 4, 9)]
+        return pool + [transform_fan(base, u) for base, u in large_conjugates(fans)]
+
+    @staticmethod
+    def charts_through(fan, j):
+        """Per maximal cone through ray j: ray j and each further ray of the
+        cone outside the span of those before it, sorted."""
+        for cone in fan.max_cones:
+            if j in cone:
+                order = [j] + [i for i in cone if i != j]
+                basis = greedy_independent_rows([fan.rays[i] for i in order])
+                yield tuple(sorted(order[p] for p in basis))
+
+    def test_chart_ranges_match_the_vertices_in_m(self, fans):
+        # every chart through every ray, not only the one enumerated: the
+        # ranges of c in chart coordinates are those of <rho_i, e> on the
+        # vertices of the root polytope in M
+        charts = empty = 0
+        for fan in self.chart_pool(fans):
+            n = fan.rank
+            for j in range(len(fan.rays)):
+                vertices = RootPolytope.for_ray(fan, j).vertices(n)
+                for chart in self.charts_through(fan, j):
+                    expected = None
+                    if vertices:
+                        expected = []
+                        for i in chart:
+                            values = [(pairing(fan.rays[i], v[:n]), v[-1]) for v in vertices]
+                            expected.append(range(min(-(-x // t) for x, t in values),
+                                                  max(x // t for x, t in values) + 1))
+                        if not all(expected):
+                            expected = None
+                    inverse = lattice.scaled_inverse([fan.rays[i] for i in chart])
+                    ranges, _ = roots_module._chart_bounds(fan, j, chart, *inverse)
+                    assert ranges == expected, (fan.rays, j, chart)
+                    charts += 1
+                    empty += expected is None
+        assert (charts, empty) == (1278, 472)
+
+    def test_chart_of_least_determinant(self, fans, monkeypatch):
+        # the chart found by exchanging ray j into a cone's first basis is
+        # the least (|det|, index tuple) over the charts through ray j
+        chosen = []
+        bounds = roots_module._chart_bounds
+        monkeypatch.setattr(roots_module, "_chart_bounds",
+                            lambda fan, j, chart, *rest: chosen.append((j, chart))
+                            or bounds(fan, j, chart, *rest))
+        cube = fan_from_document(parse_fan((FIXTURES / "cube5.fan").read_text()))
+        rng = random.Random(114)
+        conjugates = [transform_fan(cube, random_unimodular(rng, 5)) for _ in range(2)]
+        exchanged = 0
+        for fan in self.chart_pool(fans) + conjugates:
+            chosen.clear()
+            for _ in _lifted_candidates(fan):
+                pass
+            expected = [(j, min(self.charts_through(fan, j),
+                                key=lambda c: (abs(det([fan.rays[i] for i in c])), c)))
+                        for j in range(len(fan.rays))]
+            assert chosen == expected, fan.rays
+            exchanged += sum(chart not in fan.max_cones for _, chart in chosen)
+        # every ray of the 5-cube's face fan and of its conjugates takes a
+        # chart inside a facet cone of 16 rays
+        assert exchanged == 3 * 32
 
     def test_f3_in_basis_f20(self, fans):
         path = pathlib.Path(__file__).resolve().parent / "fixtures" / "F3_F20.fan"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -211,6 +212,41 @@ class TestFanIsomorphism:
     def test_trivial_fans(self):
         iso = fan_isomorphism(Fan(2, [], []), Fan(2, [], []))
         assert iso is not None and iso.matrix == identity_matrix(2)
+
+
+class TestConeAnchors:
+    """The anchors are the pivots of one maximal cone's rays, the cone with
+    the fewest candidate images, so the search tests few leaves."""
+
+    def _count_leaves(self, monkeypatch):
+        calls = []
+        candidate = structure._candidate_matrix
+        monkeypatch.setattr(structure, "_candidate_matrix",
+                            lambda *args: calls.append(args) or candidate(*args))
+        return calls
+
+    def test_projective_spaces_test_each_element_once(self, monkeypatch):
+        calls = self._count_leaves(monkeypatch)
+        for n in range(1, 6):
+            rays = list(identity_matrix(n)) + [(-1,) * n]
+            fan = Fan(n, rays, [c for c in itertools.combinations(range(n + 1), n)])
+            calls.clear()
+            # bypass the memo so that the search itself runs
+            assert len(fan_automorphisms.__wrapped__(fan)) == math.factorial(n + 1)
+            assert len(calls) == math.factorial(n + 1)
+
+    def test_blow_ups_test_few_leaves(self, fans, monkeypatch):
+        calls = self._count_leaves(monkeypatch)
+        fan = fan_from_document(parse_fan((FIXTURES / "Bl24P3.fan").read_text()))
+        assert len(fan_automorphisms.__wrapped__(fan)) == 2
+        # the first independent rays in sorted order gave 4,080 leaves
+        assert len(calls) <= 2
+        rng = random.Random(615)
+        for times in (1, 3, 10, 20, 30):
+            fan = random_blow_up(rng, fans["P2"], times)
+            calls.clear()
+            fan_automorphisms.__wrapped__(fan)
+            assert len(calls) <= 2 * len(fan.max_cones), times
 
 
 class TestOneFramePerSearch:

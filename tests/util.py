@@ -153,6 +153,26 @@ def random_pointed_cone_rays(rng, rank, count):
     return rays
 
 
+def degenerate_cone_rows(rng, n):
+    """Constraint rows whose cones are degenerate for double description:
+    the cone over a seeded subset of {-1, 0, 1}^(n-1) at height 1, many of
+    whose points share a face, and, in turn, its facet normals (from
+    extreme_rays_by_subset_enumeration), many of which meet in one ray.
+    Each system gets duplicate rows, positive multiples and sums of two
+    rows (redundant), and is shuffled."""
+    points = [p + (1,) for p in product((-1, 0, 1), repeat=n - 1) if rng.random() < 0.6]
+    points = points or [(0,) * (n - 1) + (1,)]
+    normals = list(extreme_rays_by_subset_enumeration(points, n)[0])
+    for system in filter(None, (points, normals)):
+        system = list(system)
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.choice(system), rng.choice(system)
+            system.append(rng.choice([a, tuple(2 * x for x in a),
+                                      tuple(x + y for x, y in zip(a, b))]))
+        rng.shuffle(system)
+        yield [r for r in system if any(r)]
+
+
 def compose(a, b):
     """First apply a, then b (matrices act on row vectors from the right)."""
     return FanIsomorphism(
