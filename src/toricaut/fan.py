@@ -12,9 +12,14 @@ Dual descriptions are computed exactly by the double description method
 purely combinatorial adjacency test on active sets that each new ray
 inherits from its two parents); one Hermite normal form of the
 constraint rows gives both the lineality and the independent rows the
-method starts from.  The same engine bounds the root polytopes, as the
-extreme rays of their homogenisations in chart coordinates, where the
-unit rows are the starting simplex and no Hermite form is needed.  Each
+method starts from.  A simplicial full-dimensional cone is one
+elimination, A*R = d*I for its rays A: its dual is the method's starting
+simplex, whose rays are the facet normals, so no Hermite form and no
+double description run on it, and the cone keeps (R, d) for the readers
+of its determinant and its chart (smoothness, the roots).  The same
+engine bounds the root polytopes, as the extreme rays of their
+homogenisations in chart coordinates, where the unit rows are the
+starting simplex and nothing is inverted or put in Hermite form.  Each
 fan keeps one table of its maximal cones' facets, each normal with the
 rays it kills.  The ridge certificate groups it by ray set and proves a
 fan both valid and complete, once per fan; the faces of a non-simplicial
@@ -35,7 +40,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .lattice import (
     Mat,
@@ -90,6 +95,15 @@ class Cone:
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(v, g) >= 0 for g in self.facet_normals)
 
+    @cached_property
+    def inverse(self) -> Optional[tuple]:
+        """(R, d) from `scaled_inverse`, A*R = d*I for the rays A, when the
+        cone is simplicial and full dimensional; None otherwise.
+        cone_from_rays keeps the elimination that gave the facet normals."""
+        if len(self.rays) != self.rank or self.dim != self.rank:
+            return None
+        return scaled_inverse(self.rays)
+
 
 @dataclass(frozen=True)
 class DualCone:
@@ -108,35 +122,37 @@ class DualCone:
         return len(self.lineality) == self.rank
 
 
-def _initial_simplex_rays(a0: Mat, d: int) -> list:
-    """Extreme rays of {y : A0 y >= 0} for invertible d x d A0: the columns
-    of sign(det) * adj(A0) (A0 r_i is a positive multiple of e_i)."""
-    inv, det_a0 = scaled_inverse(a0)
-    assert inv is not None
+def _simplex_rays(inv: Mat, det_a0: int) -> list:
+    """Extreme rays of {y : A0 y >= 0} for invertible A0, given A0*R = d*I
+    from `scaled_inverse`: the primitive columns of sign(d) * R (A0 r_i is
+    a positive multiple of e_i)."""
     sign = 1 if det_a0 > 0 else -1
-    return [primitive(tuple(sign * row[i] for row in inv)) for i in range(d)]
+    return [primitive(tuple(sign * row[i] for row in inv)) for i in range(len(inv))]
 
 
-def _pointed_extreme_rays(rows: Sequence[Vec], idx: list) -> list:
+def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat] = None) -> list:
     """Double description: extreme rays of a pointed cone {y : <a,y> >= 0}.
 
     idx lists the d = dim rows that lie outside the span of the rows
-    before them.  Starts from the simplicial subcone they cut out and
-    inserts the remaining constraints one at a time, combining only
-    adjacent positive/negative ray pairs (exact combinatorial adjacency:
-    no third ray is active on the common active set).  Each ray carries
-    its active set as a bit mask over the rows inserted so far: simplex
-    ray i is active on every starting row but the i-th, and the ray made
-    from a positive and a negative ray is active exactly where both are,
-    and on the new row (Fukuda-Prodon, "Double description method
-    revisited", 1996).  Adjacent rays share at least d - 2 active rows,
-    so pairs with fewer are never tested.
+    before them.  Starts from the simplicial subcone they cut out, whose
+    extreme rays, in the order of idx, are `simplex` when the caller knows
+    them (the unit vectors, for unit rows) and otherwise come from one
+    inversion of those rows.  Then inserts the remaining constraints one
+    at a time, combining only adjacent positive/negative ray pairs (exact
+    combinatorial adjacency: no third ray is active on the common active
+    set).  Each ray carries its active set as a bit mask over the rows
+    inserted so far: simplex ray i is active on every starting row but
+    the i-th, and the ray made from a positive and a negative ray is
+    active exactly where both are, and on the new row (Fukuda-Prodon,
+    "Double description method revisited", 1996).  Adjacent rays share at
+    least d - 2 active rows, so pairs with fewer are never tested.
     """
     d = len(idx)
     order = idx + [i for i in range(len(rows)) if i not in idx]
+    if simplex is None:
+        simplex = _simplex_rays(*scaled_inverse([rows[i] for i in idx]))
     full = (1 << d) - 1
-    current = [(r, full ^ (1 << i))
-               for i, r in enumerate(_initial_simplex_rays([rows[i] for i in idx], d))]
+    current = [(r, full ^ (1 << i)) for i, r in enumerate(simplex)]
     for step in range(d, len(order)):
         a = rows[order[step]]
         bit = 1 << step
@@ -203,6 +219,13 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
 
     Non-extremal generators are discarded; the empty set gives the zero
     cone.  Raises NotStrictlyConvexError if the generators span a line.
+    rank independent generators cost one elimination, A*R = d*I for the
+    sorted rays A: the cone is simplicial, the generators are its rays,
+    and its dual is the starting simplex of the double description, with
+    the primitive columns of sign(d) * R as facet normals.  The cone keeps
+    (R, d) as its `inverse`.  Any other generators run the double
+    description twice: once for the dual, and once for the dual's dual,
+    which drops the non-extremal generators and finds any line.
     """
     prim = []
     seen = set()
@@ -216,6 +239,14 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         if p not in seen:
             seen.add(p)
             prim.append(p)
+    if len(prim) == rank:
+        gens = tuple(sorted(prim))
+        inv, det_a = scaled_inverse(gens)
+        if inv is not None:
+            normals = tuple(sorted(_simplex_rays(inv, det_a)))
+            cone = Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank)
+            object.__setattr__(cone, "inverse", (inv, det_a))  # seeds the cached property
+            return cone
     dual_gens, dual_lin = _cone_generators(prim, rank)
     normals = set(dual_gens)
     for b in dual_lin:
@@ -373,7 +404,8 @@ class Fan:
         """{maximal cone: ((normal, the cone's rays it kills), ...)} over
         its facet normals.  Read only once every maximal cone passed its
         own checks."""
-        return {c: tuple((g, tuple(i for i in c if pairing(self.rays[i], g) == 0))
+        rays = self.rays
+        return {c: tuple((g, tuple(i for i in c if not sum(map(mul, rays[i], g))))
                          for g in self.cone(c).facet_normals)
                 for c in self.max_cones}
 
@@ -531,9 +563,12 @@ def is_simplicial(fan: Fan) -> bool:
 
 
 def is_smooth(fan: Fan) -> bool:
-    """Every cone's rays extend to a Z-basis of N."""
+    """Every cone's rays extend to a Z-basis of N: |det| = 1 for a
+    simplicial full-dimensional cone, read off the elimination it keeps,
+    and a Hermite form for any other cone."""
     fan.require_valid()
-    return all(_saturated([fan.rays[i] for i in c], fan.rank) for c in fan.max_cones)
+    return all(abs(cone.inverse[1]) == 1 if cone.inverse else _saturated(cone.rays, fan.rank)
+               for cone in map(fan.cone, fan.max_cones))
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:

@@ -8,10 +8,13 @@ is fixed by its pairings c_i = <rho_i, e> with the rays of one chart (Cox,
 (1995), section 4), so the roots of ray j are bounded and enumerated in
 those coordinates rather than in the coordinates of M.  The chart is
 picked first: a basis of N_R among the rays of a maximal cone through
-rho_j, of least |det|.  One double description per ray, in the chart's n
-coordinates, gives the vertices of the polytope's homogenisation; there
-the constraints c_i >= 0 on the chart's other rays and t >= 0 are the unit
-rows, the method's starting simplex.  Each c_i runs between its least and
+rho_j, of least |det|.  A simplicial maximal cone is its own chart, and
+its inverse is the one elimination the cone already keeps; only a chart
+exchanged into a non-simplicial cone is inverted here.  One double
+description per ray, in the chart's n coordinates, gives the vertices of
+the polytope's homogenisation; there the constraints c_i >= 0 on the
+chart's other rays and t >= 0 are the unit rows, and the method starts
+from the unit vectors.  Each c_i runs between its least and
 greatest value on the vertices, and c is fixed one coordinate at a time,
 dropping a prefix as soon as some other ray can no longer pair
 non-negatively with e.  A complete c gives e = R*c/d (A*R = d*I for the
@@ -142,10 +145,11 @@ def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int) -> tuple:
     coordinates the root polytope is {c : c_j = -1, c_i >= 0 for the
     chart's other rays, <w_k, c> >= 0}, and its homogenisation, with t in
     place of -c_j, is {y >= 0 : <w_k, y> >= 0 with the j-th entry of w_k
-    negated}.  Its n unit rows are independent, so one double description
-    starts from them.  Each c_i ranges between its least and greatest value
-    on the vertices y / t, c_j is -1, and ranges is None when the polytope
-    is empty or some range holds no integer.  The map e -> c is linear and
+    negated}.  Its n unit rows cut out the orthant, so one double
+    description starts from the unit vectors and inverts nothing.  Each
+    c_i ranges between its least and greatest value on the vertices
+    y / t, c_j is -1, and ranges is None when the polytope is empty or
+    some range holds no integer.  The map e -> c is linear and
     invertible, so these are exactly the ranges of <rho_i, e> on the
     polytope in M.
     """
@@ -154,8 +158,9 @@ def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int) -> tuple:
     cols = tuple(zip(*r))
     rows = [tuple(sign * sum(map(mul, fan.rays[k], col)) for col in cols)
             for k in range(len(fan.rays)) if k not in chart]
-    homogenised = list(identity_matrix(n)) + [w[:p] + (-w[p],) + w[p + 1:] for w in rows]
-    vertices = _pointed_extreme_rays(homogenised, list(range(n)))
+    units = identity_matrix(n)
+    homogenised = list(units) + [w[:p] + (-w[p],) + w[p + 1:] for w in rows]
+    vertices = _pointed_extreme_rays(homogenised, list(range(n)), units)
     if not vertices:
         return None, rows
     ranges = [range(-1, 0) if q == p else
@@ -206,13 +211,15 @@ def _lifted_candidates(fan: Fan):
     through it: ray j and each further ray of the cone outside the span of
     those before it.  Of these, the chart of least |det| is taken, ties
     broken by its index tuple, and then one double description bounds the
-    roots of ray j in its coordinates (_chart_bounds).  Each cone's first
-    basis (its rays outside the span of those before them) is found and
-    inverted once per call, A*R = d*I.  When ray j is not in it,
+    roots of ray j in its coordinates (_chart_bounds).  A simplicial
+    maximal cone of a complete fan is its own basis, and its A*R = d*I is
+    the one elimination the cone keeps (Cone.inverse).  A non-simplicial
+    cone's first basis (its rays outside the span of those before them) is
+    found and inverted once per call.  When ray j is not in it,
     ray j = (y/d)*A with y = rho_j*R, and its chart exchanges for ray j the
     last basis ray f with y_f != 0 (the least basis holding ray j), so
-    |det| = |y_f| needs no second elimination.  Only the chosen chart is
-    inverted.
+    |det| = |y_f| needs no second elimination.  Of the exchanged charts
+    only the chosen ones are inverted, so a simplicial fan inverts nothing.
     """
     n = fan.rank
     inverses = {}
@@ -225,10 +232,12 @@ def _lifted_candidates(fan: Fan):
 
     def chart_key(j: int, cone: tuple) -> tuple:
         if cone not in bases:
-            # a simplicial maximal cone of a complete fan is its own basis
-            pivots = range(n) if len(cone) == n else _pivots_and_kernel(
-                [fan.rays[i] for i in cone], n)[0]
-            bases[cone] = tuple(cone[p] for p in pivots)
+            if len(cone) == n:
+                bases[cone] = cone
+                inverses[cone] = fan.cone(cone).inverse
+            else:
+                pivots = _pivots_and_kernel([fan.rays[i] for i in cone], n)[0]
+                bases[cone] = tuple(cone[p] for p in pivots)
         basis = bases[cone]
         r, d = inverse(basis)
         if j in basis:

@@ -19,6 +19,7 @@ from .fan import Fan, halfspace_cone_generators, require_complete
 from .lattice import (
     Vec,
     complete_to_unimodular,
+    det,
     hermite_normal_form,
     is_primitive,
     pairing,
@@ -200,11 +201,11 @@ def action_additivity_check(fan: Fan, root: DemazureRoot, m: Sequence[int]) -> b
 def _parallelepiped_points(gens: Sequence[Vec], d: int) -> set:
     """Lattice points sum lam_g * g with 0 <= lam_g < 1 over the linearly
     independent d-subsets of gens; the Hermite box of a subset's lattice
-    holds one residue per point."""
+    holds one residue per point, and has |det| of them."""
     points = {(0,) * d}
     for basis in combinations(gens, d):
-        h, _ = hermite_normal_form(basis)
-        if math.prod(h[i][i] for i in range(d)) > 1:  # 0: dependent, 1: origin only
+        if abs(det(basis)) > 1:  # 0: dependent, 1: origin only
+            h, _ = hermite_normal_form(basis)
             inv, det_b = scaled_inverse(basis)
             for x in product(*(range(h[i][i]) for i in range(d))):
                 # c % det_b / det_b is the fractional part of c / det_b for
@@ -232,7 +233,7 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     depend on the basis.
     """
     cone = fan.cone(cone_idx)
-    lineality = right_kernel_basis(cone.rays, fan.rank)
+    lineality = () if cone.dim == fan.rank else right_kernel_basis(cone.rays, fan.rank)
     lift = complete_to_unimodular(lineality, fan.rank)[len(lineality):]
     gens = cone.facet_normals if not lineality else halfspace_cone_generators(
         [[pairing(r, w) for w in lift] for r in cone.rays], len(lift))[0]

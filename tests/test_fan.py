@@ -1,9 +1,12 @@
+import pathlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from toricaut import fan as fan_module
+from toricaut import fan as fan_module, lattice, roots as roots_module
+from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import (
     Cone,
     DualCone,
@@ -21,14 +24,17 @@ from toricaut.fan import (
     transform_fan,
     validate_fan,
 )
-from toricaut.lattice import pairing, primitive
+from toricaut.lattice import det, identity_matrix, mat_mul, pairing, primitive
+from toricaut.roots import demazure_roots
 
 from test_roots import SQUARE_PYRAMID
 from util import (
     complete_by_adjacency,
     cube_fan,
+    extreme_rays_by_subset_enumeration,
     faces_by_subset_scan,
     maximal_cones_oracle,
+    minors_gcd,
     pairwise_violations_by_closure,
     random_blow_up,
     random_complete_fan_rank2,
@@ -37,6 +43,8 @@ from util import (
     random_unimodular,
     support_contains,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 class TestConeFromRays:
@@ -71,6 +79,85 @@ class TestConeFromRays:
     def test_imprimitive_normalized(self):
         c = cone_from_rays([(2, 4)], 2)
         assert c.rays == ((1, 2),) and c.dim == 1
+
+
+class TestSimplicialCones:
+    """rank independent generators take one elimination instead of the
+    double description: the facet normals are the primitive columns of
+    sign(d) * R, and the cone keeps (R, d)."""
+
+    @staticmethod
+    def generators(rng, n, k):
+        """n shuffled generators, some not primitive, of a cone whose
+        matrix U1 * diag(k, 1, ..., 1) * U2 has |det| = k, of either sign
+        since det U1 and det U2 are each -1 or 1."""
+        if n == 0:
+            return []
+        d = [[(k if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+        a = mat_mul(mat_mul(random_unimodular(rng, n), d), random_unimodular(rng, n))
+        rows = [tuple(c * x for x in r) for r, c in zip(a, rng.choices((1, 1, 2, 3), k=n))]
+        rng.shuffle(rows)
+        return rows
+
+    def test_matches_the_double_description(self):
+        rng = random.Random(190)
+        dets = set()
+        for n in range(8):
+            for k in range(1, 33) if n > 1 else (1,):
+                gens = self.generators(rng, n, k)
+                c = cone_from_rays(gens, n)
+                normals, lin = extreme_rays_by_subset_enumeration(gens, n)
+                assert lin == () and c.facet_normals == normals, gens
+                assert fan_module.halfspace_cone_generators(gens, n) == (normals, ())
+                assert c.rays == extreme_rays_by_subset_enumeration(normals, n)[0]
+                assert c.rays == tuple(sorted({primitive(g) for g in gens}))
+                assert c.dim == n
+                r, d = c.inverse
+                assert mat_mul(c.rays, r) == tuple(tuple(d * x for x in row)
+                                                   for row in identity_matrix(n))
+                assert abs(d) == abs(det(c.rays))
+                dets.add(d)
+        # both signs, of |d| = 1 and of |d| > 1, and |d| up to 30
+        assert {1, -1} <= dets and min(dets) < -1 and max(map(abs, dets)) >= 30
+
+    def test_dependent_generators_take_the_double_description(self):
+        rng = random.Random(191)
+        for n in range(2, 8):
+            for _ in range(5):
+                gens = self.generators(rng, n, rng.randint(1, 9))[:n - 1]
+                a, b = rng.sample(gens, 2) if n > 2 else (gens[0], gens[0])
+                # a sum of two generators is not extremal and is dropped
+                c = cone_from_rays(gens + [tuple(x + y for x, y in zip(a, b))], n)
+                assert c.rays == tuple(sorted({primitive(g) for g in gens}))
+                assert c.dim == n - 1 and c.inverse is None
+                dual, lin = extreme_rays_by_subset_enumeration(c.rays, n)
+                assert set(c.facet_normals) == set(dual) | set(lin) | {
+                    tuple(-x for x in v) for v in lin}
+                # a generator and its negative span a line
+                with pytest.raises(NotStrictlyConvexError):
+                    cone_from_rays(gens + [tuple(-x for x in a)], n)
+
+
+class TestOneEliminationPerCone:
+    def test_projective_space_runs_one_inverse_per_cone(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        inverse = counted("inverse", lattice.scaled_inverse)
+        for module in (lattice, fan_module, roots_module):
+            monkeypatch.setattr(module, "scaled_inverse", inverse)
+        monkeypatch.setattr(lattice, "_hermite", counted("hermite", lattice._hermite))
+        fan = _projective(9)
+        assert fan.validation.ok and is_smooth(fan)
+        assert calls == {"inverse": 10}
+        calls.clear()
+        assert len(demazure_roots.__wrapped__(fan)) == 90
+        assert calls == {}
 
 
 class TestDualCone:
@@ -405,6 +492,34 @@ class TestSmoothSimplicial:
     def test_hirzebruch_smooth(self, fans):
         for a in range(4):
             assert is_smooth(fans[f"F{a}"])
+
+    def test_matches_minors_gcd(self, fans):
+        rng = random.Random(192)
+        pool = [fans[name] for name in ("P2", "P3", "P112", "F2")]
+        pool += [random_blow_up(rng, fans[base], k) for base in ("P2", "P3", "P112")
+                 for k in (1, 3, 6)]
+        pool += [transform_fan(f, random_unimodular(rng, f.rank)) for f in pool[4:]]
+        pool += [fan_from_document(parse_fan((FIXTURES / f"{name}.fan").read_text()))
+                 for name in ("P112_F9", "cube5", "P12_minus_cone")]
+        # incomplete, each with a 2-dimensional maximal cone in rank 3:
+        # saturated, then of index 2
+        orthant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        pool += [Fan(3, orthant + [(-1, 0, 0), second], [[0, 1, 2], [3, 4]])
+                 for second in ((0, -1, 0), (-1, -2, 0))]
+        verdicts = Counter()
+        for fan in pool:
+            assert fan.validation.ok
+            expected = all(minors_gcd([fan.rays[i] for i in c], len(c)) == 1
+                           for c in fan.max_cones)
+            assert is_smooth(fan) == expected, fan.rays
+            for c in fan.max_cones:
+                cone = fan.cone(c)
+                assert (cone.inverse is not None) == (len(c) == cone.dim == fan.rank)
+                verdicts[cone.inverse is not None, minors_gcd(cone.rays, len(c)) == 1] += 1
+            verdicts[expected] += 1
+        # both verdicts, and cones on both paths with both outcomes
+        assert all(verdicts[key] for key in (True, False, (True, True), (True, False),
+                                             (False, True), (False, False))), verdicts
 
 
 class TestProductFan:
