@@ -29,13 +29,14 @@ cones.  An intersection is a face of a cone when its rays are rays of
 the fan equal to their closure, the cone's rays on every facet holding
 them all, a test polynomial in the number of facets that lists no faces.
 A product fan takes its maximal cones from the factors' cones, whose
-facet normals it knows, so it runs no double description; it is still
-validated and tested for completeness like any other fan.
+facet normals and eliminations it knows, so it runs no double description
+and inverts nothing; it is still validated and tested for completeness
+like any other fan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -85,24 +86,20 @@ class Cone:
     facet_normals: vectors in M with cone = {x : <x, g> >= 0 for all g};
         includes +/- pairs spanning the annihilator of the cone's span when
         the cone is not full dimensional.
+    inverse: (R, d) with A*R = d*I for the rays A, kept by the constructor
+        that found the cone simplicial and full dimensional: cone_from_rays
+        from its one elimination, product_fan from the factors' cones.
+        None for any other cone.
     """
 
     rank: int
     rays: Mat
     facet_normals: Mat
     dim: int
+    inverse: Optional[tuple] = field(default=None, compare=False)
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(v, g) >= 0 for g in self.facet_normals)
-
-    @cached_property
-    def inverse(self) -> Optional[tuple]:
-        """(R, d) from `scaled_inverse`, A*R = d*I for the rays A, when the
-        cone is simplicial and full dimensional; None otherwise.
-        cone_from_rays keeps the elimination that gave the facet normals."""
-        if len(self.rays) != self.rank or self.dim != self.rank:
-            return None
-        return scaled_inverse(self.rays)
 
 
 @dataclass(frozen=True)
@@ -223,9 +220,10 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
     sorted rays A: the cone is simplicial, the generators are its rays,
     and its dual is the starting simplex of the double description, with
     the primitive columns of sign(d) * R as facet normals.  The cone keeps
-    (R, d) as its `inverse`.  Any other generators run the double
-    description twice: once for the dual, and once for the dual's dual,
-    which drops the non-extremal generators and finds any line.
+    (R, d) as its `inverse`, so no reader inverts it again.  Any other
+    generators run the double description twice: once for the dual, and
+    once for the dual's dual, which drops the non-extremal generators and
+    finds any line; that cone keeps no inverse.
     """
     prim = []
     seen = set()
@@ -244,9 +242,8 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         inv, det_a = scaled_inverse(gens)
         if inv is not None:
             normals = tuple(sorted(_simplex_rays(inv, det_a)))
-            cone = Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank)
-            object.__setattr__(cone, "inverse", (inv, det_a))  # seeds the cached property
-            return cone
+            return Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank,
+                        inverse=(inv, det_a))
     dual_gens, dual_lin = _cone_generators(prim, rank)
     normals = set(dual_gens)
     for b in dual_lin:
@@ -408,6 +405,17 @@ class Fan:
         return {c: tuple((g, tuple(i for i in c if not sum(map(mul, rays[i], g))))
                          for g in self.cone(c).facet_normals)
                 for c in self.max_cones}
+
+    def face_normal_sum(self, cone: tuple, face: Sequence[int]) -> Vec:
+        """u, the sum of the maximal cone's facet normals that vanish on
+        the given face of it; 0 when the face is the cone.  u lies in the
+        relative interior of sigma^v cap face^perp, so face = sigma cap
+        u^perp, and the face's dual semigroup is sigma^v cap M localised at
+        u: sigma^v cap M + Z>=0 * (-u) (Cox-Little-Schenck, Toric
+        Varieties, Prop. 1.3.16)."""
+        face = set(face)
+        normals = [g for g, killed in self._facets[cone] if face.issubset(killed)]
+        return tuple(map(sum, zip((0,) * self.rank, *normals)))
 
     def _faces_of(self, cidx: tuple) -> set:
         """The ray sets of a maximal cone's faces: the cone and the
@@ -577,10 +585,12 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     The maximal cones come from the factors' cones: for full-dimensional
     sigma and tau the cone sigma x tau has the block rays and the facet
     normals (g, 0) and (0, h) (Cox-Little-Schenck, Toric Varieties, 3.1),
-    so no double description runs on the product.  A pair with a
-    lower-dimensional cone is left to Fan.cone, since its lineality normals
-    depend on the basis.  Validation, completeness and the roots still run
-    on the product itself.
+    so no double description runs on the product.  Its A*R = d*I comes
+    from the factors' too: diag(d2*R1, d1*R2) with d = d1*d2, its columns
+    in the product cone's ray order, so nothing is inverted again.  A pair
+    with a lower-dimensional cone is left to Fan.cone, since its lineality
+    normals depend on the basis.  Validation, completeness and the roots
+    still run on the product itself.
     """
     f1.require_valid()
     f2.require_valid()
@@ -590,25 +600,35 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
 
     def blocks(f: Fan, before: int, after: int) -> list:
         """(product ray indices, padded facet normals or None when the cone
-        is not full dimensional) for each maximal cone of a factor."""
+        is not full dimensional, the cone's inverse) for each maximal cone
+        of a factor."""
         def pad(v):
             return (0,) * before + v + (0,) * after
         out = []
         for c in f.max_cones:
             cone = f.cone(c)
             normals = tuple(map(pad, cone.facet_normals)) if cone.dim == f.rank else None
-            out.append((tuple(index[pad(f.rays[i])] for i in c), normals))
+            out.append((tuple(index[pad(f.rays[i])] for i in c), normals, cone.inverse))
         return out
 
     left, right = blocks(f1, 0, n2), blocks(f2, n1, 0)
-    pf = Fan(n1 + n2, rays, [a + b for a, _ in left for b, _ in right])
-    for a, normals1 in left:
-        for b, normals2 in right:
-            if normals1 is not None and normals2 is not None:
-                key = tuple(sorted(a + b))
-                pf._cone_cache[key] = Cone(
-                    rank=n1 + n2, rays=tuple(rays[i] for i in key),
-                    facet_normals=tuple(sorted(normals1 + normals2)), dim=n1 + n2)
+    pf = Fan(n1 + n2, rays, [a + b for a, _, _ in left for b, _, _ in right])
+    for a, normals1, inv1 in left:
+        for b, normals2, inv2 in right:
+            if normals1 is None or normals2 is None:
+                continue
+            key = tuple(sorted(a + b))
+            inverse = None
+            if inv1 and inv2:
+                (r1, d1), (r2, d2) = inv1, inv2
+                rows = ([tuple(d2 * x for x in r) + (0,) * n2 for r in r1]
+                        + [(0,) * n1 + tuple(d1 * x for x in r) for r in r2])
+                order = [(a + b).index(i) for i in key]
+                inverse = (tuple(tuple(r[p] for p in order) for r in rows), d1 * d2)
+            pf._cone_cache[key] = Cone(
+                rank=n1 + n2, rays=tuple(rays[i] for i in key),
+                facet_normals=tuple(sorted(normals1 + normals2)), dim=n1 + n2,
+                inverse=inverse)
     return pf
 
 

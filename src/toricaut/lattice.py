@@ -295,10 +295,9 @@ def complete_to_unimodular(rows: Mat, n: int) -> Mat:
     h, u = _hermite(transpose(rows, n))
     if sum(1 for r in h if any(r)) != d:
         raise ValueError("rows are not linearly independent")
-    v = invert_unimodular(transpose(u))
-    t = tuple(tuple(h[i][j] for j in range(d)) for i in range(d))
-    if abs(det(t)) != 1:
+    # rows^T = U^-1 * H, so rows = T^T * V[:d] for the top block T of H and
+    # V = (U^T)^-1; the independent rows are saturated exactly when every
+    # pivot of T is 1, and then T, reduced above its pivots, is I
+    if any(h[i][i] != 1 for i in range(d)):
         raise ValueError("rows do not generate a saturated sublattice")
-    top = mat_mul(transpose(t), tuple(v[i] for i in range(d)))
-    assert top == rows
-    return top + tuple(v[i] for i in range(d, n))
+    return rows + invert_unimodular(transpose(u))[d:]

@@ -286,22 +286,6 @@ class Decomposition:
     factors: tuple
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _ray_blocks(fan: Fan) -> list:
     """Connected components of the linear matroid on the ray vectors.
 
@@ -314,19 +298,16 @@ def _ray_blocks(fan: Fan) -> list:
     basis_idx = _spanning_anchor_indices(fan)
     assert len(basis_idx) == n, "rays of a complete fan span N_R"
     inverse, _ = scaled_inverse(tuple(rays[i] for i in basis_idx))
-    uf = _UnionFind(len(rays))
+    components = [{i} for i in range(len(rays))]
     for i in range(len(rays)):
         if i in basis_idx:
             continue
         # ray i = (ray_i * R / d) * basis, so its circuit is the support of ray_i * R
         coeffs = vec_mat(rays[i], inverse)
-        support = [basis_idx[k] for k in range(n) if coeffs[k] != 0]
-        for b in support:
-            uf.union(i, b)
-    groups: dict = {}
-    for i in range(len(rays)):
-        groups.setdefault(uf.find(i), []).append(i)
-    blocks = sorted(tuple(g) for g in groups.values())
+        circuit = {i} | {basis_idx[k] for k in range(n) if coeffs[k] != 0}
+        merged = set().union(*(c for c in components if c & circuit))
+        components = [c for c in components if not c & circuit] + [merged]
+    blocks = sorted(tuple(sorted(c)) for c in components)
     assert sum(rank_of([rays[i] for i in b]) for b in blocks) == n
     return blocks
 

@@ -15,15 +15,13 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .fan import Fan, halfspace_cone_generators, require_complete
+from .fan import Fan, require_complete
 from .lattice import (
     Vec,
-    complete_to_unimodular,
     det,
     hermite_normal_form,
     is_primitive,
     pairing,
-    right_kernel_basis,
     scaled_inverse,
     vec,
     vec_add,
@@ -217,30 +215,33 @@ def _parallelepiped_points(gens: Sequence[Vec], d: int) -> set:
 
 @lru_cache(maxsize=None)
 def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
-    """Sample characters of the cone's dual, sorted: the distinct
-    q + sum c_g * g with 0 <= c_g <= height.
+    """Sample characters of the dual of a cone tau of the fan, sorted: the
+    distinct q + sum c_g * g with 0 <= c_g <= height.
 
-    The g lift the primitive generators of the dual modulo the annihilator
-    L of the cone's span (the facet normals, for a full-dimensional cone)
-    and include the +/- vectors of a basis of L; q runs over the lattice
-    points of the lifted generators' half-open parallelepipeds.  The
-    height-1 samples hold every g and q, so they generate sigma^v cap M
-    (modulo L, a dual point is the parallelepiped point of an independent
-    set of the g plus a non-negative integer combination of that set): a
-    property closed under addition holds on the dual if it holds on them.
-    The samples of a full-dimensional cone move with the fan under
-    GL(n, Z); for a lower-dimensional one only their number does not
-    depend on the basis.
+    They come from a maximal cone sigma through tau: tau itself when it is
+    maximal, and otherwise the one with the fewest samples, ties broken by
+    index.  The g are sigma's facet normals and -u, where u is the sum of
+    those normals that vanish on tau (Fan.face_normal_sum; u = 0 when
+    tau = sigma), and q runs over the lattice points of the normals'
+    half-open parallelepipeds.  The height-1 samples hold every g and q,
+    so they generate sigma^v cap M (a dual point is the parallelepiped
+    point of an independent set of normals plus a non-negative integer
+    combination of that set), and with -u they generate tau^v cap M =
+    sigma^v cap M + Z>=0 * (-u): a property closed under addition holds
+    on the dual if it holds on them.  The samples move with the fan under
+    GL(n, Z), up to the choice of sigma among those of equal count, so
+    their number does not depend on the basis.
     """
-    cone = fan.cone(cone_idx)
-    lineality = () if cone.dim == fan.rank else right_kernel_basis(cone.rays, fan.rank)
-    lift = complete_to_unimodular(lineality, fan.rank)[len(lineality):]
-    gens = cone.facet_normals if not lineality else halfspace_cone_generators(
-        [[pairing(r, w) for w in lift] for r in cone.rays], len(lift))[0]
-    sums = {vec_mat(q, lift) for q in _parallelepiped_points(gens, len(lift))}
-    for g in [vec_mat(g, lift) for g in gens] + [u for l in lineality for u in (l, vec_neg(l))]:
-        sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
-    return tuple(sorted(sums))
+    face = set(cone_idx)
+    samples = []
+    for sigma in (c for c in fan.max_cones if face.issubset(c)):
+        normals = fan.cone(sigma).facet_normals
+        u = fan.face_normal_sum(sigma, cone_idx)
+        sums = _parallelepiped_points(normals, fan.rank)
+        for g in normals + ((vec_neg(u),) if any(u) else ()):
+            sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
+        samples.append(sums)
+    return tuple(sorted(min(samples, key=len)))
 
 
 def chart_pairings(fan: Fan, cone_idx: tuple) -> tuple:
@@ -417,10 +418,7 @@ def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
     m1 = hermite_normal_form(tuple((x,) for x in rho))[1][0]
     candidates = []
     for cone_idx in charts:
-        w = (0,) * fan.rank
-        for g in fan.cone(cone_idx).facet_normals:
-            if pairing(rho, g) == 0:
-                w = vec_add(w, g)
+        w = fan.face_normal_sum(cone_idx, (root.rho_e,))
         t = max([0] + [-(pairing(fan.rays[i], m1) // pairing(fan.rays[i], w))
                        for i in cone_idx if i != root.rho_e])
         m0 = vec_add(m1, vec_scale(w, t))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from toricaut import cli
+from toricaut import cli, symbolic
 from toricaut import fan as fan_module
 from toricaut.cli import (
     FanDocument,
@@ -382,6 +382,31 @@ class TestProductCertificate:
         assert certificates[-1][0] == "product_roots"
         assert validated == [2, 4]
         assert ranks and set(ranks) == {2}
+
+    def test_no_lower_dimensional_cones(self, monkeypatch):
+        # regularity samples each face sigma' by localising a maximal cone
+        # through it, so no certificate builds a cone of less than full
+        # dimension
+        low = []
+        build = fan_module.cone_from_rays
+
+        def counted(rays, rank):
+            cone = build(rays, rank)
+            if cone.dim < rank:
+                low.append(cone.rays)
+            return cone
+
+        monkeypatch.setattr(fan_module, "cone_from_rays", counted)
+        # bypass the memo so that every face is sampled here
+        monkeypatch.setattr(symbolic, "dual_monomials", symbolic.dual_monomials.__wrapped__)
+        paths = sorted(DATA.glob("*.fan")) + [FIXTURES / f"{name}.fan" for name in (
+            "F3_conjugate", "F3_F20", "P112_F9", "Bl24P3")]
+        for path in paths:
+            doc = parse_fan(path.read_text())
+            certificates = run_certificates([(doc, fan_from_document(doc), doc.name)])
+            assert all(ok for _, _, ok, _ in certificates), path.name
+            assert low == [], path.name
+        assert len(paths) == 16
 
 
 # the subcommands that take one fan

@@ -159,6 +159,22 @@ class TestOneEliminationPerCone:
         assert len(demazure_roots.__wrapped__(fan)) == 90
         assert calls == {}
 
+    def test_product_cones_inherit_their_factors_inverse(self, fans, monkeypatch):
+        # a product of simplicial fans keeps the factors' eliminations, so
+        # its validation and roots invert nothing
+        factors = {name: f for name, f in fans.items() if f.rank <= 3}
+        assert all(f.validation.ok and is_simplicial(f) for f in factors.values())
+        counts = {name: len(demazure_roots(f)) for name, f in factors.items()}
+        calls = []
+        inverse = lattice.scaled_inverse
+        for module in (lattice, fan_module, roots_module):
+            monkeypatch.setattr(module, "scaled_inverse",
+                                lambda a: calls.append(len(a)) or inverse(a))
+        for name, f in factors.items():
+            roots = demazure_roots.__wrapped__(product_fan(f, f))
+            assert len(roots) == 2 * counts[name] and not calls, name
+        assert len(factors) == 11
+
 
 class TestDualCone:
     def test_first_orthant(self):
@@ -590,6 +606,27 @@ class TestProductCones:
             for c, cone in cached.items():
                 assert cone == built[c], (label, c)
             assert {c: pf.cone(c) for c in pf.max_cones} == built, label
+
+    def test_cached_inverses_solve_the_product_cones(self, fans):
+        # A*R = d*I and |d| = |det A| on every product cone of corpus fans
+        # up to rank 6; a non-simplicial factor gives no inverse
+        checked = 0
+        for f1 in fans.values():
+            for f2 in fans.values():
+                if f1.rank + f2.rank > 6:
+                    continue
+                pf = product_fan(f1, f2)
+                for c in pf.max_cones:
+                    cone = pf.cone(c)
+                    r, d = cone.inverse
+                    assert mat_mul(cone.rays, r) == tuple(
+                        tuple(d * x for x in row) for row in identity_matrix(pf.rank)), c
+                    assert abs(d) == abs(det(cone.rays))
+                    checked += 1
+        cube5 = fan_from_document(parse_fan((FIXTURES / "cube5.fan").read_text()))
+        for pf in (product_fan(cube5, fans["P1"]), product_fan(fans["P2"], cube5)):
+            assert all(pf.cone(c).inverse is None for c in pf.max_cones)
+        assert checked > 1000
 
     def test_fresh_fan_gets_same_verdicts(self, fans):
         for label, f1, f2 in _product_cases(fans):

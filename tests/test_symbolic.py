@@ -40,6 +40,7 @@ from util import (
     action_chart_oracle,
     classification_oracle,
     parallelepiped_points_oracle,
+    random_unimodular,
     regularity_oracle,
     semigroup_contains,
     witness_oracle,
@@ -192,14 +193,24 @@ class TestRegularity:
                         sigma_primes |= {(base, entry.sigma_prime), (fan, image.sigma_prime)}
                 count += 1
         assert count == 60
+        # P112's ray (-1, -2) lies in maximal cones of |det| 1 and 2; the
+        # small fans include seeded conjugates of P112, with face maps
+        rng = random.Random(112)
+        conjugates = []
+        for _ in range(4):
+            u = random_unimodular(rng, 2, steps=20)
+            fan = transform_fan(fans["P112"], u)
+            conjugates.append((fan, [fan.rays.index(vec_mat(r, u)) for r in fans["P112"].rays]))
         # the height-1 samples of each such sigma', and of every cone of the
         # small fans, lie in the cone's dual and generate it: every dual
         # point with entries in -2..2 is a non-negative integer combination
         small = [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]
+        small += [fan for fan, _ in conjugates]
         cones = sigma_primes | {(fan, c) for fan in small for c in fan.all_cones if c}
-        points, dims = 0, set()
+        points, dims, sizes = 0, set(), {}
         for fan, cone in cones:
             gens = dual_monomials(fan, cone, 1)
+            sizes[fan, cone] = len(gens)
             rays = [fan.rays[i] for i in cone]
             assert all(pairing(r, g) >= 0 for r in rays for g in gens)
             dims.add(len(cone))
@@ -208,7 +219,13 @@ class TestRegularity:
                     assert semigroup_contains(gens, rays, m), (fan, cone, m)
                     points += 1
         # non-pointed duals (cones of dimension 1 and 2) and pointed ones
-        assert dims == {1, 2, 3} and (len(sigma_primes), len(cones), points) == (86, 155, 3733)
+        assert dims == {1, 2, 3} and (len(sigma_primes), len(cones), points) == (86, 179, 3961)
+        # each face of P112 has as many samples as its image in a conjugate
+        for fan, index in conjugates:
+            for cone in fans["P112"].all_cones:
+                if cone:
+                    image = tuple(sorted(index[i] for i in cone))
+                    assert sizes[fan, image] == sizes[fans["P112"], cone], (fan.rays, cone)
 
     def test_height_4_oracle_on_non_roots(self, fans):
         # a non-root (e, ray) pair gets the same chart verdicts from the

@@ -435,11 +435,11 @@ def parallelepiped_points_oracle(gens, d):
 
 
 def regularity_oracle(fan, root):
-    """Reference for regularity_check on every height-4 sample instead of
-    the height-1 generators: (ok, per-chart samples_ok in max_cones order).
-    A chart without rho_e needs sigma' in the fan and each sample m of its
-    dual shifted into the chart's dual by the least k >= 0 with
-    <rho, m> + k >= 0 on the rays with <rho, e> > 0."""
+    """Reference for regularity_check on every character of sigma'^v with
+    entries in -4..4 instead of the height-1 generators: (ok, per-chart
+    samples_ok in max_cones order).  A chart without rho_e needs sigma' in
+    the fan and each such m shifted into the chart's dual by the least
+    k >= 0 with <rho, m> + k >= 0 on the rays with <rho, e> > 0."""
     ok, samples_ok = True, []
     for cone in fan.max_cones:
         values = {i: pairing(fan.rays[i], root.e) for i in cone if i != root.rho_e}
@@ -448,7 +448,7 @@ def regularity_oracle(fan, root):
         if root.rho_e not in cone:
             sigma_prime = tuple(sorted([root.rho_e] + [i for i, v in values.items() if v == 0]))
             ok = ok and sigma_prime in fan.all_cones
-            for m in dual_monomials(fan, sigma_prime, 4) if sigma_prime in fan.all_cones else ():
+            for m in _box_dual_points(fan, sigma_prime, 4) if sigma_prime in fan.all_cones else ():
                 k = max([0] + [-pairing(fan.rays[i], m) for i, v in values.items() if v > 0])
                 chart_ok = chart_ok and all(pairing(fan.rays[i], m) + k * v >= 0
                                             for i, v in values.items())
