@@ -30,7 +30,6 @@ from .lattice import (
     is_unimodular,
     pairing,
     primitive,
-    sublattice_direct_sum,
 )
 from .roots import (
     DemazureRoot,
@@ -115,7 +114,6 @@ __all__ = [
     "reconstruct",
     "regularity_check",
     "skeleton",
-    "sublattice_direct_sum",
     "wreath_order_check",
     "transform_fan",
     "validate_fan",

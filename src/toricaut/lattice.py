@@ -214,22 +214,6 @@ def span_saturation_basis(rows: Sequence[Sequence[int]], n: int) -> Mat:
     return right_kernel_basis(orth, n)
 
 
-def sublattice_direct_sum(bases: Sequence[Sequence[Sequence[int]]], n: int) -> bool:
-    """Do the concatenated basis vectors form a basis of Z^n?
-
-    Counts off by the wrong total are reported as False, not an error.
-    """
-    stacked = []
-    for b in bases:
-        for v in b:
-            if len(v) != n:
-                raise ValueError("basis vector of wrong rank")
-            stacked.append(vec(v))
-    if len(stacked) != n:
-        return False
-    return abs(det(mat(stacked))) == 1
-
-
 def scaled_inverse(a: Mat) -> tuple:
     """(R, d) with A*R = d*I and d = ±det A, all integers; (None, 0) if A
     is singular.

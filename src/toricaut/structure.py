@@ -18,17 +18,20 @@ coordinates of their saturated spans, once per search, and the anchors
 are inverted there.
 
 Decomposition seeds blocks with the connected components of the ray
-configuration's linear matroid (a circuit can never split across direct
-factors), then exhausts bipartitions of those blocks; each split is
-verified by three independent criteria and each leaf keeps the failed
-bipartitions as its indecomposability certificate.
+configuration's linear matroid, read off the fundamental circuits of one
+basis among the rays of the first maximal cone (a circuit can never split
+across direct factors), then exhausts bipartitions of those blocks.  Each
+split is verified by three criteria; one elimination of the two sides'
+stacked lattice bases decides the direct sum and gives the factors'
+coordinates.  Each leaf keeps the failed bipartitions as its
+indecomposability certificate.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -51,11 +54,10 @@ from .lattice import (
     invert_unimodular,
     mat,
     mat_mul,
-    rank_of,
     scaled_inverse,
     span_saturation_basis,
-    sublattice_direct_sum,
     vec_mat,
+    vec_scale,
 )
 from .roots import demazure_roots
 from .symbolic import lie_dimension
@@ -93,11 +95,6 @@ def _ray_profiles(fan: Fan):
             for j in face:
                 pair[i][j].append(dim)
     return [tuple(sorted(d)) for d in single], [[tuple(sorted(d)) for d in row] for row in pair]
-
-
-def _spanning_anchor_indices(fan: Fan) -> list:
-    """The rays, in order, that lie outside the span of the rays before them."""
-    return _pivots_and_kernel(fan.rays, fan.rank)[0]
 
 
 def _cone_anchor_indices(fan: Fan, single: list) -> list:
@@ -289,14 +286,16 @@ class Decomposition:
 def _ray_blocks(fan: Fan) -> list:
     """Connected components of the linear matroid on the ray vectors.
 
-    Components are computed from fundamental circuits with respect to a
-    greedy basis; a circuit always lies inside a single component, and a
-    direct-sum split of the fan can only separate whole components.
+    Components are computed from the fundamental circuits with respect to
+    one basis: the pivots of the rays of the first maximal cone, which spans
+    N_R because every maximal cone of a complete fan is full dimensional.
+    A circuit always lies inside a single component, the components do not
+    depend on the basis, and a direct-sum split of the fan can only
+    separate whole components.
     """
     rays = fan.rays
-    n = fan.rank
-    basis_idx = _spanning_anchor_indices(fan)
-    assert len(basis_idx) == n, "rays of a complete fan span N_R"
+    cone = fan.max_cones[0]
+    basis_idx = [cone[p] for p in _pivots_and_kernel([rays[i] for i in cone], fan.rank)[0]]
     inverse, _ = scaled_inverse(tuple(rays[i] for i in basis_idx))
     components = [{i} for i in range(len(rays))]
     for i in range(len(rays)):
@@ -304,12 +303,10 @@ def _ray_blocks(fan: Fan) -> list:
             continue
         # ray i = (ray_i * R / d) * basis, so its circuit is the support of ray_i * R
         coeffs = vec_mat(rays[i], inverse)
-        circuit = {i} | {basis_idx[k] for k in range(n) if coeffs[k] != 0}
+        circuit = {i} | {b for b, c in zip(basis_idx, coeffs) if c}
         merged = set().union(*(c for c in components if c & circuit))
         components = [c for c in components if not c & circuit] + [merged]
-    blocks = sorted(tuple(sorted(c)) for c in components)
-    assert sum(rank_of([rays[i] for i in b]) for b in blocks) == n
-    return blocks
+    return sorted(tuple(sorted(c)) for c in components)
 
 
 def _bipartitions(blocks: list):
@@ -328,7 +325,11 @@ def _try_split(fan: Fan, part_a: tuple, part_b: tuple):
     n = fan.rank
     basis_a = span_saturation_basis([fan.rays[i] for i in part_a], n)
     basis_b = span_saturation_basis([fan.rays[i] for i in part_b], n)
-    if not sublattice_direct_sum([basis_a, basis_b], n):
+    # each part is a union of matroid components, so the ranks add up to n
+    # and the stacked bases are square: they split Z^n exactly when d = ±1,
+    # and then their inverse is d*R
+    inverse, d = scaled_inverse(basis_a + basis_b)
+    if abs(d) != 1:
         return "direct_sum"
     closure = fan.all_cones
     set_a, set_b, pairs = set(), set(), set()
@@ -343,14 +344,13 @@ def _try_split(fan: Fan, part_a: tuple, part_b: tuple):
     if pairs != {(ca, cb) for ca in set_a for cb in set_b}:
         return "product_equality"
 
-    # the stacked bases are unimodular (checked above), so every ray's
-    # coordinates are one product with the inverse, split between the factors
-    inverse = invert_unimodular(basis_a + basis_b)
+    # every ray's coordinates in the stacked bases are one product with the
+    # inverse, split between the factors
     da = len(basis_a)
 
     def build(part, basis, cone_set, coords):
         local = {g: k for k, g in enumerate(part)}
-        rays = [vec_mat(fan.rays[i], inverse)[coords] for i in part]
+        rays = [vec_scale(vec_mat(fan.rays[i], inverse), d)[coords] for i in part]
         cones = [tuple(local[i] for i in c) for c in cone_set]
         return Fan(len(basis), rays, cones)
 
@@ -366,16 +366,8 @@ def _decompose_rec(fan: Fan) -> list:
         if isinstance(result, str):
             failures.append(BipartitionFailure(part_a, part_b, result))
             continue
-        (fan_a, basis_a), (fan_b, basis_b) = result
-        out = []
-        for sub, basis in ((fan_a, basis_a), (fan_b, basis_b)):
-            for factor in _decompose_rec(sub):
-                out.append(DecompositionFactor(
-                    fan=factor.fan,
-                    basis=mat_mul(factor.basis, basis),
-                    certified_indecomposable=factor.certified_indecomposable,
-                    certificate=factor.certificate))
-        return out
+        return [replace(factor, basis=mat_mul(factor.basis, basis))
+                for sub, basis in result for factor in _decompose_rec(sub)]
     return [DecompositionFactor(fan=fan, basis=identity_matrix(fan.rank),
                                 certified_indecomposable=True,
                                 certificate=tuple(failures))]

@@ -18,10 +18,8 @@ from toricaut.lattice import (
     primitive,
     right_kernel_basis,
     scaled_inverse,
-    sublattice_direct_sum,
     vec_add,
 )
-from toricaut.structure import _spanning_anchor_indices
 
 from util import greedy_independent_rows, minors_gcd, random_unimodular
 
@@ -184,18 +182,6 @@ class TestInvertUnimodular:
         assert invert_unimodular(()) == ()
 
 
-class TestSublatticeDirectSum:
-    def test_examples(self):
-        assert sublattice_direct_sum([[(1, 0)], [(0, 1)]], 2)
-        # det of the stacked matrix is 2: an index-2 sublattice, not a split
-        assert not sublattice_direct_sum([[(1, 0)], [(1, 2)]], 2)
-        assert not sublattice_direct_sum([[(2, 0)], [(0, 1)]], 2)
-
-    def test_wrong_count_is_false(self):
-        assert not sublattice_direct_sum([[(1, 0)]], 2)
-        assert not sublattice_direct_sum([[(1, 0)], [(0, 1)], [(1, 1)]], 2)
-
-
 class TestSaturated:
     def test_matches_the_minors_gcd(self):
         # k x n integer rows: k from 0 to n + 1 rows of small random entries,
@@ -258,7 +244,7 @@ class TestPivotRows:
     def test_anchors_are_the_greedy_rays(self):
         for n, rows in self._matrices():
             fan = Fan(n, rows, [()])
-            assert _spanning_anchor_indices(fan) == greedy_independent_rows(fan.rays), (n, rows)
+            assert _pivots_and_kernel(fan.rays, n)[0] == greedy_independent_rows(fan.rays), (n, rows)
 
     def test_lineality_is_the_right_kernel(self):
         for n, rows in self._matrices():

@@ -11,12 +11,14 @@ import pytest
 import toricaut
 from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import Fan, IncompleteFanError, is_complete, transform_fan
-from toricaut import structure
+from toricaut import lattice, structure
 from toricaut.lattice import (
     det,
     identity_matrix,
     invert_unimodular,
+    is_unimodular,
     mat_mul,
+    rank_of,
     vec_mat,
 )
 from toricaut.roots import demazure_roots
@@ -130,10 +132,11 @@ class TestAnchorInverse:
         assert out.strip() == "[]"
 
     def test_anchor_determinant_above_one(self):
-        # the anchors are the sorted rays (-1,-2), (-1,2): d = ±4
-        anchors = structure._spanning_anchor_indices(self.NON_SMOOTH)
-        assert abs(det(tuple(self.NON_SMOOTH.rays[i] for i in anchors))) == 4
-        assert len(fan_automorphisms(self.NON_SMOOTH)) == 2
+        # the search's anchors are the rays (-1,-2), (-1,2): d = ±4
+        fan = self.NON_SMOOTH
+        anchors = structure._cone_anchor_indices(fan, structure._ray_profiles(fan)[0])
+        assert abs(det(tuple(fan.rays[i] for i in anchors))) == 4
+        assert len(fan_automorphisms(fan)) == 2
 
     def test_orders_against_bijection_oracle(self, fans):
         for fan in self._fans(fans):
@@ -341,17 +344,69 @@ class TestDecompose:
             for factor in dec.factors:
                 assert fan_isomorphism(factor.fan, fans["P2"]) is not None
 
+    @staticmethod
+    def _fans(fans):
+        # cube5 is the one whose first maximal cone is not simplicial
+        documents = ("cube5.fan", "Bl24P3.fan", "P2xP2xP1_u.fan")
+        return list(fans.values()) + [fan_from_document(parse_fan((FIXTURES / d).read_text()))
+                                      for d in documents]
+
     def test_reconstruction_soundness_corpus(self, fans):
-        for name, fan in fans.items():
+        rng = random.Random(2101)
+        tested = self._fans(fans) + [random_blow_up(rng, fans[name], rng.randint(1, 6))
+                                     for name in ("P2", "P3", "P1xP2") for _ in range(3)]
+        for fan in tested:
             dec = decompose(fan)
-            assert reconstruct(dec, fan.rank) == fan, name
+            assert reconstruct(dec, fan.rank) == fan, fan
+            # the blocks are the components of the rays' matroid: their ranks
+            # add up to the rank, and a change of basis, which also changes
+            # the first maximal cone, carries them along the rays
+            blocks = structure._ray_blocks(fan)
+            assert sum(rank_of([fan.rays[i] for i in b]) for b in blocks) == fan.rank, fan
+            u = random_unimodular(rng, fan.rank)
+            image = transform_fan(fan, u)
+            index = {r: k for k, r in enumerate(image.rays)}
+            moved = sorted(tuple(sorted(index[vec_mat(fan.rays[i], u)] for i in b)) for b in blocks)
+            assert structure._ray_blocks(image) == moved, (fan, u)
+        assert any(len(fan.max_cones[0]) > fan.rank for fan in tested)
+
+    def test_one_basis_and_one_elimination_per_split(self, fans, monkeypatch):
+        # one Hermite form per block search (the first maximal cone's
+        # pivots) and no determinant: a split's inverse decides direct_sum
+        tested = self._fans(fans)
+        for fan in tested:
+            # validated before counting, so only decompose's own calls count
+            assert is_complete(fan)
+        hermite, ray_blocks = lattice._hermite, structure._ray_blocks
+        forms, dets, per_search = [], [], []
+
+        def counting_hermite(a):
+            forms.append(a)
+            return hermite(a)
+
+        def counting_ray_blocks(fan):
+            before = len(forms)
+            blocks = ray_blocks(fan)
+            per_search.append(len(forms) - before)
+            return blocks
+
+        def counting_det(a):
+            dets.append(a)
+            return det(a)
+
+        monkeypatch.setattr(lattice, "_hermite", counting_hermite)
+        monkeypatch.setattr(structure, "_ray_blocks", counting_ray_blocks)
+        for module in (lattice, structure):
+            monkeypatch.setattr(module, "det", counting_det)
+        for fan in tested:
+            decompose(fan)
+        assert dets == []
+        assert per_search == [1] * len(per_search) and len(per_search) > len(tested)
 
     def test_direct_sum_bases(self, fans):
-        from toricaut.lattice import sublattice_direct_sum
         for name in ("P1xP1", "P1xP2", "P2xP2", "P1xP1xP1"):
             dec = decompose(fans[name])
-            assert sublattice_direct_sum([f.basis for f in dec.factors],
-                                         fans[name].rank)
+            assert is_unimodular([row for f in dec.factors for row in f.basis])
 
     def test_rank0(self):
         assert decompose(Fan(0, [], [])).factors == ()
