@@ -44,9 +44,9 @@ from .structure import (
     wreath_order_check,
 )
 from .symbolic import (
+    PairingTables,
     action_additivity_check,
     action_chart_check,
-    chart_pairings,
     faithfulness_check,
     infinitesimal_check,
     regularity_check,
@@ -342,14 +342,14 @@ def run_certificates(fans) -> list:
             continue
         out.append(("complete", name, True, ""))
         roots = demazure_roots(fan)
-        ok = all(regularity_check(fan, r).ok for r in roots)
+        # one row per root and per sample, one sample set per maximal cone
+        # and height, one witness per ray, shared by every certificate
+        tables = PairingTables(fan)
+        ok = all(regularity_check(fan, r, tables).ok for r in roots)
         out.append(("regularity", name, ok, f"{len(roots)} roots"))
         # the chart conditions on the height-2 samples of the charts
-        # containing rho_e, from one table per chart; the binomial
-        # identities depend on a sample only through <rho_e, m>, so they
-        # run once per degree
-        rays = {r.rho_e for r in roots}
-        tables = {c: chart_pairings(fan, c) for c in fan.max_cones if rays.intersection(c)}
+        # containing rho_e; the binomial identities depend on a sample only
+        # through <rho_e, m>, so they run once per degree
         certs = [action_chart_check(fan, r, tables) for r in roots]
         ok = all(c.additive and all(action_additivity_check(fan, c.root, m) for _, m in c.degrees)
                  for c in certs)
@@ -357,7 +357,7 @@ def run_certificates(fans) -> list:
         ok = all(c.infinitesimal and all(infinitesimal_check(fan, c.root, m) for _, m in c.degrees)
                  for c in certs)
         out.append(("infinitesimal", name, ok, "height-2 samples"))
-        ok = all(witness_holds(fan, r, faithfulness_check(fan, r)) for r in roots)
+        ok = all(witness_holds(fan, r, faithfulness_check(fan, r, tables), tables) for r in roots)
         out.append(("faithfulness", name, ok, "witness per root"))
         out.append(("wreath_order", name, wreath_order_check(fan), ""))
     if all(ok for _, _, ok, _ in out):

@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .fan import (
+    Cone,
     Fan,
     is_complete,
     is_simplicial,
@@ -50,6 +51,7 @@ from .lattice import (
     _pivots_and_kernel,
     complete_to_unimodular,
     det,
+    hermite_normal_form,
     identity_matrix,
     invert_unimodular,
     mat,
@@ -83,17 +85,40 @@ def invariant_vector(fan: Fan) -> tuple:
             complete, nroots)
 
 
+def _multiplicity(cone: Cone, rank: int) -> int:
+    """The index in N of the lattice spanned by a full-dimensional cone's
+    rays: |d| of the elimination a simplicial cone keeps, and otherwise
+    the product of the pivots of one Hermite form of the rays.  A GL(n, Z)
+    invariant, like the 0 given to a cone of lower dimension."""
+    if cone.inverse:
+        return abs(cone.inverse[1])
+    if cone.dim < rank:
+        return 0
+    h, _ = hermite_normal_form(cone.rays)
+    return math.prod(h[i][i] for i in range(rank))
+
+
 def _ray_profiles(fan: Fan):
-    """The sorted dimensions of the faces through each ray and through each
-    ordered pair of rays, in one pass over the faces."""
+    """The sorted keys of the faces through each ray and through each
+    ordered pair of rays, in one pass over the faces.  A face's key is its
+    dimension, and a maximal cone of multiplicity d adds (rank + 1)(d - 1)
+    to it: a key above the rank encodes (dimension, d) one to one.  The
+    multiplicities separate rays whose faces match but whose cones differ
+    in the lattice: every ray of a weighted projective space P(q) lies in
+    the same number of faces of each dimension, but the maximal cone
+    without ray i has multiplicity q_i.  On a smooth fan the keys are the
+    dimensions."""
     nrays = len(fan.rays)
+    keys = dict(fan.all_cones)
+    for c in fan.max_cones:
+        keys[c] += (fan.rank + 1) * (_multiplicity(fan.cone(c), fan.rank) - 1)
     single = [[] for _ in range(nrays)]
     pair = [[[] for _ in range(nrays)] for _ in range(nrays)]
-    for face, dim in fan.all_cones.items():
+    for face, key in keys.items():
         for i in face:
-            single[i].append(dim)
+            single[i].append(key)
             for j in face:
-                pair[i][j].append(dim)
+                pair[i][j].append(key)
     return [tuple(sorted(d)) for d in single], [[tuple(sorted(d)) for d in row] for row in pair]
 
 

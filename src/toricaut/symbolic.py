@@ -4,7 +4,10 @@ law, faithfulness witnesses, homogeneous derivations and the Lie-algebra
 dimension count.
 
 All coefficients are integers (binomial coefficients), so every formula
-specializes to an arbitrary base field; no field arithmetic appears.
+specializes to an arbitrary base field; no field arithmetic appears.  The
+chart conditions are decided on integer pairing tables (PairingTables):
+one row (<rho_i, v>)_i per root character and per sampled character, one
+sample set per maximal cone and height, one witness per ray.
 """
 
 from __future__ import annotations
@@ -174,24 +177,23 @@ def action_additivity_check(fan: Fan, root: DemazureRoot, m: Sequence[int]) -> b
     C(k,i) C(k-i,j) and C(k,i+j) C(i+j,j), both the multinomial
     k! / (i! j! (k-i-j)!).  So the verdict depends on m only through k,
     and one m per k decides it for every character of that degree.
+    The character m + t*e of a term is fixed by its exponent t = i + j, so
+    the terms are indexed by (j, i, t) and no character is built.
     Whether the characters m + i*e lie in the chart's dual is the separate
     chart condition of action_chart_check.
     """
-    m = vec(m)
-    rho = fan.rays[root.rho_e]
-    k = pairing(rho, m)
+    k = pairing(fan.rays[root.rho_e], m)
     if k < 0:
         raise LocalizationRequiredError("additivity check needs <rho_e, m> >= 0")
-    e = root.e
     two_step = {}
     for i in range(k + 1):
         for j in range(k - i + 1):
-            key = (j, i, vec_add(m, vec_scale(e, i + j)))
+            key = (j, i, i + j)
             two_step[key] = two_step.get(key, 0) + math.comb(k, i) * math.comb(k - i, j)
     one_step = {}
     for t in range(k + 1):
         for a in range(t + 1):
-            key = (a, t - a, vec_add(m, vec_scale(e, t)))
+            key = (a, t - a, t)
             one_step[key] = one_step.get(key, 0) + math.comb(k, t) * math.comb(t, a)
     return two_step == one_step
 
@@ -213,6 +215,112 @@ def _parallelepiped_points(gens: Sequence[Vec], d: int) -> set:
     return points
 
 
+def _add_multiples(samples: dict, g: Vec, g_row: tuple, height: int) -> dict:
+    """The characters m + c*g, 0 <= c <= height, over the samples m, each
+    mapped to its row: row(m) + c*row(g)."""
+    return {tuple(a + c * b for a, b in zip(m, g)): tuple(a + c * b for a, b in zip(row, g_row))
+            for m, row in samples.items() for c in range(height + 1)}
+
+
+class PairingTables:
+    """Integer pairing tables of one fan, filled on demand and shared by
+    the certificates of its roots, so that each fact is computed once.
+
+    - `row(v)`: (<rho_i, v>)_i over every ray.  A root's row gives its ray
+      inequalities, its sigma' and its shifts (regularity_check), the
+      negative pairings of its chart conditions (action_chart_check) and
+      the move of its witness (witness_holds).
+    - `samples(cone, height)`: each sample m of the cone's dual
+      (dual_monomials) mapped to its row.  A maximal cone finds its
+      parallelepiped points once and its samples once per height; a face
+      sampled through a maximal cone sigma adds only the -u direction to
+      sigma's samples, row by row (m - c*u pairs to row(m) - c*row(u)).
+    - `degrees(j)`: the least height-2 sample of each degree <rho_j, m>
+      over the charts containing ray j (action_chart_check).
+    - `witness(j)`: the witness character and chart of ray j
+      (faithfulness_check), from one Hermite form per ray.
+
+    check builds one per fan and passes it to every certificate; a
+    certificate called without one builds its own.
+    """
+
+    def __init__(self, fan: Fan):
+        self.fan = fan
+        self._rows = {}
+        self._parallelepipeds = {}
+        self._samples = {}
+        self._degrees = {}
+        self._witnesses = {}
+
+    def row(self, v: Vec) -> tuple:
+        row = self._rows.get(v)
+        if row is None:
+            row = self._rows[v] = tuple(sum(a * b for a, b in zip(r, v)) for r in self.fan.rays)
+        return row
+
+    def samples(self, cone_idx: tuple, height: int) -> dict:
+        key = (cone_idx, height)
+        found = self._samples.get(key)
+        if found is None:
+            found = self._samples[key] = (self._cone_samples(cone_idx, height)
+                                          if cone_idx in self.fan.max_cones
+                                          else self._face_samples(cone_idx, height))
+        return found
+
+    def _cone_samples(self, sigma: tuple, height: int) -> dict:
+        fan = self.fan
+        normals = fan.cone(sigma).facet_normals
+        points = self._parallelepipeds.get(sigma)
+        if points is None:
+            points = self._parallelepipeds[sigma] = _parallelepiped_points(normals, fan.rank)
+        samples = {m: self.row(m) for m in points}
+        for g in normals:
+            samples = _add_multiples(samples, g, self.row(g), height)
+        return samples
+
+    def _face_samples(self, face: tuple, height: int) -> dict:
+        options = []
+        for sigma in (c for c in self.fan.max_cones if set(face).issubset(c)):
+            samples = self.samples(sigma, height)
+            u = vec_neg(self.fan.face_normal_sum(sigma, face))
+            if any(u):
+                samples = _add_multiples(samples, u, self.row(u), height)
+            options.append(samples)
+        return min(options, key=len)
+
+    def degrees(self, j: int) -> tuple:
+        found = self._degrees.get(j)
+        if found is None:
+            least = {}
+            for cone_idx in self.fan.max_cones:
+                if j in cone_idx:
+                    for m, row in self.samples(cone_idx, 2).items():
+                        if row[j] not in least or m < least[row[j]]:
+                            least[row[j]] = m
+            found = self._degrees[j] = tuple(sorted(least.items()))
+        return found
+
+    def witness(self, j: int) -> tuple:
+        found = self._witnesses.get(j)
+        if found is None:
+            fan = self.fan
+            charts = [c for c in fan.max_cones if j in c]
+            if not charts:
+                raise ValueError("distinguished ray lies in no maximal cone")
+            m1 = hermite_normal_form(tuple((x,) for x in fan.rays[j]))[1][0]
+            at = self.row(m1)
+            candidates = []
+            for cone_idx in charts:
+                w = fan.face_normal_sum(cone_idx, (j,))
+                along = self.row(w)
+                t = max([0] + [-(at[i] // along[i]) for i in cone_idx if i != j])
+                m0 = vec_add(m1, vec_scale(w, t))
+                candidates.append((sum(abs(x) for x in m0), m0, cone_idx))
+            _, m0, cone_idx = min(candidates)
+            found = self._witnesses[j] = (m0, cone_idx)
+        return found
+
+
 @lru_cache(maxsize=None)
 def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     """Sample characters of the dual of a cone tau of the fan, sorted: the
@@ -230,27 +338,10 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     sigma^v cap M + Z>=0 * (-u): a property closed under addition holds
     on the dual if it holds on them.  The samples move with the fan under
     GL(n, Z), up to the choice of sigma among those of equal count, so
-    their number does not depend on the basis.
+    their number does not depend on the basis.  PairingTables computes
+    them, with their pairings with the rays.
     """
-    face = set(cone_idx)
-    samples = []
-    for sigma in (c for c in fan.max_cones if face.issubset(c)):
-        normals = fan.cone(sigma).facet_normals
-        u = fan.face_normal_sum(sigma, cone_idx)
-        sums = _parallelepiped_points(normals, fan.rank)
-        for g in normals + ((vec_neg(u),) if any(u) else ()):
-            sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
-        samples.append(sums)
-    return tuple(sorted(min(samples, key=len)))
-
-
-def chart_pairings(fan: Fan, cone_idx: tuple) -> tuple:
-    """The height-2 samples m of the cone's dual, sorted, each with its
-    pairings <rho_i, m> over the cone's rays in order: one table decides
-    the chart conditions of every root whose rho_e lies in the cone."""
-    rays = [fan.rays[i] for i in cone_idx]
-    return tuple((m, tuple(sum(a * b for a, b in zip(r, m)) for r in rays))
-                 for m in dual_monomials(fan, cone_idx, 2))
+    return tuple(sorted(PairingTables(fan).samples(cone_idx, height)))
 
 
 @dataclass(frozen=True)
@@ -266,7 +357,8 @@ class ActionChartCertificate:
     infinitesimal: bool
 
 
-def action_chart_check(fan: Fan, root: DemazureRoot, tables: dict) -> ActionChartCertificate:
+def action_chart_check(fan: Fan, root: DemazureRoot,
+                       tables: Optional[PairingTables] = None) -> ActionChartCertificate:
     """Decide the conditions under which the root's action and derivation
     keep the algebra of each chart sigma containing rho_e.
 
@@ -282,27 +374,26 @@ def action_chart_check(fan: Fan, root: DemazureRoot, tables: dict) -> ActionChar
     height-1 samples, which generate sigma^v cap M (dual_monomials), so
     both verdicts hold for every character of the chart.
 
-    `tables` maps charts to their chart_pairings, so that roots sharing a
-    chart share its table; the charts in it that contain rho_e are read.
-    A ray rho_i of sigma can fail a condition only when <rho_i, e> < 0.
+    Both are read off integer rows: with the root's row c_i = <rho_i, e>,
+    the sample row r_i = <rho_i, m> and k = r_{rho_e}, a ray rho_i of
+    sigma needs r_i + k*c_i >= 0 and, when k >= 1, r_i + c_i >= 0; only
+    rays with c_i < 0 can fail.
     """
-    rho_e, e = root.rho_e, root.e
-    degrees = {}
+    tables = PairingTables(fan) if tables is None else tables
+    rho_e, values = root.rho_e, tables.row(root.e)
     additive = infinitesimal = True
-    for cone_idx, rows in tables.items():
+    for cone_idx in fan.max_cones:
         if rho_e not in cone_idx:
             continue
-        at = cone_idx.index(rho_e)
-        negative = [(i, c) for i, c in enumerate(pairing(fan.rays[j], e) for j in cone_idx)
-                    if c < 0]
-        additive = additive and all(row[i] + row[at] * c >= 0
-                                    for _, row in rows for i, c in negative)
+        negative = [(i, values[i]) for i in cone_idx if values[i] < 0]
+        if not negative:
+            continue
+        rows = tables.samples(cone_idx, 2).values()
+        additive = additive and all(row[i] + row[rho_e] * c >= 0
+                                    for row in rows for i, c in negative)
         infinitesimal = infinitesimal and all(row[i] + c >= 0
-                                              for _, row in rows if row[at] for i, c in negative)
-        for m, row in rows:
-            if row[at] not in degrees or m < degrees[row[at]]:
-                degrees[row[at]] = m
-    return ActionChartCertificate(root=root, degrees=tuple(sorted(degrees.items())),
+                                              for row in rows if row[rho_e] for i, c in negative)
+    return ActionChartCertificate(root=root, degrees=tables.degrees(rho_e),
                                   additive=additive, infinitesimal=infinitesimal)
 
 
@@ -345,7 +436,8 @@ class RegularityCertificate:
         return all(entry.ok for entry in self.entries)
 
 
-def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
+def regularity_check(fan: Fan, root: DemazureRoot,
+                     tables: Optional[PairingTables] = None) -> RegularityCertificate:
     """Certify that the root-subgroup action is regular on every chart.
 
     On a chart sigma without rho_e, each m in the dual of sigma' is moved
@@ -355,35 +447,39 @@ def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
     the others k(a+b) <= k(a) + k(b) does no harm.  So the height-1
     samples of sigma'^v, which generate sigma'^v cap M, decide the test
     for every character.
+
+    Everything is read off integer rows: the root's row c_i = <rho_i, e>
+    gives the ray inequalities and sigma', and a sample's row r_i =
+    <rho_i, m> gives k(m) = max(0, -r_i) over the rays with c_i > 0 and
+    the test r_i + k(m)*c_i >= 0 on the rays of sigma.
     """
     require_complete(fan, "regularity certificates need a complete fan")
-    e = root.e
+    tables = PairingTables(fan) if tables is None else tables
+    rho_e, values = root.rho_e, tables.row(root.e)
     entries = []
     for cone_idx in fan.max_cones:
-        if root.rho_e in cone_idx:
-            ok = all(pairing(fan.rays[i], e) >= 0
-                     for i in cone_idx if i != root.rho_e)
+        if rho_e in cone_idx:
+            ok = all(values[i] >= 0 for i in cone_idx if i != rho_e)
             entries.append(ConeChartCertificate(
                 cone=cone_idx, contains_distinguished_ray=True,
                 ray_inequalities_ok=ok, sigma_prime=None, sigma_prime_in_fan=None,
                 samples_checked=0, samples_ok=True))
             continue
-        values = {i: pairing(fan.rays[i], e) for i in cone_idx}
-        ok = all(v >= 0 for v in values.values())
-        sigma_prime = tuple(sorted([root.rho_e] + [i for i, v in values.items() if v == 0]))
+        ok = all(values[i] >= 0 for i in cone_idx)
+        sigma_prime = tuple(sorted([rho_e] + [i for i in cone_idx if values[i] == 0]))
         in_fan = sigma_prime in fan.all_cones
+        rows = tables.samples(sigma_prime, 1).values() if in_fan else ()
+        positive = [i for i in cone_idx if values[i] > 0]
         samples_ok = True
-        samples = dual_monomials(fan, sigma_prime, 1) if in_fan else ()
-        for m in samples:
-            shift = max([0] + [-pairing(fan.rays[i], m)
-                               for i, v in values.items() if v > 0])
-            shifted = vec_add(m, vec_scale(e, shift))
-            if not all(pairing(fan.rays[i], shifted) >= 0 for i in cone_idx):
+        for row in rows:
+            shift = max([0] + [-row[i] for i in positive])
+            if any(row[i] + shift * values[i] < 0 for i in cone_idx):
                 samples_ok = False
+                break
         entries.append(ConeChartCertificate(
             cone=cone_idx, contains_distinguished_ray=False,
             ray_inequalities_ok=ok, sigma_prime=sigma_prime,
-            sigma_prime_in_fan=in_fan, samples_checked=len(samples),
+            sigma_prime_in_fan=in_fan, samples_checked=len(rows),
             samples_ok=samples_ok))
     return RegularityCertificate(root=root, entries=tuple(entries))
 
@@ -399,7 +495,8 @@ class WitnessMonomial:
     witness_character: Vec
 
 
-def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
+def faithfulness_check(fan: Fan, root: DemazureRoot,
+                       tables: Optional[PairingTables] = None) -> WitnessMonomial:
     """Construct a witness monomial for the root.
 
     Since rho_e is primitive, some m1 has <rho_e, m1> = 1: the first row
@@ -408,27 +505,18 @@ def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
     sigma vanishing on rho_e lies in the relative interior of the face
     sigma^v cap rho_e^perp, so <r, w> > 0 for every other ray r of sigma;
     the least t >= 0 with m1 + t*w in sigma^v gives a witness.  The
-    result minimizes (L1 norm, m0, cone) over the charts.
+    result minimizes (L1 norm, m0, cone) over the charts.  It depends on
+    the ray alone, so the tables keep it per ray (PairingTables.witness).
     """
     fan.require_valid()
-    charts = [c for c in fan.max_cones if root.rho_e in c]
-    if not charts:
-        raise ValueError("distinguished ray lies in no maximal cone")
-    rho = fan.rays[root.rho_e]
-    m1 = hermite_normal_form(tuple((x,) for x in rho))[1][0]
-    candidates = []
-    for cone_idx in charts:
-        w = fan.face_normal_sum(cone_idx, (root.rho_e,))
-        t = max([0] + [-(pairing(fan.rays[i], m1) // pairing(fan.rays[i], w))
-                       for i in cone_idx if i != root.rho_e])
-        m0 = vec_add(m1, vec_scale(w, t))
-        candidates.append((sum(abs(x) for x in m0), m0, cone_idx))
-    _, m0, cone_idx = min(candidates)
+    tables = PairingTables(fan) if tables is None else tables
+    m0, cone_idx = tables.witness(root.rho_e)
     return WitnessMonomial(m0=m0, cone=cone_idx, witness_s_exp=1,
                            witness_character=vec_add(m0, root.e))
 
 
-def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial) -> bool:
+def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial,
+                  tables: Optional[PairingTables] = None) -> bool:
     """Does the witness show that the root subgroup acts faithfully?
 
     It does when its chart sigma contains rho_e, <rho_e, m0> = 1, and both
@@ -436,12 +524,12 @@ def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial) -> boo
     chi^m0 + s*chi^(m0+e), whose s-term is a nonzero regular function on
     the chart.  m0 + e leaves sigma^v when e pairs below -1 with rho_e or
     negatively with another ray of sigma, so a non-root can fail here.
+    The pairings with m0 + e are the sums of the rows of m0 and of e.
     """
-    shifted = vec_add(witness.m0, root.e)
-    return (root.rho_e in witness.cone
-            and pairing(fan.rays[root.rho_e], witness.m0) == 1
-            and all(pairing(fan.rays[i], witness.m0) >= 0 and pairing(fan.rays[i], shifted) >= 0
-                    for i in witness.cone))
+    tables = PairingTables(fan) if tables is None else tables
+    at, values = tables.row(witness.m0), tables.row(root.e)
+    return (root.rho_e in witness.cone and at[root.rho_e] == 1
+            and all(at[i] >= 0 and at[i] + values[i] >= 0 for i in witness.cone))
 
 
 @dataclass(frozen=True)

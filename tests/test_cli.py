@@ -397,8 +397,6 @@ class TestProductCertificate:
             return cone
 
         monkeypatch.setattr(fan_module, "cone_from_rays", counted)
-        # bypass the memo so that every face is sampled here
-        monkeypatch.setattr(symbolic, "dual_monomials", symbolic.dual_monomials.__wrapped__)
         paths = sorted(DATA.glob("*.fan")) + [FIXTURES / f"{name}.fan" for name in (
             "F3_conjugate", "F3_F20", "P112_F9", "Bl24P3")]
         for path in paths:
@@ -407,6 +405,43 @@ class TestProductCertificate:
             assert all(ok for _, _, ok, _ in certificates), path.name
             assert low == [], path.name
         assert len(paths) == 16
+
+
+class TestCertificateTables:
+    """check computes each per-ray and per-cone fact of its certificates
+    once per fan: one Hermite form for m1 per ray that has a root, and one
+    parallelepiped per maximal cone."""
+
+    def test_one_m1_per_ray_and_one_parallelepiped_per_cone(self, monkeypatch):
+        columns, boxes = [], []
+        hermite, points = symbolic.hermite_normal_form, symbolic._parallelepiped_points
+
+        def counted_hermite(a):
+            if all(len(row) == 1 for row in a):  # a ray written as a column: m1
+                columns.append(tuple(row[0] for row in a))
+            return hermite(a)
+
+        monkeypatch.setattr(symbolic, "hermite_normal_form", counted_hermite)
+        monkeypatch.setattr(symbolic, "_parallelepiped_points",
+                            lambda gens, d: boxes.append(tuple(gens)) or points(gens, d))
+        # bypass any memo of sample sets, so that each is counted here
+        monkeypatch.setattr(symbolic, "dual_monomials", symbolic.dual_monomials.__wrapped__)
+        paths = sorted(DATA.glob("*.fan")) + [FIXTURES / f"{name}.fan" for name in (
+            "F3_conjugate", "F3_F20", "P112_F9", "Bl24P3", "P2xP2xP1_u")]
+        totals = [0, 0]
+        for path in paths:
+            doc = parse_fan(path.read_text())
+            fan = fan_from_document(doc)
+            columns.clear()
+            boxes.clear()
+            certificates = run_certificates([(doc, fan, doc.name)])
+            assert all(ok for _, _, ok, _ in certificates), path.name
+            rays = {fan.rays[r.rho_e] for r in demazure_roots(fan)}
+            assert len(columns) == len(set(columns)) and set(columns) <= rays, path.name
+            assert len(boxes) == len(set(boxes)) <= len(fan.max_cones), path.name
+            totals[0] += len(columns)
+            totals[1] += len(boxes)
+        assert len(paths) == 17 and totals == [63, 84]
 
 
 # the subcommands that take one fan

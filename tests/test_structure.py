@@ -40,6 +40,7 @@ from util import (
     random_blow_up,
     random_complete_fan_rank2,
     random_unimodular,
+    weighted_projective_fan,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -132,10 +133,14 @@ class TestAnchorInverse:
         assert out.strip() == "[]"
 
     def test_anchor_determinant_above_one(self):
-        # the search's anchors are the rays (-1,-2), (-1,2): d = ±4
+        # the multiplicities in the ray profiles set (1, 0), whose cones
+        # both have multiplicity 2, apart from (-1, ±2): the anchors are the
+        # rays (-1, -2), (1, 0) of the first cone with fewest candidate
+        # images, d = ±2
         fan = self.NON_SMOOTH
         anchors = structure._cone_anchor_indices(fan, structure._ray_profiles(fan)[0])
-        assert abs(det(tuple(fan.rays[i] for i in anchors))) == 4
+        assert [fan.rays[i] for i in anchors] == [(-1, -2), (1, 0)]
+        assert abs(det(tuple(fan.rays[i] for i in anchors))) == 2
         assert len(fan_automorphisms(fan)) == 2
 
     def test_orders_against_bijection_oracle(self, fans):
@@ -250,6 +255,22 @@ class TestConeAnchors:
             calls.clear()
             fan_automorphisms.__wrapped__(fan)
             assert len(calls) <= 2 * len(fan.max_cones), times
+
+    def test_weighted_projective_spaces_test_few_leaves(self, monkeypatch):
+        # every ray of P(q) lies in the same number of faces of each
+        # dimension, so the face profiles alone tested all (n+1)! leaves
+        # (5,040 on P(1,1,2,2,3,3,4)); the maximal cones' multiplicities q_i
+        # leave one leaf per automorphism, the same in a seeded basis
+        calls = self._count_leaves(monkeypatch)
+        rng = random.Random(7)
+        for q, order in (((1, 1, 2, 2, 3, 3, 4), 8), ((1, 1, 2, 2, 3, 3, 4, 4, 5), 16),
+                         (tuple(range(1, 9)), 1)):
+            fan = weighted_projective_fan(q)
+            conjugate = transform_fan(fan, random_unimodular(rng, fan.rank))
+            for f in (fan, conjugate):
+                calls.clear()
+                assert len(fan_automorphisms.__wrapped__(f)) == order, q
+                assert len(calls) == order, q
 
 
 class TestOneFramePerSearch:

@@ -1,9 +1,11 @@
+import pathlib
 import random
 from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
 
+from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import Fan, transform_fan
 from toricaut.lattice import (
     invert_unimodular,
@@ -22,9 +24,9 @@ from toricaut.symbolic import (
     GradedLaurentPoly,
     HomogeneousDerivation,
     LocalizationRequiredError,
+    PairingTables,
     action_additivity_check,
     action_chart_check,
-    chart_pairings,
     comorphism_apply,
     derivation_apply,
     derivation_classification_check,
@@ -37,12 +39,16 @@ from toricaut.symbolic import (
 )
 
 from util import (
+    action_chart_by_vectors,
     action_chart_oracle,
     classification_oracle,
+    dual_samples_by_vectors,
     parallelepiped_points_oracle,
     random_unimodular,
+    regularity_by_vectors,
     regularity_oracle,
     semigroup_contains,
+    witness_by_vectors,
     witness_oracle,
 )
 
@@ -291,6 +297,20 @@ class TestDualMonomials:
                         count += 1
         assert count > 1000
 
+    def test_matches_the_vector_form(self, fans):
+        # a face's samples are its maximal cone's with -u added row by row;
+        # the same set as adding every generator to the parallelepiped
+        # points at once
+        count = 0
+        for fan in [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]:
+            for cone in fan.all_cones:
+                if cone:
+                    for height in (1, 2):
+                        assert dual_monomials(fan, cone, height) == dual_samples_by_vectors(
+                            fan, cone, height), (fan, cone, height)
+                        count += 1
+        assert count == 240
+
     def test_equivariant_under_large_bases(self, fans):
         count = 0
         for base, fan, cone_map, char_map in large_basis_conjugates(fans, (2, 3)):
@@ -300,6 +320,71 @@ class TestDualMonomials:
                     assert list(dual_monomials(fan, cone_map(cone), height)) == image
                     count += 1
         assert count == 88
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+
+def oracle_fans(fans):
+    """The corpus, the complete simplicial fixtures, NON_SMOOTH and seeded
+    conjugates of the rank-2 and rank-3 corpus fans."""
+    out = list(fans.values()) + [NON_SMOOTH]
+    out += [fan_from_document(parse_fan((FIXTURES / f"{name}.fan").read_text()))
+            for name in ("F3_conjugate", "F3_F20", "P112_F9", "Bl24P3", "P2xP2xP1_u")]
+    rng = random.Random(22)
+    for name in ("P2", "F1", "F3", "P112", "P3", "P1xP2"):
+        base = fans[name]
+        out.append(transform_fan(base, random_unimodular(rng, base.rank, steps=12)))
+    return out
+
+
+def negative_controls(fan, roots):
+    """(e + s*u, ray) for each root (e, ray), sign s and unit vector u, when
+    e + s*u is the character of no root."""
+    characters = {r.e for r in roots}
+    out = set()
+    for root in roots:
+        for k, s in iproduct(range(fan.rank), (1, -1)):
+            e = tuple(x + s * (i == k) for i, x in enumerate(root.e))
+            if e not in characters:
+                out.add(DemazureRoot(e=e, rho_e=root.rho_e))
+    return sorted(out, key=DemazureRoot.sort_key)
+
+
+class TestPairingTables:
+    """The certificates read off integer pairing tables agree with the same
+    certificates evaluated on vectors (tests/util.py): every regularity
+    entry, the chart verdicts and degrees, and every witness, on roots and
+    on non-roots, whose verdicts fail."""
+
+    def test_matches_the_vector_form(self, fans):
+        checked, controlled, verdicts = 0, 0, {}
+        for fan in oracle_fans(fans):
+            roots = demazure_roots(fan)
+            controls = negative_controls(fan, roots)
+            tables = PairingTables(fan)
+            for root in list(roots) + controls:
+                regularity = regularity_check(fan, root, tables)
+                assert regularity == regularity_by_vectors(fan, root), (fan, root)
+                chart = action_chart_check(fan, root, tables)
+                assert chart == action_chart_by_vectors(fan, root, fan.max_cones), (fan, root)
+                witness = faithfulness_check(fan, root, tables)
+                holds = witness_holds(fan, root, witness, tables)
+                assert (witness, holds) == witness_by_vectors(fan, root), (fan, root)
+                # the certificates called without tables build their own
+                assert regularity == regularity_check(fan, root)
+                assert chart == action_chart_check(fan, root)
+                assert witness == faithfulness_check(fan, root)
+                assert holds == witness_holds(fan, root, witness)
+                if root in controls:
+                    for name, ok in (("regularity", regularity.ok), ("additive", chart.additive),
+                                     ("infinitesimal", chart.infinitesimal),
+                                     ("faithfulness", holds)):
+                        verdicts.setdefault(name, set()).add(ok)
+                checked += 1
+            controlled += len(controls)
+        assert (checked - controlled, controlled) == (147, 671)
+        assert all(seen == {True, False} for seen in verdicts.values()), verdicts
 
 
 class TestAdditivity:
@@ -449,7 +534,7 @@ class TestActionChartCheck:
 
     def test_roots_pass_with_least_sample_per_degree(self, fans):
         for fan in list(fans.values()) + [NON_SMOOTH]:
-            tables = {c: chart_pairings(fan, c) for c in fan.max_cones}
+            tables = PairingTables(fan)
             for root in demazure_roots(fan):
                 cert = action_chart_check(fan, root, tables)
                 assert cert.additive and cert.infinitesimal, (fan, root)
@@ -468,7 +553,7 @@ class TestActionChartCheck:
         checked, failed = 0, {"additive": 0, "infinitesimal": 0}
         for fan in [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]:
             roots = set(demazure_roots(fan))
-            tables = {c: chart_pairings(fan, c) for c in fan.max_cones}
+            tables = PairingTables(fan)
             for e in iproduct(range(-2, 3), repeat=fan.rank):
                 for j in range(len(fan.rays)):
                     root = DemazureRoot(e=e, rho_e=j)
@@ -476,12 +561,12 @@ class TestActionChartCheck:
                         continue
                     charts = []
                     for cone in (c for c in fan.max_cones if j in c):
-                        cert = action_chart_check(fan, root, {cone: tables[cone]})
+                        cert = action_chart_by_vectors(fan, root, (cone,))
                         charts.append((cert.additive, cert.infinitesimal))
                         assert charts[-1] == action_chart_oracle(fan, root, cone), (fan, root, cone)
                         failed["additive"] += not cert.additive
                         failed["infinitesimal"] += not cert.infinitesimal
-                    # the shared tables give the conjunction over the charts
+                    # the tables give the conjunction over the charts
                     whole = action_chart_check(fan, root, tables)
                     assert (whole.additive, whole.infinitesimal) == tuple(map(all, zip(*charts)))
                     checked += 1

@@ -15,7 +15,9 @@ from toricaut.fan import (
     is_complete,
 )
 from toricaut.lattice import (
+    complete_to_unimodular,
     det,
+    hermite_normal_form,
     identity_matrix,
     invert_unimodular,
     mat,
@@ -29,10 +31,18 @@ from toricaut.lattice import (
     vec_add,
     vec_mat,
     vec_neg,
+    vec_scale,
 )
 from toricaut.roots import DemazureRoot, RootPolytope, root_ray_index
 from toricaut.structure import FanIsomorphism
-from toricaut.symbolic import dual_monomials
+from toricaut.symbolic import (
+    ActionChartCertificate,
+    ConeChartCertificate,
+    RegularityCertificate,
+    WitnessMonomial,
+    _parallelepiped_points,
+    dual_monomials,
+)
 
 
 def solve_left(a, b):
@@ -133,6 +143,17 @@ def random_unimodular(rng, n, steps=8):
     result = mat(m)
     assert abs(det(result)) == 1
     return result
+
+
+def weighted_projective_fan(q):
+    """The fan of the weighted projective space P(q): N = Z^(n+1) / Z*q,
+    written in coordinates by a unimodular V whose first row is q, so that
+    ray i, the image of e_i, is row i of V^-1 without its first entry.  The
+    maximal cones are the n-subsets of the n + 1 rays, and the one without
+    ray i has multiplicity q_i."""
+    n = len(q) - 1
+    inverse = invert_unimodular(complete_to_unimodular((tuple(q),), n + 1))
+    return Fan(n, [row[1:] for row in inverse], list(combinations(range(n + 1), n)))
 
 
 def cube_fan(n):
@@ -531,3 +552,106 @@ def semigroup_contains(gens, rays, m):
                 seen.add(y)
                 stack.append(y)
     return False
+
+
+# -- the certificates evaluated on vectors ----------------------------------
+#
+# References for the table-based certificates of toricaut.symbolic: every
+# sample is a character m, every pairing is computed from m and a ray, and
+# every root gets its own Hermite form for m1.
+
+
+@lru_cache(maxsize=None)
+def dual_samples_by_vectors(fan, cone_idx, height):
+    """Reference for dual_monomials: for each maximal cone sigma through the
+    cone, the distinct q + sum c_g * g, 0 <= c_g <= height, over sigma's
+    facet normals and -u (u = Fan.face_normal_sum) at once, q over the
+    normals' parallelepiped points; the smallest set, first by index."""
+    samples = []
+    for sigma in (c for c in fan.max_cones if set(cone_idx).issubset(c)):
+        normals = fan.cone(sigma).facet_normals
+        u = fan.face_normal_sum(sigma, cone_idx)
+        sums = _parallelepiped_points(normals, fan.rank)
+        for g in normals + ((vec_neg(u),) if any(u) else ()):
+            sums = {vec_add(m, vec_scale(g, c)) for m in sums for c in range(height + 1)}
+        samples.append(sums)
+    return tuple(sorted(min(samples, key=len)))
+
+
+def regularity_by_vectors(fan, root):
+    """Reference for regularity_check: each height-1 sample m of sigma'^v is
+    shifted to m + k*e and paired with the chart's rays."""
+    e = root.e
+    entries = []
+    for cone_idx in fan.max_cones:
+        if root.rho_e in cone_idx:
+            ok = all(pairing(fan.rays[i], e) >= 0 for i in cone_idx if i != root.rho_e)
+            entries.append(ConeChartCertificate(
+                cone=cone_idx, contains_distinguished_ray=True,
+                ray_inequalities_ok=ok, sigma_prime=None, sigma_prime_in_fan=None,
+                samples_checked=0, samples_ok=True))
+            continue
+        values = {i: pairing(fan.rays[i], e) for i in cone_idx}
+        ok = all(v >= 0 for v in values.values())
+        sigma_prime = tuple(sorted([root.rho_e] + [i for i, v in values.items() if v == 0]))
+        in_fan = sigma_prime in fan.all_cones
+        samples = dual_samples_by_vectors(fan, sigma_prime, 1) if in_fan else ()
+        samples_ok = True
+        for m in samples:
+            shift = max([0] + [-pairing(fan.rays[i], m) for i, v in values.items() if v > 0])
+            shifted = vec_add(m, vec_scale(e, shift))
+            samples_ok = samples_ok and all(pairing(fan.rays[i], shifted) >= 0 for i in cone_idx)
+        entries.append(ConeChartCertificate(
+            cone=cone_idx, contains_distinguished_ray=False,
+            ray_inequalities_ok=ok, sigma_prime=sigma_prime,
+            sigma_prime_in_fan=in_fan, samples_checked=len(samples),
+            samples_ok=samples_ok))
+    return RegularityCertificate(root=root, entries=tuple(entries))
+
+
+def action_chart_by_vectors(fan, root, charts):
+    """Reference for action_chart_check on the given charts: the height-2
+    samples m of each chart containing rho_e, the characters m + k*e and,
+    when k = <rho_e, m> >= 1, m + e paired with the chart's rays, and the
+    least m of each degree k."""
+    rho = fan.rays[root.rho_e]
+    degrees = {}
+    additive = infinitesimal = True
+    for cone_idx in charts:
+        if root.rho_e not in cone_idx:
+            continue
+        rays = [fan.rays[i] for i in cone_idx]
+        for m in dual_samples_by_vectors(fan, cone_idx, 2):
+            k = pairing(rho, m)
+            additive = additive and all(
+                pairing(r, vec_add(m, vec_scale(root.e, k))) >= 0 for r in rays)
+            infinitesimal = infinitesimal and (k == 0 or all(
+                pairing(r, vec_add(m, root.e)) >= 0 for r in rays))
+            if k not in degrees or m < degrees[k]:
+                degrees[k] = m
+    return ActionChartCertificate(root=root, degrees=tuple(sorted(degrees.items())),
+                                  additive=additive, infinitesimal=infinitesimal)
+
+
+def witness_by_vectors(fan, root):
+    """Reference for faithfulness_check and witness_holds: m1 from a Hermite
+    form of this root's ray, moved into each chart's dual along the sum w of
+    the chart's facet normals vanishing on the ray; the least (L1 norm, m0,
+    chart), and whether m0 and m0 + e lie in that chart's dual with
+    <rho_e, m0> = 1."""
+    rho = fan.rays[root.rho_e]
+    m1 = hermite_normal_form(tuple((x,) for x in rho))[1][0]
+    candidates = []
+    for cone_idx in (c for c in fan.max_cones if root.rho_e in c):
+        w = fan.face_normal_sum(cone_idx, (root.rho_e,))
+        t = max([0] + [-(pairing(fan.rays[i], m1) // pairing(fan.rays[i], w))
+                       for i in cone_idx if i != root.rho_e])
+        m0 = vec_add(m1, vec_scale(w, t))
+        candidates.append((sum(abs(x) for x in m0), m0, cone_idx))
+    _, m0, cone_idx = min(candidates)
+    witness = WitnessMonomial(m0=m0, cone=cone_idx, witness_s_exp=1,
+                              witness_character=vec_add(m0, root.e))
+    holds = pairing(rho, m0) == 1 and all(
+        pairing(fan.rays[i], m0) >= 0 and pairing(fan.rays[i], vec_add(m0, root.e)) >= 0
+        for i in cone_idx)
+    return witness, holds
