@@ -28,20 +28,20 @@ or incomplete fan falls back to intersecting every pair of maximal
 cones.  An intersection is a face of a cone when its rays are rays of
 the fan equal to their closure, the cone's rays on every facet holding
 them all, a test polynomial in the number of facets that lists no faces.
-A product fan takes its maximal cones from the factors' cones, whose
-facet normals and eliminations it knows, so it runs no double description
-and inverts nothing; it is still validated and tested for completeness
-like any other fan.
+A product fan takes its maximal cones and its facets table from the
+factors' cones, whose facet normals, killed rays and eliminations it
+knows, so it runs no double description and inverts nothing; it is still
+validated and tested for completeness like any other fan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .lattice import (
     Mat,
@@ -86,17 +86,25 @@ class Cone:
     facet_normals: vectors in M with cone = {x : <x, g> >= 0 for all g};
         includes +/- pairs spanning the annihilator of the cone's span when
         the cone is not full dimensional.
-    inverse: (R, d) with A*R = d*I for the rays A, kept by the constructor
-        that found the cone simplicial and full dimensional: cone_from_rays
-        from its one elimination, product_fan from the factors' cones.
-        None for any other cone.
+    det: d of A*R = d*I for the rays A, kept by the constructor that found
+        the cone simplicial and full dimensional: cone_from_rays from its
+        one elimination, product_fan from the factors' cones.  0 for any
+        other cone.
+    inverse: (R, d), or None when det is 0.  R is `scaled_rows()`, called
+        on the first read, so a product cone assembles its block R only
+        for a reader that needs it.
     """
 
     rank: int
     rays: Mat
     facet_normals: Mat
     dim: int
-    inverse: Optional[tuple] = field(default=None, compare=False)
+    det: int = field(default=0, compare=False)
+    scaled_rows: Optional[Callable[[], Mat]] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def inverse(self) -> Optional[tuple]:
+        return (self.scaled_rows(), self.det) if self.det else None
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(v, g) >= 0 for g in self.facet_normals)
@@ -242,8 +250,9 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         inv, det_a = scaled_inverse(gens)
         if inv is not None:
             normals = tuple(sorted(_simplex_rays(inv, det_a)))
+            # partial(tuple, inv)() is inv; a partial keeps the cone picklable
             return Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank,
-                        inverse=(inv, det_a))
+                        det=det_a, scaled_rows=partial(tuple, inv))
     dual_gens, dual_lin = _cone_generators(prim, rank)
     normals = set(dual_gens)
     for b in dual_lin:
@@ -297,9 +306,13 @@ class ValidationReport:
 def _maximal(cones: list) -> tuple:
     """The cones not properly contained in another listed cone.
 
-    A cone that contains c holds c's rarest ray, so c is only tested
+    Distinct cones with the same number of rays cannot contain each
+    other, so a list of equal-size cones comes back unchanged.  Otherwise
+    a cone that contains c holds c's rarest ray, so c is only tested
     against the cones through that ray; () is absorbed by any other cone.
     """
+    if len({len(c) for c in cones}) <= 1:
+        return tuple(cones)
     sets = [frozenset(c) for c in cones]
     through: dict = {}
     for s in sets:
@@ -575,7 +588,7 @@ def is_smooth(fan: Fan) -> bool:
     simplicial full-dimensional cone, read off the elimination it keeps,
     and a Hermite form for any other cone."""
     fan.require_valid()
-    return all(abs(cone.inverse[1]) == 1 if cone.inverse else _saturated(cone.rays, fan.rank)
+    return all(abs(cone.det) == 1 if cone.det else _saturated(cone.rays, fan.rank)
                for cone in map(fan.cone, fan.max_cones))
 
 
@@ -585,12 +598,16 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     The maximal cones come from the factors' cones: for full-dimensional
     sigma and tau the cone sigma x tau has the block rays and the facet
     normals (g, 0) and (0, h) (Cox-Little-Schenck, Toric Varieties, 3.1),
-    so no double description runs on the product.  Its A*R = d*I comes
-    from the factors' too: diag(d2*R1, d1*R2) with d = d1*d2, its columns
-    in the product cone's ray order, so nothing is inverted again.  A pair
-    with a lower-dimensional cone is left to Fan.cone, since its lineality
-    normals depend on the basis.  Validation, completeness and the roots
-    still run on the product itself.
+    so no double description runs on the product.  (g, 0) kills the rays
+    of sigma that g kills and every ray of tau, so when every factor cone
+    is full dimensional the product inherits its facets table from the
+    factors' too.  A product cone's A*R = d*I has d = d1*d2, which is all
+    that choosing a root chart reads, and R = diag(d2*R1, d1*R2), its
+    columns in the product cone's ray order, assembled only when a chart
+    reads it; nothing is inverted again.  A pair with a lower-dimensional
+    cone is left to Fan.cone, since its lineality normals depend on the
+    basis.  Validation, the ridge certificate and the roots still run on
+    the product itself.
     """
     f1.require_valid()
     f2.require_valid()
@@ -599,37 +616,52 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     index = {r: i for i, r in enumerate(rays)}
 
     def blocks(f: Fan, before: int, after: int) -> list:
-        """(product ray indices, padded facet normals or None when the cone
-        is not full dimensional, the cone's inverse) for each maximal cone
-        of a factor."""
+        """(product ray indices, the cone, its facets as (padded normal,
+        product indices of the rays it kills), or None when the cone is
+        not full dimensional) for each maximal cone of a factor."""
         def pad(v):
             return (0,) * before + v + (0,) * after
+        # the embedding keeps each factor's ray order
+        to_product = [index[pad(r)] for r in f.rays]
         out = []
         for c in f.max_cones:
             cone = f.cone(c)
-            normals = tuple(map(pad, cone.facet_normals)) if cone.dim == f.rank else None
-            out.append((tuple(index[pad(f.rays[i])] for i in c), normals, cone.inverse))
+            facets = (tuple((pad(g), tuple(to_product[i] for i in killed))
+                            for g, killed in f._facets[c]) if cone.dim == f.rank else None)
+            out.append((tuple(to_product[i] for i in c), cone, facets))
         return out
 
     left, right = blocks(f1, 0, n2), blocks(f2, n1, 0)
     pf = Fan(n1 + n2, rays, [a + b for a, _, _ in left for b, _, _ in right])
-    for a, normals1, inv1 in left:
-        for b, normals2, inv2 in right:
-            if normals1 is None or normals2 is None:
+    table = {}
+    for a, cone1, facets1 in left:
+        for b, cone2, facets2 in right:
+            if facets1 is None or facets2 is None:
                 continue
             key = tuple(sorted(a + b))
-            inverse = None
-            if inv1 and inv2:
-                (r1, d1), (r2, d2) = inv1, inv2
-                rows = ([tuple(d2 * x for x in r) + (0,) * n2 for r in r1]
-                        + [(0,) * n1 + tuple(d1 * x for x in r) for r in r2])
-                order = [(a + b).index(i) for i in key]
-                inverse = (tuple(tuple(r[p] for p in order) for r in rows), d1 * d2)
+            facets = sorted([(g, tuple(sorted(killed + b))) for g, killed in facets1]
+                            + [(h, tuple(sorted(a + killed))) for h, killed in facets2])
+            table[key] = tuple(facets)
+            det = cone1.det * cone2.det
             pf._cone_cache[key] = Cone(
                 rank=n1 + n2, rays=tuple(rays[i] for i in key),
-                facet_normals=tuple(sorted(normals1 + normals2)), dim=n1 + n2,
-                inverse=inverse)
+                facet_normals=tuple(g for g, _ in facets), dim=n1 + n2, det=det,
+                scaled_rows=partial(_block_rows, cone1, cone2, a + b) if det else None)
+    if all(facets is not None for _, _, facets in left + right):
+        pf._facets = {c: table[c] for c in pf.max_cones}
     return pf
+
+
+def _block_rows(cone1: Cone, cone2: Cone, order: tuple) -> Mat:
+    """R = diag(d2*R1, d1*R2) of the product of two simplicial cones, from
+    their A*R = d*I, with its columns, listed in `order` by product ray
+    index, put in the product cone's sorted ray order."""
+    (r1, d1), (r2, d2) = cone1.inverse, cone2.inverse
+    n1, n2 = len(r1), len(r2)
+    rows = ([tuple(d2 * x for x in r) + (0,) * n2 for r in r1]
+            + [(0,) * n1 + tuple(d1 * x for x in r) for r in r2])
+    columns = sorted(range(len(order)), key=order.__getitem__)
+    return tuple(tuple(r[p] for p in columns) for r in rows)
 
 
 def product_rays(f1: Fan, f2: Fan) -> Mat:

@@ -44,7 +44,6 @@ from .lattice import (
     Vec,
     _pivots_and_kernel,
     identity_matrix,
-    pairing,
     scaled_inverse,
     vec_mat,
     vec_neg,
@@ -122,9 +121,11 @@ class RootPolytope:
 
 def root_ray_index(fan: Fan, e: Sequence[int]) -> Optional[int]:
     """The distinguished ray index if e is a root of the fan, else None."""
+    if fan.rays and len(e) != fan.rank:
+        raise ValueError(f"rank mismatch: {fan.rank} vs {len(e)}")
     negatives = []
     for i, r in enumerate(fan.rays):
-        v = pairing(r, e)
+        v = sum(map(mul, r, e))
         if v < 0:
             if v != -1 or negatives:
                 return None
@@ -213,7 +214,8 @@ def _lifted_candidates(fan: Fan):
     broken by its index tuple, and then one double description bounds the
     roots of ray j in its coordinates (_chart_bounds).  A simplicial
     maximal cone of a complete fan is its own basis, and its A*R = d*I is
-    the one elimination the cone keeps (Cone.inverse).  A non-simplicial
+    the one elimination the cone keeps: its d (Cone.det) ranks it, and its
+    R (Cone.inverse) is read only for the chart chosen.  A non-simplicial
     cone's first basis (its rays outside the span of those before them) is
     found and inverted once per call.  When ray j is not in it,
     ray j = (y/d)*A with y = rho_j*R, and its chart exchanges for ray j the
@@ -224,20 +226,21 @@ def _lifted_candidates(fan: Fan):
     n = fan.rank
     inverses = {}
     bases = {}
+    simplicial = set()
 
     def inverse(chart: tuple) -> tuple:
         if chart not in inverses:
-            inverses[chart] = scaled_inverse([fan.rays[i] for i in chart])
+            inverses[chart] = (fan.cone(chart).inverse if chart in simplicial
+                               else scaled_inverse([fan.rays[i] for i in chart]))
         return inverses[chart]
 
     def chart_key(j: int, cone: tuple) -> tuple:
+        if len(cone) == n:
+            simplicial.add(cone)
+            return abs(fan.cone(cone).det), cone
         if cone not in bases:
-            if len(cone) == n:
-                bases[cone] = cone
-                inverses[cone] = fan.cone(cone).inverse
-            else:
-                pivots = _pivots_and_kernel([fan.rays[i] for i in cone], n)[0]
-                bases[cone] = tuple(cone[p] for p in pivots)
+            pivots = _pivots_and_kernel([fan.rays[i] for i in cone], n)[0]
+            bases[cone] = tuple(cone[p] for p in pivots)
         basis = bases[cone]
         r, d = inverse(basis)
         if j in basis:

@@ -90,8 +90,8 @@ def _multiplicity(cone: Cone, rank: int) -> int:
     rays: |d| of the elimination a simplicial cone keeps, and otherwise
     the product of the pivots of one Hermite form of the rays.  A GL(n, Z)
     invariant, like the 0 given to a cone of lower dimension."""
-    if cone.inverse:
-        return abs(cone.inverse[1])
+    if cone.det:
+        return abs(cone.det)
     if cone.dim < rank:
         return 0
     h, _ = hermite_normal_form(cone.rays)

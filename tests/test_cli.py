@@ -344,10 +344,13 @@ class TestCommands:
 
 
 class TestActionCertificateCalls:
-    """check runs each binomial identity once per root and distinct degree
-    <rho_e, m> of its height-2 samples, not once per sample."""
+    """check runs the infinitesimal identity once per root and distinct
+    degree <rho_e, m> of its height-2 samples, not once per sample, and
+    the action law, whose verdict depends on the degree alone, once per
+    distinct degree."""
 
-    def test_one_call_per_root_and_degree(self, capsys, monkeypatch):
+    @staticmethod
+    def counted_check(path, capsys, monkeypatch) -> dict:
         calls = {}
         for name in ("action_additivity_check", "infinitesimal_check"):
             original, calls[name] = getattr(cli, name), []
@@ -356,10 +359,23 @@ class TestActionCertificateCalls:
                 seen.append((root, pairing(fan.rays[root.rho_e], m)))
                 return original(fan, root, m)
             monkeypatch.setattr(cli, name, counting)
-        code, _, _ = run_cli(["check", str(DATA / "P2xP2.fan")], capsys)
+        code, _, _ = run_cli(["check", str(path)], capsys)
         assert code == 0
-        for seen in calls.values():
-            assert len(seen) == len(set(seen)) == 36
+        return calls
+
+    def test_one_call_per_root_and_degree(self, capsys, monkeypatch):
+        seen = self.counted_check(DATA / "P2xP2.fan", capsys, monkeypatch)["infinitesimal_check"]
+        assert len(seen) == len(set(seen)) == 36
+
+    def test_additivity_once_per_degree(self, capsys, monkeypatch):
+        paths = [DATA / "P2xP2.fan", DATA / "F3.fan", FIXTURES / "P112_F9.fan",
+                 FIXTURES / "P2xP2xP1_u.fan"]
+        for path in paths:
+            calls = self.counted_check(path, capsys, monkeypatch)
+            degrees = [k for _, k in calls["action_additivity_check"]]
+            # every degree the infinitesimal identity sees, each once
+            assert sorted(degrees) == sorted({k for _, k in calls["infinitesimal_check"]})
+            assert len(degrees) < len(calls["infinitesimal_check"]), path.name
 
 
 class TestProductCertificate:

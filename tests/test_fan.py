@@ -13,6 +13,7 @@ from toricaut.fan import (
     Fan,
     NotStrictlyConvexError,
     ValidationReport,
+    _maximal,
     _pairwise_violations,
     cone_from_rays,
     dual_cone,
@@ -639,6 +640,39 @@ class TestProductCones:
             assert is_complete(fresh) == is_complete(pf) == (
                 is_complete(f1) and is_complete(f2)), label
 
+    def test_inherited_data_matches_a_fresh_product(self, fans):
+        # the facets table, the ridge certificate, the validation report and
+        # each cone's A*R = d*I that a product takes from its factors equal
+        # what the same fan computes when built from its rays and cones
+        rng = random.Random(2301)
+        conjugates = [transform_fan(fans[name], random_unimodular(rng, fans[name].rank, steps=12))
+                      for name in ("F3", "P1xP2")]
+        named = list(fans.values())
+        pairs = [(a, b) for k, a in enumerate(named) for b in named[k:]]
+        cube5, minus = (fan_from_document(parse_fan((FIXTURES / f"{name}.fan").read_text()))
+                        for name in ("cube5", "P12_minus_cone"))
+        pairs += [(cube5, fans["P1"]), (minus, fans["P1"]), (conjugates[0], conjugates[0]),
+                  (conjugates[0], conjugates[1])]
+        inverses = inherited = 0
+        for f1, f2 in pairs:
+            pf = product_fan(f1, f2)
+            inherited += "_facets" in vars(pf)
+            fresh = Fan(pf.rank, pf.rays, pf.max_cones)
+            assert pf._facets == fresh._facets, (f1, f2)
+            assert pf._certified_complete == fresh._certified_complete, (f1, f2)
+            assert pf.validation == fresh.validation, (f1, f2)
+            for c in pf.max_cones:
+                cone, built = pf.cone(c), fresh.cone(c)
+                assert (cone.inverse is None) == (built.inverse is None), (f1, f2, c)
+                if cone.inverse:
+                    r, d = cone.inverse
+                    assert mat_mul(cone.rays, r) == tuple(
+                        tuple(d * x for x in row) for row in identity_matrix(pf.rank))
+                    assert abs(d) == abs(built.det) == abs(cone.det)
+                    inverses += 1
+        assert inherited == len(pairs) == 82
+        assert inverses == 1726
+
 
 class TestAbsorption:
     def test_matches_all_pairs_rule(self):
@@ -661,6 +695,23 @@ class TestAbsorption:
             k = 1 + max((i for c in cones for i in c), default=0)
             fan = Fan(1, [(i,) for i in range(k)], cones)
             assert fan.max_cones == maximal_cones_oracle(cones), cones
+
+    def test_face_absorbed_when_sizes_differ(self):
+        # a listed face of a listed cone, with a cone of its size beside it
+        assert _maximal([(0, 1), (0, 1, 2), (1, 2), (2, 3)]) == ((0, 1, 2), (2, 3))
+        assert _maximal([(), (0,), (0, 1)]) == ((0, 1),)
+
+    def test_equal_size_cones_come_back_unchanged(self):
+        rng = random.Random(4100)
+        for size in range(5):
+            cones = sorted({tuple(sorted(rng.sample(range(9), size))) for _ in range(12)})
+            assert _maximal(cones) == tuple(cones) == maximal_cones_oracle(cones), cones
+        assert _maximal([]) == ()
+
+    def test_corpus_fans_keep_their_max_cones(self, fans):
+        for name, fan in fans.items():
+            assert Fan(fan.rank, fan.rays, fan.max_cones).max_cones == fan.max_cones, name
+            assert fan.max_cones == maximal_cones_oracle(fan.max_cones), name
 
 
 class TestSkeleton:

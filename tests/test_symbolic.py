@@ -43,6 +43,7 @@ from util import (
     action_chart_oracle,
     classification_oracle,
     dual_samples_by_vectors,
+    infinitesimal_by_expansion,
     parallelepiped_points_oracle,
     random_unimodular,
     regularity_by_vectors,
@@ -525,6 +526,29 @@ class TestInfinitesimal:
                 for m in iproduct(*(range(-2, 3) for _ in range(fan.rank))):
                     if pairing(rho, m) >= 0:
                         assert infinitesimal_check(fan, root, m)
+
+    def test_matches_the_full_expansion(self, fans):
+        # the s-linear term alone against the whole expanded comorphism, on
+        # every (root, degree) that check reads, on the non-roots of
+        # TestPairingTables, and on characters of negative degree, which
+        # both refuse
+        checked, refused = 0, 0
+        rng = random.Random(23)
+        for fan in oracle_fans(fans):
+            roots = demazure_roots(fan)
+            tables = PairingTables(fan)
+            for root in list(roots) + negative_controls(fan, roots):
+                for _, m in tables.degrees(root.rho_e):
+                    assert infinitesimal_check(fan, root, m) == infinitesimal_by_expansion(
+                        fan, root, m), (fan, root, m)
+                    checked += 1
+                m = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+                if pairing(fan.rays[root.rho_e], m) < 0:
+                    for check in (infinitesimal_check, infinitesimal_by_expansion):
+                        with pytest.raises(LocalizationRequiredError):
+                            check(fan, root, m)
+                    refused += 1
+        assert (checked, refused) == (2550, 364)
 
 
 class TestActionChartCheck:

@@ -38,9 +38,13 @@ from toricaut.structure import FanIsomorphism
 from toricaut.symbolic import (
     ActionChartCertificate,
     ConeChartCertificate,
+    GradedLaurentPoly,
+    HomogeneousDerivation,
     RegularityCertificate,
     WitnessMonomial,
     _parallelepiped_points,
+    comorphism_apply,
+    derivation_apply,
     dual_monomials,
 )
 
@@ -607,6 +611,15 @@ def regularity_by_vectors(fan, root):
             sigma_prime_in_fan=in_fan, samples_checked=len(samples),
             samples_ok=samples_ok))
     return RegularityCertificate(root=root, entries=tuple(entries))
+
+
+def infinitesimal_by_expansion(fan, root, m):
+    """Reference for infinitesimal_check: the s-linear coefficient of the
+    whole expanded comorphism against d_{rho_e, e}(chi^m).  Raises
+    LocalizationRequiredError when <rho_e, m> < 0, as the expansion does."""
+    lhs = comorphism_apply(fan, root, m).s_coefficient(1)
+    d = HomogeneousDerivation(p=fan.rays[root.rho_e], e=root.e)
+    return lhs == derivation_apply(d, GradedLaurentPoly.chi(m)).s_coefficient(0)
 
 
 def action_chart_by_vectors(fan, root, charts):
