@@ -22,9 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
     Fan,
@@ -65,13 +64,25 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false are bools
 
 
-@dataclass(frozen=True)
-class FanDocument:
+class FanDocument(NamedTuple):
+    """A parsed fan document; equality and hash ignore the warnings."""
+
     rank: int
     rays: tuple
     max_cones: tuple
     name: Optional[str] = None
-    warnings: tuple = field(default=(), compare=False)
+    warnings: tuple = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
 
 def parse_fan(text: str) -> FanDocument:

@@ -36,12 +36,11 @@ validated and tested for completeness like any other fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .lattice import (
     Mat,
@@ -78,8 +77,7 @@ class IncompleteFanError(ValueError):
     """Raised when an operation requires a complete fan."""
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Strictly convex rational polyhedral cone in N_R.
 
     rays: primitive extremal generators, sorted.
@@ -90,28 +88,61 @@ class Cone:
         the cone simplicial and full dimensional: cone_from_rays from its
         one elimination, product_fan from the factors' cones.  0 for any
         other cone.
-    inverse: (R, d), or None when det is 0.  R is `scaled_rows()`, called
-        on the first read, so a product cone assembles its block R only
-        for a reader that needs it.
+    inverse: (R, d), or None when det is 0.  R is `scaled_rows()`, which
+        a product cone computes on its first call and keeps, so it
+        assembles its block R only for a reader that needs it, and once.
+
+    Equality and hash ignore det and scaled_rows; repr omits scaled_rows.
     """
 
     rank: int
     rays: Mat
     facet_normals: Mat
     dim: int
-    det: int = field(default=0, compare=False)
-    scaled_rows: Optional[Callable[[], Mat]] = field(default=None, compare=False, repr=False)
+    det: int = 0
+    scaled_rows: Optional[Callable[[], Mat]] = None
 
-    @cached_property
+    @property
     def inverse(self) -> Optional[tuple]:
         return (self.scaled_rows(), self.det) if self.det else None
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(pairing(v, g) >= 0 for g in self.facet_normals)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:4] == other[:4]
 
-@dataclass(frozen=True)
-class DualCone:
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+    def __repr__(self) -> str:
+        return (f"Cone(rank={self.rank!r}, rays={self.rays!r}, "
+                f"facet_normals={self.facet_normals!r}, dim={self.dim!r}, det={self.det!r})")
+
+
+class _Once:
+    """fn(*args), computed on the first call and returned on every call;
+    unlike a closure, it keeps the cone holding it picklable."""
+
+    __slots__ = ("fn", "args", "value")
+
+    def __init__(self, fn: Callable, *args):
+        self.fn, self.args = fn, args
+
+    def __call__(self):
+        try:
+            return self.value
+        except AttributeError:
+            self.value = self.fn(*self.args)
+            return self.value
+
+
+class DualCone(NamedTuple):
     """Dual of a non-full-dimensional cone: full space or has lineality.
 
     generators span the pointed part; the lineality basis spans the
@@ -250,9 +281,9 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         inv, det_a = scaled_inverse(gens)
         if inv is not None:
             normals = tuple(sorted(_simplex_rays(inv, det_a)))
-            # partial(tuple, inv)() is inv; a partial keeps the cone picklable
+            # tuple(inv) is inv
             return Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank,
-                        det=det_a, scaled_rows=partial(tuple, inv))
+                        det=det_a, scaled_rows=_Once(tuple, inv))
     dual_gens, dual_lin = _cone_generators(prim, rank)
     normals = set(dual_gens)
     for b in dual_lin:
@@ -283,14 +314,12 @@ def dual_cone(c: Cone) -> Union[Cone, DualCone]:
     return DualCone(rank=c.rank, generators=gens, lineality=lin)
 
 
-@dataclass(frozen=True)
-class ValidationEntry:
+class ValidationEntry(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     entries: tuple[ValidationEntry, ...]
 
     @property
@@ -646,7 +675,7 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
             pf._cone_cache[key] = Cone(
                 rank=n1 + n2, rays=tuple(rays[i] for i in key),
                 facet_normals=tuple(g for g, _ in facets), dim=n1 + n2, det=det,
-                scaled_rows=partial(_block_rows, cone1, cone2, a + b) if det else None)
+                scaled_rows=_Once(_block_rows, cone1, cone2, a + b) if det else None)
     if all(facets is not None for _, _, facets in left + right):
         pf._facets = {c: table[c] for c in pf.max_cones}
     return pf

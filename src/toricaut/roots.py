@@ -26,10 +26,9 @@ the root set may be infinite and the operation refuses to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
     Fan,
@@ -50,8 +49,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(NamedTuple):
     """A root vector e in M with the index of its distinguished ray."""
 
     e: Vec
@@ -61,8 +59,7 @@ class DemazureRoot:
         return (self.rho_e, self.e)
 
 
-@dataclass(frozen=True)
-class RootPolytope:
+class RootPolytope(NamedTuple):
     """Constraint system of the roots attached to one ray.
 
     equality: <ray, e> = -1 for the distinguished ray; inequalities:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
     Cone,
@@ -65,8 +64,7 @@ from .roots import demazure_roots
 from .symbolic import lie_dimension
 
 
-@dataclass(frozen=True)
-class FanIsomorphism:
+class FanIsomorphism(NamedTuple):
     """A unimodular lattice map carrying one fan bijectively onto another.
 
     ray_permutation[i] is the target index of source ray i.
@@ -285,15 +283,13 @@ def generating_subset(autos: Sequence[FanIsomorphism], rank: int) -> tuple:
 # decomposition
 
 
-@dataclass(frozen=True)
-class BipartitionFailure:
+class BipartitionFailure(NamedTuple):
     block_a: tuple
     block_b: tuple
     failed_criterion: str
 
 
-@dataclass(frozen=True)
-class DecompositionFactor:
+class DecompositionFactor(NamedTuple):
     """An indecomposable factor fan with the lattice basis of its summand
     (rows in the coordinates of the original fan)."""
 
@@ -303,8 +299,7 @@ class DecompositionFactor:
     certificate: tuple
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     factors: tuple
 
 
@@ -391,7 +386,7 @@ def _decompose_rec(fan: Fan) -> list:
         if isinstance(result, str):
             failures.append(BipartitionFailure(part_a, part_b, result))
             continue
-        return [replace(factor, basis=mat_mul(factor.basis, basis))
+        return [factor._replace(basis=mat_mul(factor.basis, basis))
                 for sub, basis in result for factor in _decompose_rec(sub)]
     return [DecompositionFactor(fan=fan, basis=identity_matrix(fan.rank),
                                 certified_indecomposable=True,
@@ -429,8 +424,7 @@ def reconstruct(dec: Decomposition, rank: int) -> Fan:
 # wreath-product structure
 
 
-@dataclass(frozen=True)
-class FactorClass:
+class FactorClass(NamedTuple):
     label: str
     representative: Fan
     multiplicity: int
@@ -440,8 +434,7 @@ class FactorClass:
     fan_automorphism_order: int
 
 
-@dataclass(frozen=True)
-class AutStructureReport:
+class AutStructureReport(NamedTuple):
     torus_rank: int
     roots: tuple
     root_count: int

@@ -13,11 +13,10 @@ sample set per maximal cone and height, one witness per ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fan import Fan, require_complete
 from .lattice import (
@@ -116,16 +115,26 @@ class GradedLaurentPoly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class HomogeneousDerivation:
-    """Derivation of the character algebra: chi^m -> <p, m> chi^(m+e)."""
-
+class _Derivation(NamedTuple):
     p: Vec
     e: Vec
 
-    def __post_init__(self):
-        if not is_primitive(self.p):
+
+class HomogeneousDerivation(_Derivation):
+    """Derivation of the character algebra: chi^m -> <p, m> chi^(m+e).
+    The direction p must be primitive."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: Vec, e: Vec):
+        if not is_primitive(p):
             raise ValueError("derivation direction p must be primitive")
+        return super().__new__(cls, p, e)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it checks p too
+        return cls(*iterable)
 
 
 def derivation_apply(d: HomogeneousDerivation,
@@ -252,6 +261,10 @@ class PairingTables:
       sigma's samples, row by row (m - c*u pairs to row(m) - c*row(u)).
     - `degrees(j)`: the least height-2 sample of each degree <rho_j, m>
       over the charts containing ray j (action_chart_check).
+    - `chart_bounds(j, cone, i)`: over the height-2 sample rows r of a
+      chart through ray j with k = r_j >= 1, the least floor(r_i / k) and
+      the least r_i, which decide the chart conditions of every root on
+      ray j at ray i (action_chart_check).
     - `witness(j)`: the witness character and chart of ray j
       (faithfulness_check), from one Hermite form per ray.
 
@@ -265,6 +278,7 @@ class PairingTables:
         self._parallelepipeds = {}
         self._samples = {}
         self._degrees = {}
+        self._bounds = {}
         self._witnesses = {}
 
     def row(self, v: Vec) -> tuple:
@@ -315,6 +329,15 @@ class PairingTables:
             found = self._degrees[j] = tuple(sorted(least.items()))
         return found
 
+    def chart_bounds(self, j: int, cone_idx: tuple, i: int) -> tuple:
+        found = self._bounds.get((j, cone_idx, i))
+        if found is None:
+            # a chart's dual holds a character with k >= 1, so pairs is not empty
+            pairs = [(row[i], row[j]) for row in self.samples(cone_idx, 2).values() if row[j]]
+            found = self._bounds[j, cone_idx, i] = (min(r // k for r, k in pairs),
+                                                    min(r for r, _ in pairs))
+        return found
+
     def witness(self, j: int) -> tuple:
         found = self._witnesses.get(j)
         if found is None:
@@ -359,8 +382,7 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     return tuple(sorted(PairingTables(fan).samples(cone_idx, height)))
 
 
-@dataclass(frozen=True)
-class ActionChartCertificate:
+class ActionChartCertificate(NamedTuple):
     """The chart conditions of a root's action law (`additive`) and of its
     derivation (`infinitesimal`), and the least sample of each degree
     k = <rho_e, m> as sorted (k, m) pairs (`degrees`): the characters on
@@ -392,7 +414,11 @@ def action_chart_check(fan: Fan, root: DemazureRoot,
     Both are read off integer rows: with the root's row c_i = <rho_i, e>,
     the sample row r_i = <rho_i, m> and k = r_{rho_e}, a ray rho_i of
     sigma needs r_i + k*c_i >= 0 and, when k >= 1, r_i + c_i >= 0; only
-    rays with c_i < 0 can fail.
+    rays with c_i < 0 can fail.  The samples lie in sigma^v, so r_i >= 0
+    and the rows with k = 0 pass.  For the integer c_i, the conditions
+    over the rows with k >= 1 are c_i >= -floor(r_i / k) and
+    c_i >= -r_i at the least of each, which do not depend on the root
+    (PairingTables.chart_bounds): the roots on a ray share them.
     """
     tables = PairingTables(fan) if tables is None else tables
     rho_e, values = root.rho_e, tables.row(root.e)
@@ -400,20 +426,17 @@ def action_chart_check(fan: Fan, root: DemazureRoot,
     for cone_idx in fan.max_cones:
         if rho_e not in cone_idx:
             continue
-        negative = [(i, values[i]) for i in cone_idx if values[i] < 0]
-        if not negative:
-            continue
-        rows = tables.samples(cone_idx, 2).values()
-        additive = additive and all(row[i] + row[rho_e] * c >= 0
-                                    for row in rows for i, c in negative)
-        infinitesimal = infinitesimal and all(row[i] + c >= 0
-                                              for row in rows if row[rho_e] for i, c in negative)
+        for i in cone_idx:
+            c = values[i]
+            if c < 0:
+                action, derivation = tables.chart_bounds(rho_e, cone_idx, i)
+                additive = additive and c >= -action
+                infinitesimal = infinitesimal and c >= -derivation
     return ActionChartCertificate(root=root, degrees=tables.degrees(rho_e),
                                   additive=additive, infinitesimal=infinitesimal)
 
 
-@dataclass(frozen=True)
-class ConeChartCertificate:
+class ConeChartCertificate(NamedTuple):
     """Regularity evidence for one maximal cone.
 
     If the cone contains the distinguished ray, the chart is polynomial
@@ -441,8 +464,7 @@ class ConeChartCertificate:
         return bool(self.sigma_prime_in_fan) and self.samples_ok
 
 
-@dataclass(frozen=True)
-class RegularityCertificate:
+class RegularityCertificate(NamedTuple):
     root: DemazureRoot
     entries: tuple
 
@@ -499,8 +521,7 @@ def regularity_check(fan: Fan, root: DemazureRoot,
     return RegularityCertificate(root=root, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class WitnessMonomial:
+class WitnessMonomial(NamedTuple):
     """Faithfulness witness: m0 in the dual of a chart containing rho_e
     with <rho_e, m0> = 1, so the comorphism moves chi^m0 by s*chi^(m0+e)."""
 
@@ -547,8 +568,7 @@ def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial,
             and all(at[i] >= 0 and at[i] + values[i] >= 0 for i in witness.cone))
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Whether d_{p,e} preserves every cone algebra of the fan: the closed
     form (`preserved`) and the defining condition decided on generators of
     each chart's dual semigroup (`sampler_preserved`; a failing chart,

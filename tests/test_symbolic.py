@@ -39,6 +39,7 @@ from toricaut.symbolic import (
 )
 
 from util import (
+    action_chart_by_scan,
     action_chart_by_vectors,
     action_chart_oracle,
     classification_oracle,
@@ -506,6 +507,13 @@ class TestDerivation:
         with pytest.raises(ValueError):
             HomogeneousDerivation(p=(2, 0), e=(0, 0))
 
+    def test_replace_checks_the_direction(self):
+        d = HomogeneousDerivation(p=(1, 0), e=(0, 1))
+        assert d._replace(p=(3, 2)) == HomogeneousDerivation(p=(3, 2), e=(0, 1))
+        assert type(d._replace(e=(1, 1))) is HomogeneousDerivation
+        with pytest.raises(ValueError):
+            d._replace(p=(2, 0))
+
 
 class TestInfinitesimal:
     def test_p1(self, fans):
@@ -595,6 +603,23 @@ class TestActionChartCheck:
                     assert (whole.additive, whole.infinitesimal) == tuple(map(all, zip(*charts)))
                     checked += 1
         assert checked == 2548 and min(failed.values()) > 0
+
+    def test_chart_bounds_match_the_row_scan(self, fans):
+        # the per-ray least pairings decide what every sample row decides,
+        # on roots and on the non-roots of TestPairingTables, which fail
+        checked, verdicts = 0, set()
+        for fan in oracle_fans(fans):
+            roots = demazure_roots(fan)
+            tables = PairingTables(fan)
+            for root in list(roots) + negative_controls(fan, roots):
+                cert = action_chart_check(fan, root, tables)
+                scan = action_chart_by_scan(fan, root, PairingTables(fan))
+                assert (cert.additive, cert.infinitesimal) == scan, (fan, root)
+                verdicts.add(scan)
+                checked += 1
+        assert checked == 818
+        # both conditions fail on some non-roots
+        assert {(True, True), (False, False)} <= verdicts
 
 
 class TestClassification:

@@ -646,6 +646,25 @@ def action_chart_by_vectors(fan, root, charts):
                                   additive=additive, infinitesimal=infinitesimal)
 
 
+def action_chart_by_scan(fan, root, tables):
+    """Reference for action_chart_check's verdicts: every height-2 sample
+    row of each chart containing rho_e, at every ray of the chart with a
+    negative pairing c, tested with r_i + k*c >= 0 and, when k >= 1,
+    r_i + c >= 0."""
+    rho_e, values = root.rho_e, tables.row(root.e)
+    additive = infinitesimal = True
+    for cone_idx in fan.max_cones:
+        if rho_e not in cone_idx:
+            continue
+        negative = [(i, values[i]) for i in cone_idx if values[i] < 0]
+        rows = tables.samples(cone_idx, 2).values()
+        additive = additive and all(row[i] + row[rho_e] * c >= 0
+                                    for row in rows for i, c in negative)
+        infinitesimal = infinitesimal and all(row[i] + c >= 0
+                                              for row in rows if row[rho_e] for i, c in negative)
+    return additive, infinitesimal
+
+
 def witness_by_vectors(fan, root):
     """Reference for faithfulness_check and witness_holds: m1 from a Hermite
     form of this root's ray, moved into each chart's dual along the sum w of
