@@ -5,9 +5,11 @@ dimension count.
 
 All coefficients are integers (binomial coefficients), so every formula
 specializes to an arbitrary base field; no field arithmetic appears.  The
-chart conditions are decided on integer pairing tables (PairingTables):
-one row (<rho_i, v>)_i per root character and per sampled character, one
-sample set per maximal cone and height, one witness per ray.
+certificates are read off integer pairing tables (PairingTables): one row
+(<rho_i, v>)_i per root character and per sampled character, one sample
+set per maximal cone and height, one witness per ray.  The chart
+conditions of the action law and of the derivation are the root's own
+ray inequalities on the charts through rho_e.
 """
 
 from __future__ import annotations
@@ -251,9 +253,9 @@ class PairingTables:
     the certificates of its roots, so that each fact is computed once.
 
     - `row(v)`: (<rho_i, v>)_i over every ray.  A root's row gives its ray
-      inequalities, its sigma' and its shifts (regularity_check), the
-      negative pairings of its chart conditions (action_chart_check) and
-      the move of its witness (witness_holds).
+      inequalities, its sigma' and its shifts (regularity_check), its
+      chart conditions (action_chart_check) and the move of its witness
+      (witness_holds).
     - `samples(cone, height)`: each sample m of the cone's dual
       (dual_monomials) mapped to its row.  A maximal cone finds its
       parallelepiped points once and its samples once per height; a face
@@ -261,10 +263,6 @@ class PairingTables:
       sigma's samples, row by row (m - c*u pairs to row(m) - c*row(u)).
     - `degrees(j)`: the least height-2 sample of each degree <rho_j, m>
       over the charts containing ray j (action_chart_check).
-    - `chart_bounds(j, cone, i)`: over the height-2 sample rows r of a
-      chart through ray j with k = r_j >= 1, the least floor(r_i / k) and
-      the least r_i, which decide the chart conditions of every root on
-      ray j at ray i (action_chart_check).
     - `witness(j)`: the witness character and chart of ray j
       (faithfulness_check), from one Hermite form per ray.
 
@@ -278,7 +276,6 @@ class PairingTables:
         self._parallelepipeds = {}
         self._samples = {}
         self._degrees = {}
-        self._bounds = {}
         self._witnesses = {}
 
     def row(self, v: Vec) -> tuple:
@@ -329,15 +326,6 @@ class PairingTables:
             found = self._degrees[j] = tuple(sorted(least.items()))
         return found
 
-    def chart_bounds(self, j: int, cone_idx: tuple, i: int) -> tuple:
-        found = self._bounds.get((j, cone_idx, i))
-        if found is None:
-            # a chart's dual holds a character with k >= 1, so pairs is not empty
-            pairs = [(row[i], row[j]) for row in self.samples(cone_idx, 2).values() if row[j]]
-            found = self._bounds[j, cone_idx, i] = (min(r // k for r, k in pairs),
-                                                    min(r for r, _ in pairs))
-        return found
-
     def witness(self, j: int) -> tuple:
         found = self._witnesses.get(j)
         if found is None:
@@ -384,9 +372,10 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
 
 class ActionChartCertificate(NamedTuple):
     """The chart conditions of a root's action law (`additive`) and of its
-    derivation (`infinitesimal`), and the least sample of each degree
-    k = <rho_e, m> as sorted (k, m) pairs (`degrees`): the characters on
-    which the binomial identities are checked, one per k."""
+    derivation (`infinitesimal`), both the root's ray inequalities on the
+    charts through rho_e and so equal, and the least height-2 sample of
+    each degree k = <rho_e, m> as sorted (k, m) pairs (`degrees`): the
+    characters on which the binomial identities are checked, one per k."""
 
     root: DemazureRoot
     degrees: tuple
@@ -413,27 +402,27 @@ def action_chart_check(fan: Fan, root: DemazureRoot,
 
     Both are read off integer rows: with the root's row c_i = <rho_i, e>,
     the sample row r_i = <rho_i, m> and k = r_{rho_e}, a ray rho_i of
-    sigma needs r_i + k*c_i >= 0 and, when k >= 1, r_i + c_i >= 0; only
-    rays with c_i < 0 can fail.  The samples lie in sigma^v, so r_i >= 0
-    and the rows with k = 0 pass.  For the integer c_i, the conditions
-    over the rows with k >= 1 are c_i >= -floor(r_i / k) and
-    c_i >= -r_i at the least of each, which do not depend on the root
-    (PairingTables.chart_bounds): the roots on a ray share them.
+    sigma needs r_i + k*c_i >= 0 and, when k >= 1, r_i + c_i >= 0.  The
+    samples lie in sigma^v, so r_i >= 0 and the rows with k = 0 pass; over
+    the rows with k >= 1 the conditions are c_i >= -floor(r_i / k) and
+    c_i >= -r_i at the least of each, and these minima are constants.  For
+    distinct rays rho_i, rho_e of sigma, some facet of sigma holds rho_i
+    but not rho_e, because a ray is the intersection of the facets through
+    it.  Its normal g is a height-1 sample with <rho_i, g> = 0 and
+    k = <rho_e, g> >= 1, so both minima are 0.  At rho_e, r_i = k on
+    every row, and some sample has k = 1, so both minima are 1: the
+    character m1 + t*w that faithfulness_check builds in sigma has k = 1
+    and is a sum of height-1 samples, whose degrees are non-negative.  So
+    both verdicts are the root's ray inequalities on the charts through
+    rho_e: c_{rho_e} >= -1 and c_i >= 0 at every other ray of those
+    charts.  Only `degrees` reads the samples.
     """
     tables = PairingTables(fan) if tables is None else tables
     rho_e, values = root.rho_e, tables.row(root.e)
-    additive = infinitesimal = True
-    for cone_idx in fan.max_cones:
-        if rho_e not in cone_idx:
-            continue
-        for i in cone_idx:
-            c = values[i]
-            if c < 0:
-                action, derivation = tables.chart_bounds(rho_e, cone_idx, i)
-                additive = additive and c >= -action
-                infinitesimal = infinitesimal and c >= -derivation
+    ok = all(values[i] >= (-1 if i == rho_e else 0)
+             for cone_idx in fan.max_cones if rho_e in cone_idx for i in cone_idx)
     return ActionChartCertificate(root=root, degrees=tables.degrees(rho_e),
-                                  additive=additive, infinitesimal=infinitesimal)
+                                  additive=ok, infinitesimal=ok)
 
 
 class ConeChartCertificate(NamedTuple):

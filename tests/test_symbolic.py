@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toricaut.cli import fan_from_document, parse_fan
-from toricaut.fan import Fan, transform_fan
+from toricaut.fan import Fan, product_fan, transform_fan
 from toricaut.lattice import (
     invert_unimodular,
     mat_mul,
@@ -43,6 +43,7 @@ from util import (
     action_chart_by_vectors,
     action_chart_oracle,
     classification_oracle,
+    cube_fan,
     dual_samples_by_vectors,
     infinitesimal_by_expansion,
     parallelepiped_points_oracle,
@@ -560,9 +561,9 @@ class TestInfinitesimal:
 
 
 class TestActionChartCheck:
-    """The chart conditions of the action law and the derivation, decided
-    on the height-2 samples from one pairing table per chart, and the one
-    sample per degree on which the binomial identities run."""
+    """The chart conditions of the action law and the derivation, which
+    are the root's ray inequalities on the charts through rho_e, and the
+    one height-2 sample per degree on which the binomial identities run."""
 
     def test_roots_pass_with_least_sample_per_degree(self, fans):
         for fan in list(fans.values()) + [NON_SMOOTH]:
@@ -605,8 +606,10 @@ class TestActionChartCheck:
         assert checked == 2548 and min(failed.values()) > 0
 
     def test_chart_bounds_match_the_row_scan(self, fans):
-        # the per-ray least pairings decide what every sample row decides,
-        # on roots and on the non-roots of TestPairingTables, which fail
+        # the closed form, c_{rho_e} >= -1 and c_i >= 0 at the other rays of
+        # each chart through rho_e, decides what every height-2 sample row
+        # decides, on roots and on the non-roots of TestPairingTables, which
+        # fail
         checked, verdicts = 0, set()
         for fan in oracle_fans(fans):
             roots = demazure_roots(fan)
@@ -620,6 +623,46 @@ class TestActionChartCheck:
         assert checked == 818
         # both conditions fail on some non-roots
         assert {(True, True), (False, False)} <= verdicts
+
+    def test_closed_form_on_non_simplicial_charts(self, fans):
+        # the facet lemma behind the closed form: for distinct rays rho_i,
+        # rho_j of a maximal cone sigma, some facet normal g of sigma, a
+        # height-1 sample, has <rho_i, g> = 0 and <rho_j, g> >= 1, and some
+        # height-1 sample has <rho_j, m> = 1
+        cube5 = fan_from_document(parse_fan((FIXTURES / "cube5.fan").read_text()))
+        products = [product_fan(cube_fan(3), fans[name]) for name in ("P1", "P2", "F1")]
+        pairs = 0
+        for fan in oracle_fans(fans) + [cube5] + products:
+            tables = PairingTables(fan)
+            for sigma in fan.max_cones:
+                normals = fan.cone(sigma).facet_normals
+                rows = tables.samples(sigma, 1)
+                assert all(g in rows for g in normals), (fan, sigma)
+                for j in sigma:
+                    assert any(row[j] == 1 for row in rows.values()), (fan, sigma, j)
+                    for i in sigma:
+                        if i != j:
+                            assert any(rows[g][i] == 0 and rows[g][j] >= 1 for g in normals), (
+                                fan, sigma, i, j)
+                            pairs += 1
+        assert pairs == 4956
+        # the closed form agrees with the row scan on the cube products,
+        # whose roots have non-simplicial charts (the oracle fans are
+        # scanned in test_chart_bounds_match_the_row_scan; cube5 has no root)
+        checked, non_simplicial, verdicts = 0, 0, set()
+        for fan in products:
+            roots = demazure_roots(fan)
+            non_simplicial += sum(len(c) > fan.rank for r in roots
+                                  for c in fan.max_cones if r.rho_e in c)
+            tables = PairingTables(fan)
+            for root in list(roots) + negative_controls(fan, roots):
+                cert = action_chart_check(fan, root, tables)
+                scan = action_chart_by_scan(fan, root, tables)
+                assert (cert.additive, cert.infinitesimal) == scan, (fan, root)
+                verdicts.add(scan)
+                checked += 1
+        assert (checked, non_simplicial) == (114, 132)
+        assert verdicts == {(True, True), (False, False)}
 
 
 class TestClassification:
