@@ -355,21 +355,28 @@ class TestActionCertificateCalls:
             original, calls[name] = getattr(cli, name), []
 
             def counting(fan, root, m, original=original, seen=calls[name]):
-                seen.append(pairing(fan.rays[root.rho_e], m))
+                seen.append((root, pairing(fan.rays[root.rho_e], m)))
                 return original(fan, root, m)
             monkeypatch.setattr(cli, name, counting)
         code, _, _ = run_cli(["check", str(path)], capsys)
         assert code == 0
         return calls
 
-    def test_each_identity_once_per_degree(self, capsys, monkeypatch):
+    def test_one_call_per_root_and_degree(self, capsys, monkeypatch):
+        seen = self.counted_check(DATA / "P2xP2.fan", capsys, monkeypatch)["infinitesimal_check"]
+        # at most one call per root and degree: in fact one per degree
+        assert len(seen) == len(set(seen)) == 3
+        assert len({k for _, k in seen}) == 3
+
+    def test_additivity_once_per_degree(self, capsys, monkeypatch):
         counts = {DATA / "P2xP2.fan": 3, DATA / "F3.fan": 3, FIXTURES / "P112_F9.fan": 6,
                   FIXTURES / "P2xP2xP1_u.fan": 3}
         for path, count in counts.items():
             calls = self.counted_check(path, capsys, monkeypatch)
-            degrees = calls["action_additivity_check"]
+            degrees = [k for _, k in calls["action_additivity_check"]]
             assert len(degrees) == len(set(degrees)) == count, path.name
-            assert calls["infinitesimal_check"] == degrees, path.name
+            # every degree the infinitesimal identity sees, each once, in the same order
+            assert [k for _, k in calls["infinitesimal_check"]] == degrees, path.name
 
 
 class TestProductCertificate:
