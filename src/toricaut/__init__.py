@@ -9,14 +9,12 @@ group over the fan's indecomposable factors.
 
 from .fan import (
     Cone,
-    DualCone,
     Fan,
     FanValidationError,
     IncompleteFanError,
     NotStrictlyConvexError,
     ValidationReport,
     cone_from_rays,
-    dual_cone,
     is_complete,
     is_simplicial,
     is_smooth,
@@ -74,7 +72,6 @@ __all__ = [
     "Cone",
     "Decomposition",
     "DemazureRoot",
-    "DualCone",
     "Fan",
     "FanIsomorphism",
     "FanValidationError",
@@ -96,7 +93,6 @@ __all__ = [
     "demazure_roots",
     "derivation_apply",
     "derivation_classification_check",
-    "dual_cone",
     "fan_automorphisms",
     "fan_isomorphism",
     "faithfulness_check",

@@ -353,8 +353,8 @@ def run_certificates(fans) -> list:
             continue
         out.append(("complete", name, True, ""))
         roots = demazure_roots(fan)
-        # one row per root and per sample, one sample set per maximal cone
-        # and height, one witness per ray, shared by every certificate
+        # one row per root, one witness and one degree list per ray,
+        # shared by every certificate; no certificate samples a dual cone
         tables = PairingTables(fan)
         ok = all(regularity_check(fan, r, tables).ok for r in roots)
         out.append(("regularity", name, ok, f"{len(roots)} roots"))

@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .lattice import (
     Mat,
@@ -140,22 +140,6 @@ class _Once:
         except AttributeError:
             self.value = self.fn(*self.args)
             return self.value
-
-
-class DualCone(NamedTuple):
-    """Dual of a non-full-dimensional cone: full space or has lineality.
-
-    generators span the pointed part; the lineality basis spans the
-    largest linear subspace contained in the dual.
-    """
-
-    rank: int
-    generators: Mat
-    lineality: Mat
-
-    @property
-    def is_full_space(self) -> bool:
-        return len(self.lineality) == self.rank
 
 
 def _simplex_rays(inv: Mat, det_a0: int) -> list:
@@ -297,21 +281,6 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
     assert set(ext) <= seen
     return Cone(rank=rank, rays=tuple(sorted(ext)), facet_normals=normals,
                 dim=rank - len(dual_lin))
-
-
-def dual_cone(c: Cone) -> Union[Cone, DualCone]:
-    """Dual cone in M.
-
-    For a full-dimensional cone the dual is strictly convex and is
-    returned as a Cone whose generators are the facet normals of the
-    input.  Otherwise the dual contains the annihilator of the input's
-    span and a DualCone marker is returned (for the zero cone this is all
-    of M_R).
-    """
-    if c.dim == c.rank:
-        return cone_from_rays(c.facet_normals, c.rank)
-    gens, lin = _cone_generators(c.rays, c.rank)
-    return DualCone(rank=c.rank, generators=gens, lineality=lin)
 
 
 class ValidationEntry(NamedTuple):

@@ -6,10 +6,12 @@ dimension count.
 All coefficients are integers (binomial coefficients), so every formula
 specializes to an arbitrary base field; no field arithmetic appears.  The
 certificates are read off integer pairing tables (PairingTables): one row
-(<rho_i, v>)_i per root character and per sampled character, one sample
-set per maximal cone and height, one witness per ray.  The chart
-conditions of the action law and of the derivation are the root's own
-ray inequalities on the charts through rho_e.
+(<rho_i, v>)_i per root character, one witness and one degree list per
+ray.  Regularity and the chart conditions of the action law and of the
+derivation are the root's own ray inequalities, plus, for regularity,
+Demazure's sigma' in the fan; no certificate of check samples a dual
+cone.  Only the derivation classifier reads sample characters
+(dual_monomials).
 """
 
 from __future__ import annotations
@@ -240,12 +242,10 @@ def _parallelepiped_points(gens: Sequence[Vec], d: int) -> set:
     return points
 
 
-def _add_multiples(samples: dict, g: Vec, g_row: tuple, height: int) -> dict:
-    """The characters m + c*g, 0 <= c <= height, over the samples m, each
-    mapped to its row: row(m) + c*row(g)."""
-    steps = [(tuple(c * x for x in g), tuple(c * x for x in g_row)) for c in range(height + 1)]
-    return {tuple(map(add, m, cg)): tuple(map(add, row, crow))
-            for m, row in samples.items() for cg, crow in steps}
+def _add_multiples(samples, g: Vec, height: int) -> set:
+    """The characters m + c*g, 0 <= c <= height, over the samples m."""
+    steps = [vec_scale(g, c) for c in range(height + 1)]
+    return {tuple(map(add, m, cg)) for m in samples for cg in steps}
 
 
 class PairingTables:
@@ -253,18 +253,23 @@ class PairingTables:
     the certificates of its roots, so that each fact is computed once.
 
     - `row(v)`: (<rho_i, v>)_i over every ray.  A root's row gives its ray
-      inequalities, its sigma' and its shifts (regularity_check), its
-      chart conditions (action_chart_check) and the move of its witness
-      (witness_holds).
-    - `samples(cone, height)`: each sample m of the cone's dual
-      (dual_monomials) mapped to its row.  A maximal cone finds its
-      parallelepiped points once and its samples once per height; a face
-      sampled through a maximal cone sigma adds only the -u direction to
-      sigma's samples, row by row (m - c*u pairs to row(m) - c*row(u)).
-    - `degrees(j)`: the least height-2 sample of each degree <rho_j, m>
-      over the charts containing ray j (action_chart_check).
+      inequalities and its sigma' (regularity_check), its chart conditions
+      (action_chart_check) and the move of its witness (witness_holds).
+    - `degrees(j)`: the degrees k = <rho_j, m> of the height-2 samples m
+      (dual_monomials) of the charts containing ray j, each with the
+      character k*m0 of that degree, m0 from `witness(j)`
+      (action_chart_check).
     - `witness(j)`: the witness character and chart of ray j
       (faithfulness_check), from one Hermite form per ray.
+
+    The degrees need no samples.  Degree is linear, so a chart sigma gives
+    the degrees of its parallelepiped points plus the sums
+    sum c_g * <rho_j, g>, c_g in {0, 1, 2}, over its facet normals g.  On a
+    simplicial sigma one normal g* does not vanish on rho_j; with
+    a = <rho_j, g*>, the points represent M / L (L spanned by the normals)
+    and m -> <rho_j, m> maps M / L onto Z / aZ, since rho_j is primitive,
+    so their degrees are 0..a-1 and the chart gives 0..3a-1.  Only a
+    non-simplicial chart lists its parallelepiped points, once.
 
     check builds one per fan and passes it to every certificate; a
     certificate called without one builds its own.
@@ -273,8 +278,7 @@ class PairingTables:
     def __init__(self, fan: Fan):
         self.fan = fan
         self._rows = {}
-        self._parallelepipeds = {}
-        self._samples = {}
+        self._points = {}
         self._degrees = {}
         self._witnesses = {}
 
@@ -284,46 +288,26 @@ class PairingTables:
             row = self._rows[v] = tuple(sum(map(mul, r, v)) for r in self.fan.rays)
         return row
 
-    def samples(self, cone_idx: tuple, height: int) -> dict:
-        key = (cone_idx, height)
-        found = self._samples.get(key)
-        if found is None:
-            found = self._samples[key] = (self._cone_samples(cone_idx, height)
-                                          if cone_idx in self.fan.max_cones
-                                          else self._face_samples(cone_idx, height))
-        return found
-
-    def _cone_samples(self, sigma: tuple, height: int) -> dict:
-        fan = self.fan
-        normals = fan.cone(sigma).facet_normals
-        points = self._parallelepipeds.get(sigma)
-        if points is None:
-            points = self._parallelepipeds[sigma] = _parallelepiped_points(normals, fan.rank)
-        samples = {m: self.row(m) for m in points}
-        for g in normals:
-            samples = _add_multiples(samples, g, self.row(g), height)
-        return samples
-
-    def _face_samples(self, face: tuple, height: int) -> dict:
-        options = []
-        for sigma in (c for c in self.fan.max_cones if set(face).issubset(c)):
-            samples = self.samples(sigma, height)
-            u = vec_neg(self.fan.face_normal_sum(sigma, face))
-            if any(u):
-                samples = _add_multiples(samples, u, self.row(u), height)
-            options.append(samples)
-        return min(options, key=len)
-
     def degrees(self, j: int) -> tuple:
         found = self._degrees.get(j)
         if found is None:
-            least = {}
-            for cone_idx in self.fan.max_cones:
-                if j in cone_idx:
-                    for m, row in self.samples(cone_idx, 2).items():
-                        if row[j] not in least or m < least[row[j]]:
-                            least[row[j]] = m
-            found = self._degrees[j] = tuple(sorted(least.items()))
+            fan, rho = self.fan, self.fan.rays[j]
+            ks = set()
+            for cone_idx in (c for c in fan.max_cones if j in c):
+                normals = fan.cone(cone_idx).facet_normals
+                steps = [pairing(rho, g) for g in normals]
+                if len(normals) == fan.rank:
+                    ks.update(range(3 * max(steps)))
+                    continue
+                points = self._points.get(cone_idx)
+                if points is None:
+                    points = self._points[cone_idx] = _parallelepiped_points(normals, fan.rank)
+                reach = {pairing(rho, q) for q in points}
+                for a in steps:
+                    reach = {k + c * a for k in reach for c in range(3)}
+                ks |= reach
+            found = self._degrees[j] = tuple(
+                (k, vec_scale(self.witness(j)[0], k)) for k in sorted(ks))
         return found
 
     def witness(self, j: int) -> tuple:
@@ -362,20 +346,32 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     point of an independent set of normals plus a non-negative integer
     combination of that set), and with -u they generate tau^v cap M =
     sigma^v cap M + Z>=0 * (-u): a property closed under addition holds
-    on the dual if it holds on them.  The samples move with the fan under
-    GL(n, Z), up to the choice of sigma among those of equal count, so
-    their number does not depend on the basis.  PairingTables computes
-    them, with their pairings with the rays.
+    on the dual if it holds on them.  A maximal cone finds its samples once
+    per height, and a face adds only the -u direction to them.  The
+    samples move with the fan under GL(n, Z), up to the choice of sigma
+    among those of equal count, so their number does not depend on the
+    basis.  Only derivation_classification_check reads them; check reads
+    none.
     """
-    return tuple(sorted(PairingTables(fan).samples(cone_idx, height)))
+    if cone_idx in fan.max_cones:
+        normals = fan.cone(cone_idx).facet_normals
+        samples = _parallelepiped_points(normals, fan.rank)
+        for g in normals:
+            samples = _add_multiples(samples, g, height)
+        return tuple(sorted(samples))
+    options = [_add_multiples(dual_monomials(fan, sigma, height),
+                              vec_neg(fan.face_normal_sum(sigma, cone_idx)), height)
+               for sigma in fan.max_cones if set(cone_idx).issubset(sigma)]
+    return tuple(sorted(min(options, key=len)))
 
 
 class ActionChartCertificate(NamedTuple):
     """The chart conditions of a root's action law (`additive`) and of its
     derivation (`infinitesimal`), both the root's ray inequalities on the
-    charts through rho_e and so equal, and the least height-2 sample of
-    each degree k = <rho_e, m> as sorted (k, m) pairs (`degrees`): the
-    characters on which the binomial identities are checked, one per k."""
+    charts through rho_e and so equal, and each degree k = <rho_e, m> of
+    the height-2 samples with the character k*m0 of that degree, as sorted
+    (k, m) pairs (`degrees`): the characters on which the binomial
+    identities are checked, one per k."""
 
     root: DemazureRoot
     degrees: tuple
@@ -396,9 +392,9 @@ def action_chart_check(fan: Fan, root: DemazureRoot,
     condition is closed under addition (m -> m + <rho_e, m>e is linear);
     the second too, by the Leibniz rule: a character with k >= 1 is a
     generator a with <rho_e, a> >= 1 plus a dual character, and m + e lies
-    in sigma^v whenever a + e does.  The height-2 samples contain the
-    height-1 samples, which generate sigma^v cap M (dual_monomials), so
-    both verdicts hold for every character of the chart.
+    in sigma^v whenever a + e does.  So the height-1 samples, which
+    generate sigma^v cap M (dual_monomials), decide both verdicts for
+    every character of the chart.
 
     Both are read off integer rows: with the root's row c_i = <rho_i, e>,
     the sample row r_i = <rho_i, m> and k = r_{rho_e}, a ray rho_i of
@@ -415,7 +411,8 @@ def action_chart_check(fan: Fan, root: DemazureRoot,
     and is a sum of height-1 samples, whose degrees are non-negative.  So
     both verdicts are the root's ray inequalities on the charts through
     rho_e: c_{rho_e} >= -1 and c_i >= 0 at every other ray of those
-    charts.  Only `degrees` reads the samples.
+    charts, and no sample is built.  `degrees` lists the degrees of the
+    height-2 samples in closed form (PairingTables).
     """
     tables = PairingTables(fan) if tables is None else tables
     rho_e, values = root.rho_e, tables.row(root.e)
@@ -431,9 +428,8 @@ class ConeChartCertificate(NamedTuple):
     If the cone contains the distinguished ray, the chart is polynomial
     and the evidence is the ray-wise inequalities.  Otherwise the chart
     lives on the cone sigma' spanned by rho_e and the e-orthogonal face,
-    which must itself belong to the fan, and each height-1 sample of the
-    dual of sigma' gets an explicit shift exponent moving it into the
-    cone's dual.
+    which must also belong to the fan.  No sample is checked, so
+    `samples_checked` is 0.
     """
 
     cone: tuple
@@ -442,15 +438,11 @@ class ConeChartCertificate(NamedTuple):
     sigma_prime: Optional[tuple]
     sigma_prime_in_fan: Optional[bool]
     samples_checked: int
-    samples_ok: bool
 
     @property
     def ok(self) -> bool:
-        if not self.ray_inequalities_ok:
-            return False
-        if self.contains_distinguished_ray:
-            return True
-        return bool(self.sigma_prime_in_fan) and self.samples_ok
+        return self.ray_inequalities_ok and (self.contains_distinguished_ray
+                                             or self.sigma_prime_in_fan)
 
 
 class RegularityCertificate(NamedTuple):
@@ -466,47 +458,34 @@ def regularity_check(fan: Fan, root: DemazureRoot,
                      tables: Optional[PairingTables] = None) -> RegularityCertificate:
     """Certify that the root-subgroup action is regular on every chart.
 
-    On a chart sigma without rho_e, each m in the dual of sigma' is moved
-    by k(m) = max(0, -<rho, m>) over the rays with <rho, e> > 0, and
-    m + k(m)*e must lie in sigma^v.  The m that pass are closed under
-    addition: the rays with <rho, e> > 0 hold by the choice of k, and on
-    the others k(a+b) <= k(a) + k(b) does no harm.  So the height-1
-    samples of sigma'^v, which generate sigma'^v cap M, decide the test
-    for every character.
+    With the root's row c_i = <rho_i, e>, the action is regular on a chart
+    sigma when c_i >= 0 at the rays of sigma other than rho_e and, if
+    sigma does not contain rho_e, the cone sigma' spanned by rho_e and the
+    rays with c_i = 0 lies in the fan (Demazure, "Sous-groupes algebriques
+    de rang maximum du groupe de Cremona", Ann. Sci. ENS 3, 1970).
 
-    Everything is read off integer rows: the root's row c_i = <rho_i, e>
-    gives the ray inequalities and sigma', and a sample's row r_i =
-    <rho_i, m> gives k(m) = max(0, -r_i) over the rays with c_i > 0 and
-    the test r_i + k(m)*c_i >= 0 on the rays of sigma.
+    The chart of sigma' is then moved into sigma's: a character m of
+    sigma'^v goes to m + k(m)*e with k(m) = max(0, -<rho_i, m>) over the
+    rays of sigma with c_i > 0, and must land in sigma^v.  It always does,
+    so no sample of sigma'^v needs checking.  Take a ray rho_i of sigma
+    and r_i = <rho_i, m>.  If c_i > 0, then c_i >= 1 and k(m) >= -r_i,
+    so r_i + k(m)*c_i >= r_i + k(m) >= 0.  If c_i = 0, then rho_i lies in
+    sigma', so r_i >= 0.  If c_i < 0, the ray inequalities already fail.
     """
     require_complete(fan, "regularity certificates need a complete fan")
     tables = PairingTables(fan) if tables is None else tables
     rho_e, values = root.rho_e, tables.row(root.e)
     entries = []
     for cone_idx in fan.max_cones:
-        if rho_e in cone_idx:
-            ok = all(values[i] >= 0 for i in cone_idx if i != rho_e)
-            entries.append(ConeChartCertificate(
-                cone=cone_idx, contains_distinguished_ray=True,
-                ray_inequalities_ok=ok, sigma_prime=None, sigma_prime_in_fan=None,
-                samples_checked=0, samples_ok=True))
-            continue
-        ok = all(values[i] >= 0 for i in cone_idx)
-        sigma_prime = tuple(sorted([rho_e] + [i for i in cone_idx if values[i] == 0]))
-        in_fan = sigma_prime in fan.all_cones
-        rows = tables.samples(sigma_prime, 1).values() if in_fan else ()
-        positive = [i for i in cone_idx if values[i] > 0]
-        samples_ok = True
-        for row in rows:
-            shift = max([0] + [-row[i] for i in positive])
-            if any(row[i] + shift * values[i] < 0 for i in cone_idx):
-                samples_ok = False
-                break
+        contains = rho_e in cone_idx
+        sigma_prime = None if contains else tuple(
+            sorted([rho_e] + [i for i in cone_idx if values[i] == 0]))
         entries.append(ConeChartCertificate(
-            cone=cone_idx, contains_distinguished_ray=False,
-            ray_inequalities_ok=ok, sigma_prime=sigma_prime,
-            sigma_prime_in_fan=in_fan, samples_checked=len(rows),
-            samples_ok=samples_ok))
+            cone=cone_idx, contains_distinguished_ray=contains,
+            ray_inequalities_ok=all(values[i] >= 0 for i in cone_idx if i != rho_e),
+            sigma_prime=sigma_prime,
+            sigma_prime_in_fan=None if contains else sigma_prime in fan.all_cones,
+            samples_checked=0))
     return RegularityCertificate(root=root, entries=tuple(entries))
 
 

@@ -13,7 +13,7 @@ import time
 from itertools import combinations_with_replacement, product as iproduct
 
 from toricaut.corpus import corpus
-from toricaut.fan import cone_from_rays, dual_cone, product_fan, transform_fan
+from toricaut.fan import cone_from_rays, product_fan, transform_fan
 from toricaut.lattice import (
     det,
     hermite_normal_form,
@@ -42,6 +42,7 @@ from toricaut.symbolic import (
 from util import (
     classification_oracle,
     compose,
+    dual_cone,
     inverse,
     random_complete_fan_rank2,
     random_pointed_cone_rays,

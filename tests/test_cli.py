@@ -36,7 +36,7 @@ from toricaut.symbolic import (
     regularity_check,
 )
 
-from util import random_unimodular
+from util import random_unimodular, weighted_projective_fan
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricaut" / "data"
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
@@ -401,8 +401,8 @@ class TestProductCertificate:
         assert ranks and set(ranks) == {2}
 
     def test_no_lower_dimensional_cones(self, monkeypatch):
-        # regularity samples each face sigma' by localising a maximal cone
-        # through it, so no certificate builds a cone of less than full
+        # regularity looks sigma' up among the fan's faces and samples
+        # nothing, so no certificate builds a cone of less than full
         # dimension
         low = []
         build = fan_module.cone_from_rays
@@ -425,11 +425,12 @@ class TestProductCertificate:
 
 
 class TestCertificateTables:
-    """check computes each per-ray and per-cone fact of its certificates
-    once per fan: one Hermite form for m1 per ray that has a root, and one
-    parallelepiped per maximal cone."""
+    """check computes each per-ray fact of its certificates once per fan:
+    one Hermite form for m1 per ray that has a root.  On a simplicial fan
+    it samples no dual cone, so it lists no parallelepiped point."""
 
-    def test_one_m1_per_ray_and_one_parallelepiped_per_cone(self, monkeypatch):
+    @staticmethod
+    def counted(monkeypatch) -> tuple:
         columns, boxes = [], []
         hermite, points = symbolic.hermite_normal_form, symbolic._parallelepiped_points
 
@@ -438,27 +439,42 @@ class TestCertificateTables:
                 columns.append(tuple(row[0] for row in a))
             return hermite(a)
 
+        def no_samples(*args):
+            raise AssertionError("check samples a dual cone")
+
         monkeypatch.setattr(symbolic, "hermite_normal_form", counted_hermite)
         monkeypatch.setattr(symbolic, "_parallelepiped_points",
                             lambda gens, d: boxes.append(tuple(gens)) or points(gens, d))
-        # bypass any memo of sample sets, so that each is counted here
-        monkeypatch.setattr(symbolic, "dual_monomials", symbolic.dual_monomials.__wrapped__)
+        monkeypatch.setattr(symbolic, "dual_monomials", no_samples)
+        return columns, boxes
+
+    def test_one_m1_per_ray_and_one_parallelepiped_per_cone(self, monkeypatch):
+        columns, boxes = self.counted(monkeypatch)
         paths = sorted(DATA.glob("*.fan")) + [FIXTURES / f"{name}.fan" for name in (
             "F3_conjugate", "F3_F20", "P112_F9", "Bl24P3", "P2xP2xP1_u")]
-        totals = [0, 0]
+        total = 0
         for path in paths:
             doc = parse_fan(path.read_text())
             fan = fan_from_document(doc)
             columns.clear()
-            boxes.clear()
             certificates = run_certificates([(doc, fan, doc.name)])
             assert all(ok for _, _, ok, _ in certificates), path.name
             rays = {fan.rays[r.rho_e] for r in demazure_roots(fan)}
             assert len(columns) == len(set(columns)) and set(columns) <= rays, path.name
-            assert len(boxes) == len(set(boxes)) <= len(fan.max_cones), path.name
-            totals[0] += len(columns)
-            totals[1] += len(boxes)
-        assert len(paths) == 17 and totals == [63, 84]
+            total += len(columns)
+        # every document is simplicial, so no chart lists its parallelepiped
+        assert len(paths) == 17 and total == 63 and boxes == []
+
+    def test_rank_8_weighted_projective_space(self, monkeypatch):
+        # P(1,1,2,2,3,3,4,4,5) has a chart of multiplicity 5, with 5^7 dual
+        # parallelepiped points; check reads none of them
+        _, boxes = self.counted(monkeypatch)
+        fan = weighted_projective_fan((1, 1, 2, 2, 3, 3, 4, 4, 5))
+        certificates = run_certificates([(None, fan, "P(1,1,2,2,3,3,4,4,5)")])
+        assert [(c, ok) for c, _, ok, _ in certificates] == [(c, True) for c in (
+            "valid", "complete", "regularity", "additivity", "infinitesimal",
+            "faithfulness", "wreath_order", "product_roots")]
+        assert boxes == []
 
 
 # the subcommands that take one fan
@@ -566,7 +582,7 @@ def _human_cases():
     cases += [(f"check.{name}", ["check", str(DATA / f"{name}.fan")]) for name in names]
     # the fixtures on which check passes
     cases += [(f"check.{name}", ["check", str(FIXTURES / f"{name}.fan")]) for name in (
-        "F3_F20", "F3_conjugate", "P112_F9", "P2xP2xP1_u", "Bl24P3", "cube5")]
+        "F3_F20", "F3_conjugate", "P112_F9", "P2xP2xP1_u", "Bl24P3", "cube5", "P1122334")]
     return cases + [("check.P1+P2", ["check", *pair]), ("product.P1+P2", ["product", *pair])]
 
 

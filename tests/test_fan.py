@@ -9,14 +9,12 @@ from toricaut import fan as fan_module, lattice, roots as roots_module
 from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import (
     Cone,
-    DualCone,
     Fan,
     NotStrictlyConvexError,
     ValidationReport,
     _maximal,
     _pairwise_violations,
     cone_from_rays,
-    dual_cone,
     is_complete,
     is_simplicial,
     is_smooth,
@@ -30,8 +28,10 @@ from toricaut.roots import demazure_roots
 
 from test_roots import SQUARE_PYRAMID
 from util import (
+    DualCone,
     complete_by_adjacency,
     cube_fan,
+    dual_cone,
     extreme_rays_by_subset_enumeration,
     faces_by_subset_scan,
     maximal_cones_oracle,

@@ -10,11 +10,9 @@ from toricaut import fan as fan_module
 from toricaut.cli import FanDocument, parse_fan
 from toricaut.fan import (
     Cone,
-    DualCone,
     ValidationEntry,
     ValidationReport,
     cone_from_rays,
-    dual_cone,
     product_fan,
 )
 from toricaut.roots import DemazureRoot, RootPolytope, demazure_roots
@@ -42,6 +40,8 @@ from toricaut.symbolic import (
     regularity_check,
 )
 
+from util import DualCone, dual_cone
+
 FIELDS = {
     FanDocument: ("rank", "rays", "max_cones", "name", "warnings"),
     Cone: ("rank", "rays", "facet_normals", "dim", "det", "scaled_rows"),
@@ -62,8 +62,7 @@ FIELDS = {
     HomogeneousDerivation: ("p", "e"),
     ActionChartCertificate: ("root", "degrees", "additive", "infinitesimal"),
     ConeChartCertificate: ("cone", "contains_distinguished_ray", "ray_inequalities_ok",
-                           "sigma_prime", "sigma_prime_in_fan", "samples_checked",
-                           "samples_ok"),
+                           "sigma_prime", "sigma_prime_in_fan", "samples_checked"),
     RegularityCertificate: ("root", "entries"),
     WitnessMonomial: ("m0", "cone", "witness_s_exp", "witness_character"),
     ClassificationResult: ("p", "e", "preserved", "reason", "root", "sampler_preserved",

@@ -262,7 +262,7 @@ class TestChartEnumeration:
                     assert ranges == expected, (fan.rays, j, chart)
                     charts += 1
                     empty += expected is None
-        assert (charts, empty) == (1278, 472)
+        assert (charts, empty) == (1320, 472)
 
     def test_chart_of_least_determinant(self, fans, monkeypatch):
         # the chart found by exchanging ray j into a cone's first basis is

@@ -44,13 +44,16 @@ from util import (
     action_chart_oracle,
     classification_oracle,
     cube_fan,
+    degrees_by_fill,
     dual_samples_by_vectors,
     infinitesimal_by_expansion,
     parallelepiped_points_oracle,
     random_unimodular,
     regularity_by_vectors,
     regularity_oracle,
+    sample_rows,
     semigroup_contains,
+    weighted_projective_fan,
     witness_by_vectors,
     witness_oracle,
 )
@@ -166,7 +169,8 @@ class TestRegularity:
         assert cert.ok
         chart = next(e for e in cert.entries if not e.contains_distinguished_ray)
         assert {fan.rays[i] for i in chart.sigma_prime} == {(1, 0), (0, 1)}
-        assert chart.sigma_prime_in_fan and chart.samples_checked > 0
+        # the closed form checks no sample
+        assert chart.sigma_prime_in_fan and chart.ok and chart.samples_checked == 0
 
     def test_p1_both_roots(self, fans):
         for root in demazure_roots(fans["P1"]):
@@ -186,7 +190,8 @@ class TestRegularity:
                 assert regularity_check(fan, root).ok
 
     def test_checked_sets_generate_the_dual_semigroups(self, fans):
-        # the set checked on each sigma' keeps its size in a large basis
+        # the height-1 samples of each sigma' keep their number in a large
+        # basis
         count = 0
         sigma_primes = set()
         for base, fan, cone_map, char_map in large_basis_conjugates(fans, (2, 3)):
@@ -197,8 +202,9 @@ class TestRegularity:
                 samples = {entry.cone: entry for entry in cert.entries}
                 for entry in regularity_check(base, root).entries:
                     image = samples[cone_map(entry.cone)]
-                    assert image.samples_checked == entry.samples_checked
                     if not entry.contains_distinguished_ray:
+                        assert len(dual_monomials(fan, image.sigma_prime, 1)) == len(
+                            dual_monomials(base, entry.sigma_prime, 1))
                         sigma_primes |= {(base, entry.sigma_prime), (fan, image.sigma_prime)}
                 count += 1
         assert count == 60
@@ -238,7 +244,8 @@ class TestRegularity:
 
     def test_height_4_oracle_on_non_roots(self, fans):
         # a non-root (e, ray) pair gets the same chart verdicts from the
-        # height-1 generators as from every height-4 sample
+        # closed form as from shifting every character of sigma'^v with
+        # entries in -4..4
         checked = failed_charts = 0
         for fan in [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]:
             roots = set(demazure_roots(fan))
@@ -248,9 +255,9 @@ class TestRegularity:
                     if root in roots:
                         continue
                     cert = regularity_check(fan, root)
-                    samples_ok = tuple(entry.samples_ok for entry in cert.entries)
-                    assert (cert.ok, samples_ok) == regularity_oracle(fan, root), (fan, root)
-                    failed_charts += samples_ok.count(False)
+                    charts = tuple(entry.ok for entry in cert.entries)
+                    assert (cert.ok, charts) == regularity_oracle(fan, root), (fan, root)
+                    failed_charts += charts.count(False)
                     checked += 1
         assert checked == 2548 and failed_charts > 0
 
@@ -357,8 +364,9 @@ def negative_controls(fan, roots):
 class TestPairingTables:
     """The certificates read off integer pairing tables agree with the same
     certificates evaluated on vectors (tests/util.py): every regularity
-    entry, the chart verdicts and degrees, and every witness, on roots and
-    on non-roots, whose verdicts fail."""
+    entry and chart verdict, the sample test the closed form replaced, the
+    chart verdicts and degrees of the action, and every witness, on roots
+    and on non-roots, whose verdicts fail."""
 
     def test_matches_the_vector_form(self, fans):
         checked, controlled, verdicts = 0, 0, {}
@@ -368,7 +376,8 @@ class TestPairingTables:
             tables = PairingTables(fan)
             for root in list(roots) + controls:
                 regularity = regularity_check(fan, root, tables)
-                assert regularity == regularity_by_vectors(fan, root), (fan, root)
+                charts = tuple(entry.ok for entry in regularity.entries)
+                assert (regularity, charts) == regularity_by_vectors(fan, root), (fan, root)
                 chart = action_chart_check(fan, root, tables)
                 assert chart == action_chart_by_vectors(fan, root, fan.max_cones), (fan, root)
                 witness = faithfulness_check(fan, root, tables)
@@ -388,6 +397,32 @@ class TestPairingTables:
             controlled += len(controls)
         assert (checked - controlled, controlled) == (147, 671)
         assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+    def test_degrees_match_the_height_2_fill(self, fans):
+        # the closed-form degrees of every ray against the degrees of the
+        # height-2 samples of its charts, with one character of each degree;
+        # cube5 is the non-simplicial case, and the P(q) have charts of
+        # multiplicity up to 11
+        fixtures = [fan_from_document(parse_fan(path.read_text()))
+                    for path in sorted(FIXTURES.glob("*.fan"))
+                    if path.stem not in ("P12_minus_cone", "pyramid_swapped")]
+        weighted = [weighted_projective_fan(q) for q in (
+            (1, 1, 2), (1, 2, 3), (1, 1, 2, 2, 3), (1, 2, 3, 4, 5), (2, 3, 5, 7, 11))]
+        rng = random.Random(26)
+        conjugates = [transform_fan(fan, random_unimodular(rng, fan.rank, steps=12))
+                      for fan in (fans["P112"], fans["F3"], weighted[2])]
+        rays, non_simplicial = 0, 0
+        for fan in list(fans.values()) + fixtures + weighted + conjugates:
+            tables = PairingTables(fan)
+            for j, rho in enumerate(fan.rays):
+                degrees = tables.degrees(j)
+                assert [k for k, _ in degrees] == degrees_by_fill(fan, j), (fan, j)
+                m0 = tables.witness(j)[0]
+                assert all(m == tuple(k * x for x in m0) and pairing(rho, m) == k
+                           for k, m in degrees), (fan, j)
+                rays += 1
+            non_simplicial += any(len(c) > fan.rank for c in fan.max_cones)
+        assert (len(fixtures), rays, non_simplicial) == (7, 168, 1)
 
 
 class TestAdditivity:
@@ -565,19 +600,20 @@ class TestActionChartCheck:
     are the root's ray inequalities on the charts through rho_e, and the
     one height-2 sample per degree on which the binomial identities run."""
 
-    def test_roots_pass_with_least_sample_per_degree(self, fans):
+    def test_roots_pass_with_one_character_per_degree(self, fans):
+        # each degree of the height-2 samples of the charts through rho_e,
+        # with the multiple k*m0 of the ray's witness
         for fan in list(fans.values()) + [NON_SMOOTH]:
             tables = PairingTables(fan)
             for root in demazure_roots(fan):
                 cert = action_chart_check(fan, root, tables)
                 assert cert.additive and cert.infinitesimal, (fan, root)
                 rho = fan.rays[root.rho_e]
-                samples = sorted({m for c in fan.max_cones if root.rho_e in c
-                                  for m in dual_monomials(fan, c, 2)})
-                least = {}
-                for m in samples:
-                    least.setdefault(pairing(rho, m), m)
-                assert cert.degrees == tuple(sorted(least.items()))
+                samples = {m for c in fan.max_cones if root.rho_e in c
+                           for m in dual_monomials(fan, c, 2)}
+                m0 = faithfulness_check(fan, root, tables).m0
+                assert cert.degrees == tuple((k, tuple(k * x for x in m0))
+                                             for k in sorted({pairing(rho, m) for m in samples}))
 
     def test_height_4_box_oracle_on_non_roots(self, fans):
         # the non-root (e, ray) pairs of the regularity sweep get the same
@@ -616,7 +652,7 @@ class TestActionChartCheck:
             tables = PairingTables(fan)
             for root in list(roots) + negative_controls(fan, roots):
                 cert = action_chart_check(fan, root, tables)
-                scan = action_chart_by_scan(fan, root, PairingTables(fan))
+                scan = action_chart_by_scan(fan, root)
                 assert (cert.additive, cert.infinitesimal) == scan, (fan, root)
                 verdicts.add(scan)
                 checked += 1
@@ -633,10 +669,9 @@ class TestActionChartCheck:
         products = [product_fan(cube_fan(3), fans[name]) for name in ("P1", "P2", "F1")]
         pairs = 0
         for fan in oracle_fans(fans) + [cube5] + products:
-            tables = PairingTables(fan)
             for sigma in fan.max_cones:
                 normals = fan.cone(sigma).facet_normals
-                rows = tables.samples(sigma, 1)
+                rows = sample_rows(fan, sigma, 1)
                 assert all(g in rows for g in normals), (fan, sigma)
                 for j in sigma:
                     assert any(row[j] == 1 for row in rows.values()), (fan, sigma, j)
@@ -657,7 +692,7 @@ class TestActionChartCheck:
             tables = PairingTables(fan)
             for root in list(roots) + negative_controls(fan, roots):
                 cert = action_chart_check(fan, root, tables)
-                scan = action_chart_by_scan(fan, root, tables)
+                scan = action_chart_by_scan(fan, root)
                 assert (cert.additive, cert.infinitesimal) == scan, (fan, root)
                 verdicts.add(scan)
                 checked += 1

@@ -6,11 +6,14 @@ import math
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from toricaut.fan import (
     Fan,
     IncompleteFanError,
     ValidationEntry,
+    _cone_generators,
+    cone_from_rays,
     halfspace_cone_generators,
     is_complete,
 )
@@ -294,6 +297,37 @@ def witness_oracle(fan, root):
         radius *= 2
 
 
+class DualCone(NamedTuple):
+    """Dual of a non-full-dimensional cone: full space or has lineality.
+
+    generators span the pointed part; the lineality basis spans the
+    largest linear subspace contained in the dual.
+    """
+
+    rank: int
+    generators: tuple
+    lineality: tuple
+
+    @property
+    def is_full_space(self) -> bool:
+        return len(self.lineality) == self.rank
+
+
+def dual_cone(c):
+    """Dual cone in M, by the library's double description.
+
+    For a full-dimensional cone the dual is strictly convex and is
+    returned as a Cone whose generators are the facet normals of the
+    input.  Otherwise the dual contains the annihilator of the input's
+    span and a DualCone marker is returned (for the zero cone this is all
+    of M_R).
+    """
+    if c.dim == c.rank:
+        return cone_from_rays(c.facet_normals, c.rank)
+    gens, lin = _cone_generators(c.rays, c.rank)
+    return DualCone(rank=c.rank, generators=gens, lineality=lin)
+
+
 def extreme_rays_by_subset_enumeration(normals, n):
     """Reference for halfspace_cone_generators that kernels every rank n-1
     constraint subsystem instead of running double description."""
@@ -460,26 +494,25 @@ def parallelepiped_points_oracle(gens, d):
 
 
 def regularity_oracle(fan, root):
-    """Reference for regularity_check on every character of sigma'^v with
-    entries in -4..4 instead of the height-1 generators: (ok, per-chart
-    samples_ok in max_cones order).  A chart without rho_e needs sigma' in
-    the fan and each such m shifted into the chart's dual by the least
-    k >= 0 with <rho, m> + k >= 0 on the rays with <rho, e> > 0."""
-    ok, samples_ok = True, []
+    """Reference for regularity_check that moves characters instead of
+    trusting the closed form: (ok, per-chart verdicts in max_cones order).
+    A chart needs the ray inequalities; a chart without rho_e also needs
+    sigma' in the fan, and every character m of sigma'^v with entries in
+    -4..4 shifted into the chart's dual by the least k >= 0 with
+    <rho, m> + k >= 0 on the rays with <rho, e> > 0."""
+    charts = []
     for cone in fan.max_cones:
         values = {i: pairing(fan.rays[i], root.e) for i in cone if i != root.rho_e}
-        ok = ok and all(v >= 0 for v in values.values())
-        chart_ok = True
+        chart_ok = all(v >= 0 for v in values.values())
         if root.rho_e not in cone:
             sigma_prime = tuple(sorted([root.rho_e] + [i for i, v in values.items() if v == 0]))
-            ok = ok and sigma_prime in fan.all_cones
-            for m in _box_dual_points(fan, sigma_prime, 4) if sigma_prime in fan.all_cones else ():
+            chart_ok = chart_ok and sigma_prime in fan.all_cones
+            for m in _box_dual_points(fan, sigma_prime, 4) if chart_ok else ():
                 k = max([0] + [-pairing(fan.rays[i], m) for i, v in values.items() if v > 0])
                 chart_ok = chart_ok and all(pairing(fan.rays[i], m) + k * v >= 0
                                             for i, v in values.items())
-            ok = ok and chart_ok
-        samples_ok.append(chart_ok)
-    return ok, tuple(samples_ok)
+        charts.append(chart_ok)
+    return all(charts), tuple(charts)
 
 
 def action_chart_oracle(fan, root, cone, radius=4):
@@ -583,34 +616,36 @@ def dual_samples_by_vectors(fan, cone_idx, height):
 
 
 def regularity_by_vectors(fan, root):
-    """Reference for regularity_check: each height-1 sample m of sigma'^v is
-    shifted to m + k*e and paired with the chart's rays."""
+    """Reference for regularity_check: the entries from pairings of vectors,
+    and each chart's verdict by the sample test that the closed form
+    replaced, as (certificate, per-chart verdicts).  On a chart without
+    rho_e, each height-1 sample m of sigma'^v is shifted to m + k*e and
+    paired with the chart's rays."""
     e = root.e
-    entries = []
+    entries, verdicts = [], []
     for cone_idx in fan.max_cones:
+        values = {i: pairing(fan.rays[i], e) for i in cone_idx if i != root.rho_e}
+        ok = all(v >= 0 for v in values.values())
         if root.rho_e in cone_idx:
-            ok = all(pairing(fan.rays[i], e) >= 0 for i in cone_idx if i != root.rho_e)
             entries.append(ConeChartCertificate(
                 cone=cone_idx, contains_distinguished_ray=True,
                 ray_inequalities_ok=ok, sigma_prime=None, sigma_prime_in_fan=None,
-                samples_checked=0, samples_ok=True))
+                samples_checked=0))
+            verdicts.append(ok)
             continue
-        values = {i: pairing(fan.rays[i], e) for i in cone_idx}
-        ok = all(v >= 0 for v in values.values())
         sigma_prime = tuple(sorted([root.rho_e] + [i for i, v in values.items() if v == 0]))
         in_fan = sigma_prime in fan.all_cones
-        samples = dual_samples_by_vectors(fan, sigma_prime, 1) if in_fan else ()
         samples_ok = True
-        for m in samples:
+        for m in dual_samples_by_vectors(fan, sigma_prime, 1) if in_fan else ():
             shift = max([0] + [-pairing(fan.rays[i], m) for i, v in values.items() if v > 0])
             shifted = vec_add(m, vec_scale(e, shift))
             samples_ok = samples_ok and all(pairing(fan.rays[i], shifted) >= 0 for i in cone_idx)
         entries.append(ConeChartCertificate(
             cone=cone_idx, contains_distinguished_ray=False,
             ray_inequalities_ok=ok, sigma_prime=sigma_prime,
-            sigma_prime_in_fan=in_fan, samples_checked=len(samples),
-            samples_ok=samples_ok))
-    return RegularityCertificate(root=root, entries=tuple(entries))
+            sigma_prime_in_fan=in_fan, samples_checked=0))
+        verdicts.append(ok and in_fan and samples_ok)
+    return RegularityCertificate(root=root, entries=tuple(entries)), tuple(verdicts)
 
 
 def infinitesimal_by_expansion(fan, root, m):
@@ -622,13 +657,20 @@ def infinitesimal_by_expansion(fan, root, m):
     return lhs == derivation_apply(d, GradedLaurentPoly.chi(m)).s_coefficient(0)
 
 
+def degrees_by_fill(fan, j):
+    """Reference for PairingTables.degrees: the sorted degrees <rho_j, m>
+    of every height-2 sample m of the charts containing ray j."""
+    return sorted({pairing(fan.rays[j], m) for cone_idx in fan.max_cones if j in cone_idx
+                   for m in dual_samples_by_vectors(fan, cone_idx, 2)})
+
+
 def action_chart_by_vectors(fan, root, charts):
     """Reference for action_chart_check on the given charts: the height-2
     samples m of each chart containing rho_e, the characters m + k*e and,
-    when k = <rho_e, m> >= 1, m + e paired with the chart's rays, and the
-    least m of each degree k."""
+    when k = <rho_e, m> >= 1, m + e paired with the chart's rays, and each
+    degree k with the character k*m0, m0 the witness of witness_by_vectors."""
     rho = fan.rays[root.rho_e]
-    degrees = {}
+    degrees = set()
     additive = infinitesimal = True
     for cone_idx in charts:
         if root.rho_e not in cone_idx:
@@ -640,24 +682,32 @@ def action_chart_by_vectors(fan, root, charts):
                 pairing(r, vec_add(m, vec_scale(root.e, k))) >= 0 for r in rays)
             infinitesimal = infinitesimal and (k == 0 or all(
                 pairing(r, vec_add(m, root.e)) >= 0 for r in rays))
-            if k not in degrees or m < degrees[k]:
-                degrees[k] = m
-    return ActionChartCertificate(root=root, degrees=tuple(sorted(degrees.items())),
+            degrees.add(k)
+    m0 = witness_by_vectors(fan, root)[0].m0
+    return ActionChartCertificate(root=root,
+                                  degrees=tuple((k, vec_scale(m0, k)) for k in sorted(degrees)),
                                   additive=additive, infinitesimal=infinitesimal)
 
 
-def action_chart_by_scan(fan, root, tables):
+@lru_cache(maxsize=None)
+def sample_rows(fan, cone_idx, height):
+    """Each sample m of dual_monomials mapped to its row (<rho_i, m>)_i."""
+    return {m: tuple(pairing(r, m) for r in fan.rays)
+            for m in dual_monomials(fan, cone_idx, height)}
+
+
+def action_chart_by_scan(fan, root):
     """Reference for action_chart_check's verdicts: every height-2 sample
     row of each chart containing rho_e, at every ray of the chart with a
     negative pairing c, tested with r_i + k*c >= 0 and, when k >= 1,
     r_i + c >= 0."""
-    rho_e, values = root.rho_e, tables.row(root.e)
+    rho_e, values = root.rho_e, tuple(pairing(r, root.e) for r in fan.rays)
     additive = infinitesimal = True
     for cone_idx in fan.max_cones:
         if rho_e not in cone_idx:
             continue
         negative = [(i, values[i]) for i in cone_idx if values[i] < 0]
-        rows = tables.samples(cone_idx, 2).values()
+        rows = sample_rows(fan, cone_idx, 2).values()
         additive = additive and all(row[i] + row[rho_e] * c >= 0
                                     for row in rows for i, c in negative)
         infinitesimal = infinitesimal and all(row[i] + c >= 0
