@@ -37,7 +37,7 @@ validated and tested for completeness like any other fan.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -150,7 +150,8 @@ def _simplex_rays(inv: Mat, det_a0: int) -> list:
     return [primitive(tuple(sign * row[i] for row in inv)) for i in range(len(inv))]
 
 
-def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat] = None) -> list:
+def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat] = None,
+                          more: Iterable[Vec] = ()) -> list:
     """Double description: extreme rays of a pointed cone {y : <a,y> >= 0}.
 
     idx lists the d = dim rows that lie outside the span of the rows
@@ -166,15 +167,18 @@ def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat]
     active exactly where both are, and on the new row (Fukuda-Prodon,
     "Double description method revisited", 1996).  Adjacent rays share at
     least d - 2 active rows, so pairs with fewer are never tested.
+    The constraints after the other rows are those `more` yields, each
+    read when the method reaches it.  Once every ray is negative on the
+    new row, the cone is {0}: the method returns [] and reads no further
+    row.
     """
     d = len(idx)
-    order = idx + [i for i in range(len(rows)) if i not in idx]
     if simplex is None:
         simplex = _simplex_rays(*scaled_inverse([rows[i] for i in idx]))
     full = (1 << d) - 1
     current = [(r, full ^ (1 << i)) for i, r in enumerate(simplex)]
-    for step in range(d, len(order)):
-        a = rows[order[step]]
+    others = chain((rows[i] for i in range(len(rows)) if i not in idx), more)
+    for step, a in enumerate(others, d):
         bit = 1 << step
         pos, neg, new = [], [], []
         for r, m in current:
@@ -186,6 +190,8 @@ def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat]
                 neg.append((r, m, v))
             else:
                 new.append((r, m | bit))
+        if not new:
+            return []
         if not neg:
             current = new
             continue

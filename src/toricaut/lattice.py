@@ -12,6 +12,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple
@@ -87,7 +88,7 @@ def vec_mat(v: Vec, a: Mat) -> Vec:
     """Row vector times matrix."""
     if len(v) != len(a):
         raise ValueError("dimension mismatch in vec_mat")
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]) if a else 0))
+    return tuple([sum(map(mul, v, col)) for col in zip(*a)])
 
 
 def det(a: Mat) -> int:

@@ -14,10 +14,12 @@ exchanged into a non-simplicial cone is inverted here.  One double
 description per ray, in the chart's n coordinates, gives the vertices of
 the polytope's homogenisation; there the constraints c_i >= 0 on the
 chart's other rays and t >= 0 are the unit rows, and the method starts
-from the unit vectors.  Each c_i runs between its least and
-greatest value on the vertices, and c is fixed one coordinate at a time,
-dropping a prefix as soon as some other ray can no longer pair
-non-negatively with e.  A complete c gives e = R*c/d (A*R = d*I for the
+from the unit vectors.  It reads the rows of the rays sharing a maximal
+cone with rho_j first, each when it reaches it, and stops once the cone
+is {0}, as it soon is on most rays of a blow-up.  Each c_i runs between
+its least and greatest value on the vertices, and c is fixed one
+coordinate at a time, dropping a prefix as soon as some other ray can no
+longer pair non-negatively with e.  A complete c gives e = R*c/d (A*R = d*I for the
 chart's rays A) when that is integral, and e is kept if it passes the
 definition.  The search, and its size, are the same for a fan and each of
 its GL(n, Z)-conjugates.  Completeness is a hard precondition: without it
@@ -27,8 +29,9 @@ the root set may be infinite and the operation refuses to run.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fan import (
     Fan,
@@ -133,7 +136,7 @@ def root_ray_index(fan: Fan, e: Sequence[int]) -> Optional[int]:
 _INFINITE = "fan is not complete: root set may be infinite"
 
 
-def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int) -> tuple:
+def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int, first: Iterable[int] = ()) -> tuple:
     """(ranges, rows) for the roots of ray j in the coordinates
     c_p = <rho_chart[p], e> of a chart through it, with A*R = d*I for the
     chart's rays A.
@@ -144,21 +147,31 @@ def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int) -> tuple:
     chart's other rays, <w_k, c> >= 0}, and its homogenisation, with t in
     place of -c_j, is {y >= 0 : <w_k, y> >= 0 with the j-th entry of w_k
     negated}.  Its n unit rows cut out the orthant, so one double
-    description starts from the unit vectors and inverts nothing.  Each
-    c_i ranges between its least and greatest value on the vertices
-    y / t, c_j is -1, and ranges is None when the polytope is empty or
-    some range holds no integer.  The map e -> c is linear and
-    invertible, so these are exactly the ranges of <rho_i, e> on the
-    polytope in M.
+    description starts from the unit vectors and inverts nothing.  It
+    reads the rays in `first`, then the others, each w_k when it reaches
+    it, and stops once the cone is {0}, so rows lists every w_k whenever
+    the polytope is non-empty.  Each c_i
+    ranges between its least and greatest value on the vertices y / t, c_j
+    is -1, and ranges is None when the polytope is empty or some range
+    holds no integer.  The map e -> c is linear and invertible, so these
+    are exactly the ranges of <rho_i, e> on the polytope in M.
     """
     n, p = fan.rank, chart.index(j)
     sign = 1 if d > 0 else -1
     cols = tuple(zip(*r))
-    rows = [tuple(sign * sum(map(mul, fan.rays[k], col)) for col in cols)
-            for k in range(len(fan.rays)) if k not in chart]
+    rows = []
+
+    def homogenised():
+        seen = set(chart)
+        for k in chain(first, range(len(fan.rays))):
+            if k not in seen:
+                seen.add(k)
+                w = tuple(sign * sum(map(mul, fan.rays[k], col)) for col in cols)
+                rows.append(w)
+                yield w[:p] + (-w[p],) + w[p + 1:]
+
     units = identity_matrix(n)
-    homogenised = list(units) + [w[:p] + (-w[p],) + w[p + 1:] for w in rows]
-    vertices = _pointed_extreme_rays(homogenised, list(range(n)), units)
+    vertices = _pointed_extreme_rays(units, list(range(n)), units, homogenised())
     if not vertices:
         return None, rows
     ranges = [range(-1, 0) if q == p else
@@ -246,10 +259,16 @@ def _lifted_candidates(fan: Fan):
         f = max(q for q in range(n) if y[q])
         return abs(y[f]), tuple(sorted(basis[:f] + basis[f + 1:] + (j,)))
 
-    for j in range(len(fan.rays)):
-        chart = min(chart_key(j, c) for c in fan.max_cones if j in c)[1]
+    through = [[] for _ in fan.rays]
+    for c in fan.max_cones:
+        for i in c:
+            through[i].append(c)
+    for j, cones in enumerate(through):
+        chart = min(chart_key(j, c) for c in cones)[1]
         r, d = inverse(chart)
-        ranges, rows = _chart_bounds(fan, j, chart, r, d)
+        # on a blow-up of P2 one row of ray j's star empties its polytope
+        # whenever rho_j has negative self-intersection
+        ranges, rows = _chart_bounds(fan, j, chart, r, d, chain.from_iterable(cones))
         if ranges is not None:
             for e in _lift(ranges, rows, r, d):
                 yield j, e

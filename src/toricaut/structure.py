@@ -2,13 +2,16 @@
 the product/wreath structure of the automorphism group.
 
 The isomorphism search assigns images to a spanning set of anchor rays,
-backtracking with combinatorial pruning (cone-incidence profiles of rays
-and ray pairs, which are preserved by any lattice isomorphism).  The
-anchors are the independent rays of one maximal cone, the one whose rays
-have the fewest candidate images (then of the other rays, when that cone
-does not span), a first step toward the leaf pruning of McKay-Piperno
-(J. Symbolic Comput. 60, 2014): on a blow-up of P3 by 24 star
-subdivisions the search tests 2 leaves instead of 4,080.  It
+backtracking with pruning by profiles of rays and ray pairs that any
+lattice isomorphism preserves: the faces through them, and their terms
+in the relations between adjacent simplicial cones, listed for a pair
+only when the search compares it.  The anchors are the independent rays
+of one maximal cone, the one whose rays have the fewest candidate images
+(then of the other rays, when that cone does not span), a first step
+toward the leaf pruning of McKay-Piperno (J. Symbolic Comput. 60, 2014):
+on a blow-up of P3 by 24 star subdivisions the search tests 2 leaves
+instead of 4,080, and on F1^3, whose face lattice is that of P1^6, 48
+instead of 46,080.  It
 inverts the anchor rays once per search, as an integer matrix R and
 d = ±det with A*R = d*I, so each leaf costs one integer product R*B and a
 divisibility test by d; a candidate is kept only if it is integral,
@@ -30,8 +33,9 @@ indecomposability certificate.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
@@ -96,42 +100,129 @@ def _multiplicity(cone: Cone, rank: int) -> int:
     return math.prod(h[i][i] for i in range(rank))
 
 
+def _wall_relations(fan: Fan) -> list:
+    """For each ray, the relations of the walls it is in, each a dict from
+    the wall's rays to their terms.
+
+    Two simplicial full-dimensional maximal cones sigma = tau + rho and
+    sigma' = tau + rho' meeting in a wall tau give one primitive integer
+    relation alpha*rho + alpha'*rho' = sum_{i in tau} c_i*rho_i, alpha and
+    alpha' > 0 (Reid, "Decomposition of toric morphisms", Progr. Math. 36,
+    1983; Batyrev's primitive relations, Tohoku Math. J. 43, 1991; on a
+    surface, -c_i is the self-intersection number, Oda, Convex Bodies and
+    Algebraic Geometry, 1988, section 1.6).  rho and rho' get the terms
+    (1, alpha) and (1, alpha'), each i in tau (0, c_i).  It is read from
+    y = rho*R, with A*R = d*I for the rays A of sigma', which sigma' keeps:
+    d*rho = sum_k y_k*rho_k over the rays of sigma'."""
+    n, rays = fan.rank, fan.rays
+    walls = [[] for _ in rays]
+    first: dict = {}
+    for c in fan.max_cones:
+        cone = fan.cone(c)
+        if len(c) != n or not cone.det:
+            continue
+        cols = None
+        for p, rho2 in enumerate(c):
+            tau = c[:p] + c[p + 1:]
+            rho = first.pop(tau, None)
+            if rho is None:
+                first[tau] = rho2
+                continue
+            if cols is None:
+                r, d = cone.inverse
+                cols = tuple(zip(*r))
+            y = [sum(map(mul, rays[rho], col)) for col in cols]
+            g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
+            relation = {i: (0, x // g) for i, x in zip(c, y)}
+            relation[rho2] = (1, -y[p] // g)
+            relation[rho] = (1, d // g)
+            for i in relation:
+                walls[i].append(relation)
+    return walls
+
+
 def _ray_profiles(fan: Fan):
-    """The sorted keys of the faces through each ray and through each
-    ordered pair of rays, in one pass over the faces.  A face's key is its
-    dimension, and a maximal cone of multiplicity d adds (rank + 1)(d - 1)
-    to it: a key above the rank encodes (dimension, d) one to one.  The
-    multiplicities separate rays whose faces match but whose cones differ
-    in the lattice: every ray of a weighted projective space P(q) lies in
-    the same number of faces of each dimension, but the maximal cone
-    without ray i has multiplicity q_i.  On a smooth fan the keys are the
-    dimensions."""
+    """(single, row): the profile of each ray, and a function giving the
+    profiles of the pairs (i, j) by j, for the rays j sharing a face or a
+    wall with ray i (others: _NO_PAIR), listed when first asked for.
+
+    A face's key is its dimension, and a maximal cone of multiplicity d
+    adds (rank + 1)(d - 1) to it: a key above the rank encodes (dimension,
+    d) one to one.  The multiplicities separate rays whose faces match but
+    whose cones differ in the lattice: every ray of a weighted projective
+    space P(q) lies in the same number of faces of each dimension, but the
+    maximal cone without ray i has multiplicity q_i.  The wall relations
+    are invariants that the faces do not see: F1^3 has the face lattice of
+    P1^6.  A ray's profile is the sorted keys of the faces through it and
+    its sorted terms in the relations through it; a pair's, the sorted
+    keys of the faces through both and each ray's sorted terms in the
+    relations to which the other is opposite.  The relations cost a
+    product with a cone's inverse per wall, so they are added only when
+    the faces leave every maximal cone more candidate images than there
+    are rays (_least_cone): on Bl24P3.fan they leave 4, and the search
+    tests |Aut| = 2 leaves without them.
+    """
     nrays = len(fan.rays)
     keys = dict(fan.all_cones)
     for c in fan.max_cones:
         keys[c] += (fan.rank + 1) * (_multiplicity(fan.cone(c), fan.rank) - 1)
-    single = [[] for _ in range(nrays)]
-    pair = [[[] for _ in range(nrays)] for _ in range(nrays)]
+    faces = [[] for _ in range(nrays)]
+    face_keys = [[] for _ in range(nrays)]
     for face, key in keys.items():
         for i in face:
-            single[i].append(key)
-            for j in face:
-                pair[i][j].append(key)
-    return [tuple(sorted(d)) for d in single], [[tuple(sorted(d)) for d in row] for row in pair]
+            faces[i].append(face)
+            face_keys[i].append(key)
+    by_faces = [tuple(sorted(k)) for k in face_keys]
+    walls = (_wall_relations(fan) if _least_cone(fan, by_faces)[0] > nrays
+             else [[] for _ in range(nrays)])
+    single = [(k, tuple(sorted([w[i] for w in ws])))
+              for i, (k, ws) in enumerate(zip(by_faces, walls))]
+    rows: dict = {}
+
+    def row(i: int) -> dict:
+        if i not in rows:
+            by_face, mine, theirs = defaultdict(list), defaultdict(list), defaultdict(list)
+            for face, key in zip(faces[i], face_keys[i]):
+                for j in face:
+                    by_face[j].append(key)
+            for relation in walls[i]:
+                t = relation[i]
+                for j, u in relation.items():
+                    if j != i:
+                        if u[0]:
+                            mine[j].append(t)
+                        if t[0]:
+                            theirs[j].append(u)
+            rows[i] = {j: (tuple(sorted(by_face[j])), tuple(sorted(mine[j])), tuple(sorted(theirs[j])))
+                       for j in by_face.keys() | mine.keys() | theirs.keys()}
+        return rows[i]
+
+    return single, row
+
+
+# the profile of a pair of rays sharing neither a face nor a wall
+_NO_PAIR = ((), (), ())
+
+
+def _least_cone(fan: Fan, single: list) -> tuple:
+    """(product, cone) for the maximal cone whose rays have the fewest
+    candidate images: the least product of their single-profile class
+    sizes, ties broken by the least index tuple."""
+    count = Counter(single)
+    size = [count[p] for p in single]
+    return min((math.prod([size[i] for i in c]), c) for c in fan.max_cones)
 
 
 def _cone_anchor_indices(fan: Fan, single: list) -> list:
     """The pivots of the rays of one maximal cone, then of the other rays:
     the rays, in that order, outside the span of the rays before them.
 
-    The cone is the one whose rays have the fewest candidate images, the
-    least product of their single-profile class sizes, ties broken by the
-    least index tuple.  On a complete fan its rays span N, so every anchor
-    is a ray of that cone.  The class sizes come from the cone incidences
-    alone, so the bound on the leaves does not depend on the lattice basis.
+    The cone is _least_cone's.  On a complete fan its rays span N, so
+    every anchor is a ray of that cone.  The class sizes come from the
+    profiles, GL(n, Z) invariants, so the bound on the leaves does not
+    depend on the lattice basis.
     """
-    size = Counter(single)
-    cone = min(fan.max_cones, key=lambda c: (math.prod(size[single[i]] for i in c), c))
+    cone = _least_cone(fan, single)[1]
     order = list(cone) + [i for i in range(len(fan.rays)) if i not in cone]
     return [order[p] for p in _pivots_and_kernel([fan.rays[i] for i in order], fan.rank)[0]]
 
@@ -200,9 +291,17 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
         anchor_rows = tuple(vec_mat(r, w1)[:d] for r in anchor_rows)
         rays2 = tuple(vec_mat(r, w2)[:d] for r in f2.rays)
     inverse, scale = scaled_inverse(anchor_rows)
+    classes: dict = {}
+    for b, profile in enumerate(single2):
+        classes.setdefault(profile, []).append(b)
+    # the images tried for each anchor, and the profiles of the pairs they
+    # must form with the images of the anchors before it
+    candidates = [classes.get(single1[a], ()) for a in anchors]
+    wanted = [[pair1(anchors[k]).get(a, _NO_PAIR) for k in range(pos)]
+              for pos, a in enumerate(anchors)]
     results = []
 
-    def backtrack(pos: int, chosen: list):
+    def backtrack(pos: int, chosen: list, rows: list):
         if pos == d:
             # distinct leaves give distinct U: the anchors are independent,
             # and a valid fan repeats no ray, so their images differ
@@ -216,20 +315,19 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
                 return False
             results.append(iso)
             return True
-        a = anchors[pos]
-        for b in range(len(f2.rays)):
-            if b in chosen or single2[b] != single1[a]:
-                continue
-            if any(pair2[c][b] != pair1[anchors[k]][a] for k, c in enumerate(chosen)):
+        for b in candidates[pos]:
+            if b in chosen or any(r.get(b, _NO_PAIR) != w for r, w in zip(rows, wanted[pos])):
                 continue
             chosen.append(b)
-            done = backtrack(pos + 1, chosen)
+            rows.append(pair2(b))
+            done = backtrack(pos + 1, chosen, rows)
             chosen.pop()
+            rows.pop()
             if done and not find_all:
                 return True
         return False
 
-    backtrack(0, [])
+    backtrack(0, [], [])
     return sorted(results, key=lambda iso: iso.matrix)
 
 

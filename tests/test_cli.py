@@ -582,7 +582,8 @@ def _human_cases():
     cases += [(f"check.{name}", ["check", str(DATA / f"{name}.fan")]) for name in names]
     # the fixtures on which check passes
     cases += [(f"check.{name}", ["check", str(FIXTURES / f"{name}.fan")]) for name in (
-        "F3_F20", "F3_conjugate", "P112_F9", "P2xP2xP1_u", "Bl24P3", "cube5", "P1122334")]
+        "F3_F20", "F3_conjugate", "P112_F9", "P2xP2xP1_u", "Bl24P3", "cube5", "P1122334",
+        "F1xF1xF1")]
     return cases + [("check.P1+P2", ["check", *pair]), ("product.P1+P2", ["product", *pair])]
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from toricaut import lattice, roots as roots_module
+from toricaut import fan as fan_module, lattice, roots as roots_module
 from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import Fan, IncompleteFanError, is_complete, product_fan, transform_fan
 from toricaut.lattice import det, identity_matrix, invert_unimodular, mat_mul, pairing, transpose, vec_mat, vec_neg
@@ -219,6 +219,57 @@ class TestChartEnumeration:
             if all(len(c) == fan.rank for c in fan.max_cones):
                 assert calls["inverse"] == []
 
+    def test_double_description_stops_at_the_zero_cone(self):
+        # the third row cuts {y >= 0} down to {0}: the method returns
+        # without reading a row after it, listed or yielded
+        class Rows:
+            def __len__(self):
+                return 6
+
+            def __getitem__(self, k):
+                assert k <= 2, k
+                return ((1, 0), (0, 1), (-1, -1))[k]
+
+        def more():
+            yield (-1, -1)
+            raise AssertionError("read past the zero cone")
+
+        units = identity_matrix(2)
+        assert fan_module._pointed_extreme_rays(Rows(), [0, 1]) == []
+        assert fan_module._pointed_extreme_rays(units, [0, 1], units, more()) == []
+
+    def test_negative_curves_empty_their_polytope_in_one_row(self, fans, monkeypatch):
+        # on a smooth surface rho_(j-1) + rho_(j+1) = -b_j * rho_j, so in a
+        # chart of rho_j and one neighbour the other neighbour's row reads
+        # c <= b_j, with c >= 0: when b_j < 0 the polytope is {0} after
+        # that row, which comes first, since it is in rho_j's star
+        read = {}
+        bounds = roots_module._chart_bounds
+
+        def recorded(fan, j, *rest):
+            ranges, rows = bounds(fan, j, *rest)
+            read[j] = (ranges, len(rows))
+            return ranges, rows
+
+        monkeypatch.setattr(roots_module, "_chart_bounds", recorded)
+        rng = random.Random(105)
+        negative = 0
+        for times in (10, 30, 57):
+            fan = random_blow_up(rng, fans["P2"], times)
+            read.clear()
+            demazure_roots.__wrapped__(fan)
+            for j, ray in enumerate(fan.rays):
+                before, after = (fan.rays[i] for c in fan.max_cones if j in c for i in c if i != j)
+                s = tuple(x + y for x, y in zip(before, after))
+                k = 0 if ray[0] else 1
+                b = -s[k] // ray[k]
+                assert s == tuple(-b * x for x in ray)
+                if b < 0:
+                    negative += 1
+                    assert read[j] == (None, 1), (fan.rays, j)
+        # the 106th ray, with b_j = 0, has a root
+        assert negative == 105
+
     def chart_pool(self, fans):
         documents = sorted(FIXTURES.glob("*.fan"))
         fixtures = [fan_from_document(parse_fan(path.read_text())) for path in documents]
@@ -262,7 +313,9 @@ class TestChartEnumeration:
                     assert ranges == expected, (fan.rays, j, chart)
                     charts += 1
                     empty += expected is None
-        assert (charts, empty) == (1320, 472)
+        # F1xF1xF1.fan adds 384 charts, 96 of them empty, to the 1,320 and 472
+        # of the other documents
+        assert (charts, empty) == (1704, 568)
 
     def test_chart_of_least_determinant(self, fans, monkeypatch):
         # the chart found by exchanging ray j into a cone's first basis is

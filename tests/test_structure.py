@@ -5,12 +5,13 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import toricaut
 from toricaut.cli import fan_from_document, parse_fan
-from toricaut.fan import Fan, IncompleteFanError, is_complete, transform_fan
+from toricaut.fan import Fan, IncompleteFanError, is_complete, product_fan, transform_fan
 from toricaut import lattice, structure
 from toricaut.lattice import (
     det,
@@ -254,7 +255,43 @@ class TestConeAnchors:
             fan = random_blow_up(rng, fans["P2"], times)
             calls.clear()
             fan_automorphisms.__wrapped__(fan)
-            assert len(calls) <= 2 * len(fan.max_cones), times
+            # every ray of a surface lies in two 2-cones, so the faces
+            # alone left about two leaves per ray; the wall relations (the
+            # self-intersection numbers) set the rays apart
+            assert len(calls) <= 2, times
+
+    @staticmethod
+    def _power(fan, k):
+        out = fan
+        for _ in range(k - 1):
+            out = product_fan(out, fan)
+        return out
+
+    def test_hirzebruch_powers_test_each_element_once(self, fans, monkeypatch):
+        # F_a^k has the face lattice of P1^(2k), so the face profiles alone
+        # tested all 2^(2k) (2k)! of its automorphisms, 46,080 on F1^3; the
+        # wall relations leave one leaf per element of Aut = Aut(F_a)^k x S_k,
+        # in any basis: with each pair's terms read in one direction only,
+        # the anchor order decided, and conjugates of F2^3 took up to 288
+        calls = self._count_leaves(monkeypatch)
+        rng = random.Random(616)
+        for name in ("F1", "F2", "F3"):
+            for k in (2, 3):
+                fan = self._power(fans[name], k)
+                order = len(fan_automorphisms(fans[name])) ** k * math.factorial(k)
+                conjugates = [transform_fan(fan, random_unimodular(rng, fan.rank)) for _ in range(2)]
+                for f in [fan] + conjugates:
+                    calls.clear()
+                    assert len(fan_automorphisms.__wrapped__(f)) == order, (name, k)
+                    assert len(calls) == order, (name, k, f.rays)
+
+    def test_f1_to_the_fourth(self, fans):
+        # about 10^7 leaves with the face profiles alone
+        fan = self._power(fans["F1"], 4)
+        start = time.perf_counter()
+        autos = fan_automorphisms.__wrapped__(fan)
+        assert time.perf_counter() - start < 10
+        assert len(autos) == len(fan_automorphisms(fans["F1"])) ** 4 * math.factorial(4) == 384
 
     def test_weighted_projective_spaces_test_few_leaves(self, monkeypatch):
         # every ray of P(q) lies in the same number of faces of each

@@ -422,7 +422,7 @@ class TestPairingTables:
                            for k, m in degrees), (fan, j)
                 rays += 1
             non_simplicial += any(len(c) > fan.rank for c in fan.max_cones)
-        assert (len(fixtures), rays, non_simplicial) == (7, 168, 1)
+        assert (len(fixtures), rays, non_simplicial) == (8, 180, 1)
 
 
 class TestAdditivity:
