@@ -12,9 +12,9 @@ two carry the same fields.
 
 Documents are loaded into one Fan per canonical fan per process: every
 subcommand run in the same process on the same fan (in any ray or cone
-order, under any name) reads the same object, so its validation, cones and
-ridge certificate are computed once.  The loaded fans are kept for the
-life of the process.
+order, under any name) reads the same object, so its validation, cones
+and the facts kept on it (roots, automorphisms, decomposition, witnesses)
+are computed once.  The loaded fans are kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .structure import (
     wreath_order_check,
 )
 from .symbolic import (
-    PairingTables,
     action_additivity_check,
     action_chart_check,
     faithfulness_check,
@@ -146,10 +145,10 @@ _LOADED: dict = {}  # canonical fan -> the first Fan loaded for it
 
 def fan_from_document(doc: FanDocument) -> Fan:
     """The process's one Fan for the document's canonical fan (rank, sorted
-    rays, maximal cones), so that its per-Fan caches fill once however many
-    subcommands load it.  The Fan is kept for the life of the process, as
-    the module-level memos of roots and automorphisms keep every fan they
-    see.  Fan(...) itself still returns a fresh, uncached object."""
+    rays, maximal cones), so that the facts kept on it are computed once
+    however many subcommands load it.  The Fan is kept, with those facts,
+    for the life of the process; nothing else keeps a fan.  Fan(...)
+    itself still returns a fresh, uncached object."""
     fan = Fan(doc.rank, doc.rays, doc.max_cones)
     return _LOADED.setdefault(fan, fan)
 
@@ -309,7 +308,7 @@ def _report_lines(e: dict) -> list:
             + [f"  structure: {e['structure_string']}"])
 
 
-def _per_fan(entry, lines):
+def _each_fan(entry, lines):
     """Runner reporting each fan on its own; exit 1 when an entry says its
     fan is not valid."""
     def run(args, fans) -> tuple:
@@ -353,16 +352,14 @@ def run_certificates(fans) -> list:
             continue
         out.append(("complete", name, True, ""))
         roots = demazure_roots(fan)
-        # one row per root, one witness and one degree list per ray,
-        # shared by every certificate; no certificate samples a dual cone
-        tables = PairingTables(fan)
-        ok = all(regularity_check(fan, r, tables).ok for r in roots)
+        # no certificate samples a dual cone
+        ok = all(regularity_check(fan, r).ok for r in roots)
         out.append(("regularity", name, ok, f"{len(roots)} roots"))
         # the chart conditions are each root's ray inequalities on the
         # charts containing rho_e; the binomial identities depend on a
         # sample only through k = <rho_e, m>, so each runs once per
         # distinct k of the height-2 samples over every root
-        certs = [action_chart_check(fan, r, tables) for r in roots]
+        certs = [action_chart_check(fan, r) for r in roots]
         additive, infinitesimal = {}, {}
         for c in certs:
             for k, m in c.degrees:
@@ -373,7 +370,7 @@ def run_certificates(fans) -> list:
         out.append(("additivity", name, ok, "height-2 samples"))
         ok = all(c.infinitesimal for c in certs) and all(infinitesimal.values())
         out.append(("infinitesimal", name, ok, "height-2 samples"))
-        ok = all(witness_holds(fan, r, faithfulness_check(fan, r, tables), tables) for r in roots)
+        ok = all(witness_holds(fan, r, faithfulness_check(fan, r)) for r in roots)
         out.append(("faithfulness", name, ok, "witness per root"))
         out.append(("wreath_order", name, wreath_order_check(fan), ""))
     if all(ok for _, _, ok, _ in out):
@@ -401,13 +398,13 @@ def _run_check(args, fans) -> tuple:
 
 # command -> (help text, number of fan files, runner)
 COMMANDS = {
-    "validate": ("check the fan axioms", "+", _per_fan(_validate_entry, _validate_lines)),
+    "validate": ("check the fan axioms", "+", _each_fan(_validate_entry, _validate_lines)),
     "roots": ("list Demazure roots with classification", "+",
-              _per_fan(_roots_entry, _roots_lines)),
-    "autos": ("fan automorphism group", "+", _per_fan(_autos_entry, _autos_lines)),
+              _each_fan(_roots_entry, _roots_lines)),
+    "autos": ("fan automorphism group", "+", _each_fan(_autos_entry, _autos_lines)),
     "decompose": ("indecomposable factorization", "+",
-                  _per_fan(_decompose_entry, _decompose_lines)),
-    "report": ("automorphism structure report", "+", _per_fan(_report_entry, _report_lines)),
+                  _each_fan(_decompose_entry, _decompose_lines)),
+    "report": ("automorphism structure report", "+", _each_fan(_report_entry, _report_lines)),
     "product": ("product fan document of two fans", 2, _run_product),
     "check": ("run the full certificate suite", "+", _run_check),
 }

@@ -36,7 +36,7 @@ validated and tested for completeness like any other fan.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, combinations
 from math import gcd
 from operator import mul
@@ -334,6 +334,33 @@ def _maximal(cones: list) -> tuple:
     return tuple(kept)
 
 
+class MemoInfo(NamedTuple):
+    """Calls of one per_fan function over every fan."""
+
+    hits: int
+    misses: int
+
+
+def per_fan(fn: Callable) -> Callable:
+    """fn(fan, *args), computed once per fan and arguments and kept in the
+    fan's memo, so it lives as long as the fan; equal but distinct fans
+    compute their own.  cache_info() counts the calls."""
+    counts = [0, 0]
+
+    @wraps(fn)
+    def memo(fan: "Fan", *args):
+        key, cache = (memo,) + args, fan.memo
+        if key in cache:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            cache[key] = fn(fan, *args)
+        return cache[key]
+
+    memo.cache_info = lambda: MemoInfo(*counts)
+    return memo
+
+
 class Fan:
     """A fan in N_R, stored as global rays plus maximal cones by ray index.
 
@@ -384,6 +411,11 @@ class Fan:
 
     @cached_property
     def _cone_cache(self) -> dict:
+        return {}
+
+    @cached_property
+    def memo(self) -> dict:
+        """The facts other modules compute from this fan (per_fan)."""
         return {}
 
     @cached_property

@@ -28,7 +28,6 @@ the root set may be infinite and the operation refuses to run.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -38,6 +37,7 @@ from .fan import (
     IncompleteFanError,
     _cone_generators,
     _pointed_extreme_rays,
+    per_fan,
     product_rays,
     require_complete,
 )
@@ -274,7 +274,7 @@ def _lifted_candidates(fan: Fan):
                 yield j, e
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def demazure_roots(fan: Fan) -> tuple[DemazureRoot, ...]:
     """All Demazure roots, duplicate free, sorted by (ray index, e)."""
     require_complete(fan, _INFINITE)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from functools import lru_cache
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -44,6 +43,7 @@ from .fan import (
     is_complete,
     is_simplicial,
     is_smooth,
+    per_fan,
     product_fan,
     require_complete,
     transform_fan,
@@ -340,7 +340,7 @@ def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[FanIsomorphism]:
     return found[0] if found else None
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def fan_automorphisms(fan: Fan) -> tuple:
     """The full finite group Aut(fan) in GL(n, Z), canonically sorted.
 
@@ -491,6 +491,7 @@ def _decompose_rec(fan: Fan) -> list:
                                 certificate=tuple(failures))]
 
 
+@per_fan
 def decompose(fan: Fan) -> Decomposition:
     """Finest factorization of a complete fan into indecomposable factors.
 

@@ -5,24 +5,22 @@ dimension count.
 
 All coefficients are integers (binomial coefficients), so every formula
 specializes to an arbitrary base field; no field arithmetic appears.  The
-certificates are read off integer pairing tables (PairingTables): one row
-(<rho_i, v>)_i per root character, one witness and one degree list per
-ray.  Regularity and the chart conditions of the action law and of the
-derivation are the root's own ray inequalities, plus, for regularity,
-Demazure's sigma' in the fan; no certificate of check samples a dual
-cone.  Only the derivation classifier reads sample characters
-(dual_monomials).
+certificates read integer rows (<rho_i, v>)_i and the witness and degree
+list of each ray, which the fan keeps (per_fan).  Regularity and the
+chart conditions of the action law and of the derivation are the root's
+own ray inequalities, plus, for regularity, Demazure's sigma' in the
+fan; no certificate of check samples a dual cone.  Only the derivation
+classifier reads sample characters (dual_monomials).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations, product
 from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .fan import Fan, require_complete
+from .fan import Fan, per_fan, require_complete
 from .lattice import (
     Vec,
     det,
@@ -248,90 +246,71 @@ def _add_multiples(samples, g: Vec, height: int) -> set:
     return {tuple(map(add, m, cg)) for m in samples for cg in steps}
 
 
-class PairingTables:
-    """Integer pairing tables of one fan, filled on demand and shared by
-    the certificates of its roots, so that each fact is computed once.
+def _row(fan: Fan, v: Vec) -> tuple:
+    """(<rho_i, v>)_i over every ray: a root's ray inequalities, or the
+    pairings of a witness character."""
+    return tuple(sum(map(mul, r, v)) for r in fan.rays)
 
-    - `row(v)`: (<rho_i, v>)_i over every ray.  A root's row gives its ray
-      inequalities and its sigma' (regularity_check), its chart conditions
-      (action_chart_check) and the move of its witness (witness_holds).
-    - `degrees(j)`: the degrees k = <rho_j, m> of the height-2 samples m
-      (dual_monomials) of the charts containing ray j, each with the
-      character k*m0 of that degree, m0 from `witness(j)`
-      (action_chart_check).
-    - `witness(j)`: the witness character and chart of ray j
-      (faithfulness_check), from one Hermite form per ray.
 
-    The degrees need no samples.  Degree is linear, so a chart sigma gives
-    the degrees of its parallelepiped points plus the sums
+@per_fan
+def cone_points(fan: Fan, cone_idx: tuple) -> frozenset:
+    """The parallelepiped points of a maximal cone's facet normals
+    (_parallelepiped_points), for its dual_monomials and the degrees of
+    a non-simplicial chart."""
+    return frozenset(_parallelepiped_points(fan.cone(cone_idx).facet_normals, fan.rank))
+
+
+@per_fan
+def ray_witness(fan: Fan, j: int) -> tuple:
+    """The witness character m0 and chart of ray j (faithfulness_check),
+    from one Hermite form per ray."""
+    charts = [c for c in fan.max_cones if j in c]
+    if not charts:
+        raise ValueError("distinguished ray lies in no maximal cone")
+    m1 = hermite_normal_form(tuple((x,) for x in fan.rays[j]))[1][0]
+    at = _row(fan, m1)
+    candidates = []
+    for cone_idx in charts:
+        w = fan.face_normal_sum(cone_idx, (j,))
+        along = _row(fan, w)
+        t = max([0] + [-(at[i] // along[i]) for i in cone_idx if i != j])
+        m0 = vec_add(m1, vec_scale(w, t))
+        candidates.append((sum(abs(x) for x in m0), m0, cone_idx))
+    _, m0, cone_idx = min(candidates)
+    return m0, cone_idx
+
+
+@per_fan
+def ray_degrees(fan: Fan, j: int) -> tuple:
+    """The degrees k = <rho_j, m> of the height-2 samples m
+    (dual_monomials) of the charts containing ray j, sorted, each with the
+    character k*m0 of that degree, m0 from ray_witness (action_chart_check).
+
+    They need no samples.  Degree is linear, so a chart sigma gives the
+    degrees of its parallelepiped points plus the sums
     sum c_g * <rho_j, g>, c_g in {0, 1, 2}, over its facet normals g.  On a
     simplicial sigma one normal g* does not vanish on rho_j; with
     a = <rho_j, g*>, the points represent M / L (L spanned by the normals)
     and m -> <rho_j, m> maps M / L onto Z / aZ, since rho_j is primitive,
     so their degrees are 0..a-1 and the chart gives 0..3a-1.  Only a
-    non-simplicial chart lists its parallelepiped points, once.
-
-    check builds one per fan and passes it to every certificate; a
-    certificate called without one builds its own.
+    non-simplicial chart lists its parallelepiped points.
     """
-
-    def __init__(self, fan: Fan):
-        self.fan = fan
-        self._rows = {}
-        self._points = {}
-        self._degrees = {}
-        self._witnesses = {}
-
-    def row(self, v: Vec) -> tuple:
-        row = self._rows.get(v)
-        if row is None:
-            row = self._rows[v] = tuple(sum(map(mul, r, v)) for r in self.fan.rays)
-        return row
-
-    def degrees(self, j: int) -> tuple:
-        found = self._degrees.get(j)
-        if found is None:
-            fan, rho = self.fan, self.fan.rays[j]
-            ks = set()
-            for cone_idx in (c for c in fan.max_cones if j in c):
-                normals = fan.cone(cone_idx).facet_normals
-                steps = [pairing(rho, g) for g in normals]
-                if len(normals) == fan.rank:
-                    ks.update(range(3 * max(steps)))
-                    continue
-                points = self._points.get(cone_idx)
-                if points is None:
-                    points = self._points[cone_idx] = _parallelepiped_points(normals, fan.rank)
-                reach = {pairing(rho, q) for q in points}
-                for a in steps:
-                    reach = {k + c * a for k in reach for c in range(3)}
-                ks |= reach
-            found = self._degrees[j] = tuple(
-                (k, vec_scale(self.witness(j)[0], k)) for k in sorted(ks))
-        return found
-
-    def witness(self, j: int) -> tuple:
-        found = self._witnesses.get(j)
-        if found is None:
-            fan = self.fan
-            charts = [c for c in fan.max_cones if j in c]
-            if not charts:
-                raise ValueError("distinguished ray lies in no maximal cone")
-            m1 = hermite_normal_form(tuple((x,) for x in fan.rays[j]))[1][0]
-            at = self.row(m1)
-            candidates = []
-            for cone_idx in charts:
-                w = fan.face_normal_sum(cone_idx, (j,))
-                along = self.row(w)
-                t = max([0] + [-(at[i] // along[i]) for i in cone_idx if i != j])
-                m0 = vec_add(m1, vec_scale(w, t))
-                candidates.append((sum(abs(x) for x in m0), m0, cone_idx))
-            _, m0, cone_idx = min(candidates)
-            found = self._witnesses[j] = (m0, cone_idx)
-        return found
+    rho, ks = fan.rays[j], set()
+    for cone_idx in (c for c in fan.max_cones if j in c):
+        normals = fan.cone(cone_idx).facet_normals
+        steps = [pairing(rho, g) for g in normals]
+        if len(normals) == fan.rank:
+            ks.update(range(3 * max(steps)))
+            continue
+        reach = {pairing(rho, q) for q in cone_points(fan, cone_idx)}
+        for a in steps:
+            reach = {k + c * a for k in reach for c in range(3)}
+        ks |= reach
+    m0 = ray_witness(fan, j)[0]
+    return tuple((k, vec_scale(m0, k)) for k in sorted(ks))
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     """Sample characters of the dual of a cone tau of the fan, sorted: the
     distinct q + sum c_g * g with 0 <= c_g <= height.
@@ -354,9 +333,8 @@ def dual_monomials(fan: Fan, cone_idx: tuple, height: int) -> tuple:
     none.
     """
     if cone_idx in fan.max_cones:
-        normals = fan.cone(cone_idx).facet_normals
-        samples = _parallelepiped_points(normals, fan.rank)
-        for g in normals:
+        samples = cone_points(fan, cone_idx)
+        for g in fan.cone(cone_idx).facet_normals:
             samples = _add_multiples(samples, g, height)
         return tuple(sorted(samples))
     options = [_add_multiples(dual_monomials(fan, sigma, height),
@@ -379,8 +357,7 @@ class ActionChartCertificate(NamedTuple):
     infinitesimal: bool
 
 
-def action_chart_check(fan: Fan, root: DemazureRoot,
-                       tables: Optional[PairingTables] = None) -> ActionChartCertificate:
+def action_chart_check(fan: Fan, root: DemazureRoot) -> ActionChartCertificate:
     """Decide the conditions under which the root's action and derivation
     keep the algebra of each chart sigma containing rho_e.
 
@@ -412,13 +389,12 @@ def action_chart_check(fan: Fan, root: DemazureRoot,
     both verdicts are the root's ray inequalities on the charts through
     rho_e: c_{rho_e} >= -1 and c_i >= 0 at every other ray of those
     charts, and no sample is built.  `degrees` lists the degrees of the
-    height-2 samples in closed form (PairingTables).
+    height-2 samples in closed form (ray_degrees).
     """
-    tables = PairingTables(fan) if tables is None else tables
-    rho_e, values = root.rho_e, tables.row(root.e)
+    rho_e, values = root.rho_e, _row(fan, root.e)
     ok = all(values[i] >= (-1 if i == rho_e else 0)
              for cone_idx in fan.max_cones if rho_e in cone_idx for i in cone_idx)
-    return ActionChartCertificate(root=root, degrees=tables.degrees(rho_e),
+    return ActionChartCertificate(root=root, degrees=ray_degrees(fan, rho_e),
                                   additive=ok, infinitesimal=ok)
 
 
@@ -454,8 +430,7 @@ class RegularityCertificate(NamedTuple):
         return all(entry.ok for entry in self.entries)
 
 
-def regularity_check(fan: Fan, root: DemazureRoot,
-                     tables: Optional[PairingTables] = None) -> RegularityCertificate:
+def regularity_check(fan: Fan, root: DemazureRoot) -> RegularityCertificate:
     """Certify that the root-subgroup action is regular on every chart.
 
     With the root's row c_i = <rho_i, e>, the action is regular on a chart
@@ -473,8 +448,7 @@ def regularity_check(fan: Fan, root: DemazureRoot,
     sigma', so r_i >= 0.  If c_i < 0, the ray inequalities already fail.
     """
     require_complete(fan, "regularity certificates need a complete fan")
-    tables = PairingTables(fan) if tables is None else tables
-    rho_e, values = root.rho_e, tables.row(root.e)
+    rho_e, values = root.rho_e, _row(fan, root.e)
     entries = []
     for cone_idx in fan.max_cones:
         contains = rho_e in cone_idx
@@ -499,8 +473,7 @@ class WitnessMonomial(NamedTuple):
     witness_character: Vec
 
 
-def faithfulness_check(fan: Fan, root: DemazureRoot,
-                       tables: Optional[PairingTables] = None) -> WitnessMonomial:
+def faithfulness_check(fan: Fan, root: DemazureRoot) -> WitnessMonomial:
     """Construct a witness monomial for the root.
 
     Since rho_e is primitive, some m1 has <rho_e, m1> = 1: the first row
@@ -510,17 +483,15 @@ def faithfulness_check(fan: Fan, root: DemazureRoot,
     sigma^v cap rho_e^perp, so <r, w> > 0 for every other ray r of sigma;
     the least t >= 0 with m1 + t*w in sigma^v gives a witness.  The
     result minimizes (L1 norm, m0, cone) over the charts.  It depends on
-    the ray alone, so the tables keep it per ray (PairingTables.witness).
+    the ray alone, so the fan keeps it per ray (ray_witness).
     """
     fan.require_valid()
-    tables = PairingTables(fan) if tables is None else tables
-    m0, cone_idx = tables.witness(root.rho_e)
+    m0, cone_idx = ray_witness(fan, root.rho_e)
     return WitnessMonomial(m0=m0, cone=cone_idx, witness_s_exp=1,
                            witness_character=vec_add(m0, root.e))
 
 
-def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial,
-                  tables: Optional[PairingTables] = None) -> bool:
+def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial) -> bool:
     """Does the witness show that the root subgroup acts faithfully?
 
     It does when its chart sigma contains rho_e, <rho_e, m0> = 1, and both
@@ -530,8 +501,7 @@ def witness_holds(fan: Fan, root: DemazureRoot, witness: WitnessMonomial,
     negatively with another ray of sigma, so a non-root can fail here.
     The pairings with m0 + e are the sums of the rows of m0 and of e.
     """
-    tables = PairingTables(fan) if tables is None else tables
-    at, values = tables.row(witness.m0), tables.row(root.e)
+    at, values = _row(fan, witness.m0), _row(fan, root.e)
     return (root.rho_e in witness.cone and at[root.rho_e] == 1
             and all(at[i] >= 0 and at[i] + values[i] >= 0 for i in witness.cone))
 

@@ -65,7 +65,6 @@ def _record(num, name, ok, detail=""):
 
 
 def test_criterion_1_root_counts():
-    demazure_roots.cache_clear()
     expected = {"P1": 2, "P2": 6, "P3": 12, "P1xP1": 4, "F1": 4, "F2": 5, "P112": 5}
     fans = corpus()
     failures = []
@@ -172,7 +171,6 @@ def test_criterion_5_derivation_classification():
 
 
 def test_criterion_6_automorphism_orders():
-    fan_automorphisms.cache_clear()
     expected = {"P1": 2, "P2": 6, "F1": 2, "P1xP1": 8,
                 "P1xP1xP1": 48, "P1xP2": 12, "P2xP2": 72}
     fans = corpus()

@@ -462,8 +462,10 @@ class TestCertificateTables:
             rays = {fan.rays[r.rho_e] for r in demazure_roots(fan)}
             assert len(columns) == len(set(columns)) and set(columns) <= rays, path.name
             total += len(columns)
-        # every document is simplicial, so no chart lists its parallelepiped
-        assert len(paths) == 17 and total == 63 and boxes == []
+        # every document is simplicial, so no chart lists its parallelepiped;
+        # F0 and P1xP1 load as one Fan, which keeps its rays' witnesses, so
+        # P1xP1's check computes none
+        assert len(paths) == 17 and total == 59 and boxes == []
 
     def test_rank_8_weighted_projective_space(self, monkeypatch):
         # P(1,1,2,2,3,3,4,4,5) has a chart of multiplicity 5, with 5^7 dual

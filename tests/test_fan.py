@@ -1,12 +1,16 @@
+import gc
 import pathlib
+import pickle
 import random
+import weakref
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from toricaut import fan as fan_module, lattice, roots as roots_module
-from toricaut.cli import fan_from_document, parse_fan
+from toricaut.cli import fan_from_document, parse_fan, run_certificates
+from toricaut.corpus import corpus
 from toricaut.fan import (
     Cone,
     Fan,
@@ -25,6 +29,8 @@ from toricaut.fan import (
 )
 from toricaut.lattice import det, identity_matrix, mat_mul, pairing, primitive
 from toricaut.roots import demazure_roots
+from toricaut.structure import aut_structure_report, decompose, fan_automorphisms
+from toricaut.symbolic import dual_monomials, ray_witness
 
 from test_roots import SQUARE_PYRAMID
 from util import (
@@ -751,3 +757,50 @@ class TestInvariants:
             fan = fans[name]
             u = random_unimodular(rng, fan.rank)
             assert transform_fan(transform_fan(fan, u), invert_unimodular(u)) == fan
+
+
+class TestPerFanMemo:
+    """The facts other modules compute from a fan live in its memo: a call
+    on the same fan reads them, an equal but distinct fan computes its own,
+    and dropping the fan frees them."""
+
+    MEMOS = ((demazure_roots, ()), (fan_automorphisms, ()), (decompose, ()),
+             (ray_witness, (0,)), (dual_monomials, ((0, 1), 1)))
+
+    def test_a_second_call_on_the_same_fan_is_a_hit(self):
+        fan, equal = corpus()["P2"], corpus()["P2"]
+        for fn, args in self.MEMOS:
+            before = fn.cache_info()
+            value = fn(fan, *args)
+            assert fn(fan, *args) is value
+            middle = fn.cache_info()
+            assert (middle.hits - before.hits, middle.misses - before.misses) == (1, 1), fn
+            assert fn(equal, *args) == value and fn.__wrapped__(fan, *args) == value
+            after = fn.cache_info()
+            assert (after.hits - middle.hits, after.misses - middle.misses) == (0, 1), fn
+
+    def test_a_dropped_fan_is_freed(self):
+        for name in ("P2", "P1xP2"):
+            fan = corpus()[name]
+            demazure_roots(fan)
+            fan_automorphisms(fan)
+            decompose(fan)
+            assert all(ok for _, _, ok, _ in run_certificates([(None, fan, name)]))
+            ref = weakref.ref(fan)
+            del fan
+            gc.collect()
+            assert ref() is None, name
+
+    def test_a_fan_with_warm_caches_pickles(self):
+        # its cones, with each product cone's _Once, and the facts kept on it
+        fans = corpus()
+        fan, pf = fans["P1xP2"], product_fan(fans["P2"], fans["F1"])
+        assert all(ok for _, _, ok, _ in run_certificates([(None, fan, "P1xP2")]))
+        aut_structure_report(fan)
+        demazure_roots(pf)
+        for f in (fan, pf):
+            copy = pickle.loads(pickle.dumps(f))
+            assert copy == f and vars(copy) == vars(f)
+            assert [copy.cone(c).inverse for c in f.max_cones] == [
+                f.cone(c).inverse for c in f.max_cones]
+            assert demazure_roots(copy) == demazure_roots(f)

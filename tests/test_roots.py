@@ -9,7 +9,7 @@ import pytest
 
 from toricaut import fan as fan_module, lattice, roots as roots_module
 from toricaut.cli import fan_from_document, parse_fan
-from toricaut.fan import Fan, IncompleteFanError, is_complete, product_fan, transform_fan
+from toricaut.fan import Fan, IncompleteFanError, product_fan, transform_fan
 from toricaut.lattice import det, identity_matrix, invert_unimodular, mat_mul, pairing, transpose, vec_mat, vec_neg
 from toricaut.roots import (
     RootPolytope,
@@ -21,6 +21,7 @@ from toricaut.roots import (
 )
 
 from util import (
+    COMPLETE_FIXTURES,
     greedy_independent_rows,
     random_blow_up,
     random_complete_fan_rank2,
@@ -271,11 +272,10 @@ class TestChartEnumeration:
         assert negative == 105
 
     def chart_pool(self, fans):
-        documents = sorted(FIXTURES.glob("*.fan"))
-        fixtures = [fan_from_document(parse_fan(path.read_text())) for path in documents]
         rng = random.Random(113)
         pool = list(fans.values()) + [SQUARE_PYRAMID]
-        pool += [f for f in fixtures if f.validation.ok and is_complete(f)]
+        pool += [fan_from_document(parse_fan((FIXTURES / f"{name}.fan").read_text()))
+                 for name in COMPLETE_FIXTURES]
         pool += [random_blow_up(rng, fans[base], k) for base in ("P2", "P3") for k in (1, 4, 9)]
         return pool + [transform_fan(base, u) for base, u in large_conjugates(fans)]
 
@@ -313,8 +313,7 @@ class TestChartEnumeration:
                     assert ranges == expected, (fan.rays, j, chart)
                     charts += 1
                     empty += expected is None
-        # F1xF1xF1.fan adds 384 charts, 96 of them empty, to the 1,320 and 472
-        # of the other documents
+        # F1xF1xF1.fan gives 384 charts, 96 of them empty
         assert (charts, empty) == (1704, 568)
 
     def test_chart_of_least_determinant(self, fans, monkeypatch):

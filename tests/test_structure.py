@@ -11,6 +11,7 @@ import pytest
 
 import toricaut
 from toricaut.cli import fan_from_document, parse_fan
+from toricaut.corpus import corpus
 from toricaut.fan import Fan, IncompleteFanError, is_complete, product_fan, transform_fan
 from toricaut import lattice, structure
 from toricaut.lattice import (
@@ -275,15 +276,16 @@ class TestConeAnchors:
         # the anchor order decided, and conjugates of F2^3 took up to 288
         calls = self._count_leaves(monkeypatch)
         rng = random.Random(616)
-        for name in ("F1", "F2", "F3"):
-            for k in (2, 3):
-                fan = self._power(fans[name], k)
-                order = len(fan_automorphisms(fans[name])) ** k * math.factorial(k)
-                conjugates = [transform_fan(fan, random_unimodular(rng, fan.rank)) for _ in range(2)]
-                for f in [fan] + conjugates:
-                    calls.clear()
-                    assert len(fan_automorphisms.__wrapped__(f)) == order, (name, k)
-                    assert len(calls) == order, (name, k, f.rays)
+        cases = [(name, k, 2) for name in ("F1", "F2", "F3") for k in (2, 3)]
+        cases += [("F2", 4, 0), ("F1", 4, 2)]  # |Aut| = 384
+        for name, k, count in cases:
+            fan = self._power(fans[name], k)
+            order = len(fan_automorphisms(fans[name])) ** k * math.factorial(k)
+            conjugates = [transform_fan(fan, random_unimodular(rng, fan.rank)) for _ in range(count)]
+            for f in [fan] + conjugates:
+                calls.clear()
+                assert len(fan_automorphisms.__wrapped__(f)) == order, (name, k)
+                assert len(calls) == order, (name, k, f.rays)
 
     def test_f1_to_the_fourth(self, fans):
         # about 10^7 leaves with the face profiles alone
@@ -430,8 +432,9 @@ class TestDecompose:
 
     def test_one_basis_and_one_elimination_per_split(self, fans, monkeypatch):
         # one Hermite form per block search (the first maximal cone's
-        # pivots) and no determinant: a split's inverse decides direct_sum
-        tested = self._fans(fans)
+        # pivots) and no determinant: a split's inverse decides direct_sum;
+        # fresh fans, since each fan keeps its decomposition
+        tested = self._fans(corpus())
         for fan in tested:
             # validated before counting, so only decompose's own calls count
             assert is_complete(fan)

@@ -24,7 +24,6 @@ from toricaut.symbolic import (
     GradedLaurentPoly,
     HomogeneousDerivation,
     LocalizationRequiredError,
-    PairingTables,
     action_additivity_check,
     action_chart_check,
     comorphism_apply,
@@ -34,11 +33,14 @@ from toricaut.symbolic import (
     faithfulness_check,
     infinitesimal_check,
     lie_dimension,
+    ray_degrees,
+    ray_witness,
     regularity_check,
     witness_holds,
 )
 
 from util import (
+    COMPLETE_FIXTURES,
     action_chart_by_scan,
     action_chart_by_vectors,
     action_chart_oracle,
@@ -361,33 +363,28 @@ def negative_controls(fan, roots):
     return sorted(out, key=DemazureRoot.sort_key)
 
 
-class TestPairingTables:
-    """The certificates read off integer pairing tables agree with the same
-    certificates evaluated on vectors (tests/util.py): every regularity
-    entry and chart verdict, the sample test the closed form replaced, the
-    chart verdicts and degrees of the action, and every witness, on roots
-    and on non-roots, whose verdicts fail."""
+class TestPairingRows:
+    """The certificates read off integer pairing rows and the witness and
+    degrees kept for each ray agree with the same certificates evaluated
+    on vectors (tests/util.py): every regularity entry and chart verdict,
+    the sample test the closed form replaced, the chart verdicts and
+    degrees of the action, and every witness, on roots and on non-roots,
+    whose verdicts fail."""
 
     def test_matches_the_vector_form(self, fans):
         checked, controlled, verdicts = 0, 0, {}
         for fan in oracle_fans(fans):
             roots = demazure_roots(fan)
             controls = negative_controls(fan, roots)
-            tables = PairingTables(fan)
             for root in list(roots) + controls:
-                regularity = regularity_check(fan, root, tables)
+                regularity = regularity_check(fan, root)
                 charts = tuple(entry.ok for entry in regularity.entries)
                 assert (regularity, charts) == regularity_by_vectors(fan, root), (fan, root)
-                chart = action_chart_check(fan, root, tables)
+                chart = action_chart_check(fan, root)
                 assert chart == action_chart_by_vectors(fan, root, fan.max_cones), (fan, root)
-                witness = faithfulness_check(fan, root, tables)
-                holds = witness_holds(fan, root, witness, tables)
+                witness = faithfulness_check(fan, root)
+                holds = witness_holds(fan, root, witness)
                 assert (witness, holds) == witness_by_vectors(fan, root), (fan, root)
-                # the certificates called without tables build their own
-                assert regularity == regularity_check(fan, root)
-                assert chart == action_chart_check(fan, root)
-                assert witness == faithfulness_check(fan, root)
-                assert holds == witness_holds(fan, root, witness)
                 if root in controls:
                     for name, ok in (("regularity", regularity.ok), ("additive", chart.additive),
                                      ("infinitesimal", chart.infinitesimal),
@@ -402,10 +399,10 @@ class TestPairingTables:
         # the closed-form degrees of every ray against the degrees of the
         # height-2 samples of its charts, with one character of each degree;
         # cube5 is the non-simplicial case, and the P(q) have charts of
-        # multiplicity up to 11
-        fixtures = [fan_from_document(parse_fan(path.read_text()))
-                    for path in sorted(FIXTURES.glob("*.fan"))
-                    if path.stem not in ("P12_minus_cone", "pyramid_swapped")]
+        # multiplicity up to 11; the complete fixtures are listed, so a new
+        # fixture moves no count
+        fixtures = [fan_from_document(parse_fan((FIXTURES / f"{name}.fan").read_text()))
+                    for name in COMPLETE_FIXTURES]
         weighted = [weighted_projective_fan(q) for q in (
             (1, 1, 2), (1, 2, 3), (1, 1, 2, 2, 3), (1, 2, 3, 4, 5), (2, 3, 5, 7, 11))]
         rng = random.Random(26)
@@ -413,16 +410,15 @@ class TestPairingTables:
                       for fan in (fans["P112"], fans["F3"], weighted[2])]
         rays, non_simplicial = 0, 0
         for fan in list(fans.values()) + fixtures + weighted + conjugates:
-            tables = PairingTables(fan)
             for j, rho in enumerate(fan.rays):
-                degrees = tables.degrees(j)
+                degrees = ray_degrees(fan, j)
                 assert [k for k, _ in degrees] == degrees_by_fill(fan, j), (fan, j)
-                m0 = tables.witness(j)[0]
+                m0 = ray_witness(fan, j)[0]
                 assert all(m == tuple(k * x for x in m0) and pairing(rho, m) == k
                            for k, m in degrees), (fan, j)
                 rays += 1
             non_simplicial += any(len(c) > fan.rank for c in fan.max_cones)
-        assert (len(fixtures), rays, non_simplicial) == (8, 180, 1)
+        assert (rays, non_simplicial) == (180, 1)
 
 
 class TestAdditivity:
@@ -574,15 +570,14 @@ class TestInfinitesimal:
     def test_matches_the_full_expansion(self, fans):
         # the s-linear term alone against the whole expanded comorphism, on
         # every (root, degree) that check reads, on the non-roots of
-        # TestPairingTables, and on characters of negative degree, which
+        # TestPairingRows, and on characters of negative degree, which
         # both refuse
         checked, refused = 0, 0
         rng = random.Random(23)
         for fan in oracle_fans(fans):
             roots = demazure_roots(fan)
-            tables = PairingTables(fan)
             for root in list(roots) + negative_controls(fan, roots):
-                for _, m in tables.degrees(root.rho_e):
+                for _, m in ray_degrees(fan, root.rho_e):
                     assert infinitesimal_check(fan, root, m) == infinitesimal_by_expansion(
                         fan, root, m), (fan, root, m)
                     checked += 1
@@ -604,14 +599,13 @@ class TestActionChartCheck:
         # each degree of the height-2 samples of the charts through rho_e,
         # with the multiple k*m0 of the ray's witness
         for fan in list(fans.values()) + [NON_SMOOTH]:
-            tables = PairingTables(fan)
             for root in demazure_roots(fan):
-                cert = action_chart_check(fan, root, tables)
+                cert = action_chart_check(fan, root)
                 assert cert.additive and cert.infinitesimal, (fan, root)
                 rho = fan.rays[root.rho_e]
                 samples = {m for c in fan.max_cones if root.rho_e in c
                            for m in dual_monomials(fan, c, 2)}
-                m0 = faithfulness_check(fan, root, tables).m0
+                m0 = faithfulness_check(fan, root).m0
                 assert cert.degrees == tuple((k, tuple(k * x for x in m0))
                                              for k in sorted({pairing(rho, m) for m in samples}))
 
@@ -622,7 +616,6 @@ class TestActionChartCheck:
         checked, failed = 0, {"additive": 0, "infinitesimal": 0}
         for fan in [f for f in fans.values() if f.rank <= 3] + [NON_SMOOTH]:
             roots = set(demazure_roots(fan))
-            tables = PairingTables(fan)
             for e in iproduct(range(-2, 3), repeat=fan.rank):
                 for j in range(len(fan.rays)):
                     root = DemazureRoot(e=e, rho_e=j)
@@ -635,8 +628,8 @@ class TestActionChartCheck:
                         assert charts[-1] == action_chart_oracle(fan, root, cone), (fan, root, cone)
                         failed["additive"] += not cert.additive
                         failed["infinitesimal"] += not cert.infinitesimal
-                    # the tables give the conjunction over the charts
-                    whole = action_chart_check(fan, root, tables)
+                    # the rows give the conjunction over the charts
+                    whole = action_chart_check(fan, root)
                     assert (whole.additive, whole.infinitesimal) == tuple(map(all, zip(*charts)))
                     checked += 1
         assert checked == 2548 and min(failed.values()) > 0
@@ -644,14 +637,13 @@ class TestActionChartCheck:
     def test_chart_bounds_match_the_row_scan(self, fans):
         # the closed form, c_{rho_e} >= -1 and c_i >= 0 at the other rays of
         # each chart through rho_e, decides what every height-2 sample row
-        # decides, on roots and on the non-roots of TestPairingTables, which
+        # decides, on roots and on the non-roots of TestPairingRows, which
         # fail
         checked, verdicts = 0, set()
         for fan in oracle_fans(fans):
             roots = demazure_roots(fan)
-            tables = PairingTables(fan)
             for root in list(roots) + negative_controls(fan, roots):
-                cert = action_chart_check(fan, root, tables)
+                cert = action_chart_check(fan, root)
                 scan = action_chart_by_scan(fan, root)
                 assert (cert.additive, cert.infinitesimal) == scan, (fan, root)
                 verdicts.add(scan)
@@ -689,9 +681,8 @@ class TestActionChartCheck:
             roots = demazure_roots(fan)
             non_simplicial += sum(len(c) > fan.rank for r in roots
                                   for c in fan.max_cones if r.rho_e in c)
-            tables = PairingTables(fan)
             for root in list(roots) + negative_controls(fan, roots):
-                cert = action_chart_check(fan, root, tables)
+                cert = action_chart_check(fan, root)
                 scan = action_chart_by_scan(fan, root)
                 assert (cert.additive, cert.infinitesimal) == scan, (fan, root)
                 verdicts.add(scan)

@@ -51,6 +51,11 @@ from toricaut.symbolic import (
     dual_monomials,
 )
 
+# the fixtures under tests/fixtures that are valid and complete, listed so
+# that a new fixture moves no count pinned over them
+COMPLETE_FIXTURES = ("Bl24P3", "F1xF1xF1", "F3_F20", "F3_conjugate", "P1122334", "P112_F9",
+                     "P2xP2xP1_u", "cube5")
+
 
 def solve_left(a, b):
     """Solve A*X = B over the rationals by Gauss-Jordan elimination with
@@ -658,7 +663,7 @@ def infinitesimal_by_expansion(fan, root, m):
 
 
 def degrees_by_fill(fan, j):
-    """Reference for PairingTables.degrees: the sorted degrees <rho_j, m>
+    """Reference for symbolic.ray_degrees: the sorted degrees <rho_j, m>
     of every height-2 sample m of the charts containing ray j."""
     return sorted({pairing(fan.rays[j], m) for cone_idx in fan.max_cones if j in cone_idx
                    for m in dual_samples_by_vectors(fan, cone_idx, 2)})
