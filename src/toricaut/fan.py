@@ -13,25 +13,28 @@ purely combinatorial adjacency test on active sets that each new ray
 inherits from its two parents); one Hermite normal form of the
 constraint rows gives both the lineality and the independent rows the
 method starts from.  A simplicial full-dimensional cone is one
-elimination, A*R = d*I for its rays A: its dual is the method's starting
-simplex, whose rays are the facet normals, so no Hermite form and no
-double description run on it, and the cone keeps (R, d) for the readers
-of its determinant and its chart (smoothness, the roots).  The same
-engine bounds the root polytopes, as the extreme rays of their
-homogenisations in chart coordinates, where the unit rows are the
-starting simplex and nothing is inverted or put in Hermite form.  Each
-fan keeps one table of its maximal cones' facets, each normal with the
-rays it kills.  The ridge certificate groups it by ray set and proves a
-fan both valid and complete, once per fan; the faces of a non-simplicial
-cone are the intersections of its facets' ray sets; and only an invalid
-or incomplete fan falls back to intersecting every pair of maximal
-cones.  An intersection is a face of a cone when its rays are rays of
-the fan equal to their closure, the cone's rays on every facet holding
-them all, a test polynomial in the number of facets that lists no faces.
-A product fan takes its maximal cones and its facets table from the
-factors' cones, whose facet normals, killed rays and eliminations it
-knows, so it runs no double description and inverts nothing; it is still
-validated and tested for completeness like any other fan.
+elimination, A*R = d*I for its rays A, d = ±det A: its dual is the
+method's starting simplex, whose rays are the facet normals, so no
+Hermite form and no double description run on it, and the cone keeps
+(R, d) for the readers of its determinant and its chart (smoothness, the
+roots), each of which reads |d| or sign(d).  A simplicial fan runs one
+elimination and then one product per wall (Fan._walk), which tests the
+wall's sides, updates (R, d) to the neighbour's and gives the wall's
+relation.  The same engine bounds the root polytopes, as the extreme rays
+of their homogenisations in chart coordinates, where the unit rows are
+the starting simplex and nothing is inverted or put in Hermite form.
+Each fan keeps one table of its maximal cones' facets, each normal with
+the rays it kills.  The ridge certificate, from the walk's side tests or
+from the table grouped by ray set, proves a fan both valid and complete,
+once per fan; the faces of a non-simplicial cone are the intersections
+of its facets' ray sets; and only an invalid or incomplete fan falls
+back to intersecting every pair of maximal cones.  An intersection is a
+face of a cone when its rays are rays of the fan equal to their closure,
+the cone's rays on every facet holding them all, a test polynomial in
+the number of facets that lists no faces.  A product fan takes its
+maximal cones, its facets table and its walls from the factors', so it
+runs no double description and inverts nothing; it is still validated
+and tested for completeness like any other fan.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ class Cone(NamedTuple):
     facet_normals: vectors in M with cone = {x : <x, g> >= 0 for all g};
         includes +/- pairs spanning the annihilator of the cone's span when
         the cone is not full dimensional.
-    det: d of A*R = d*I for the rays A, kept by the constructor that found
-        the cone simplicial and full dimensional: cone_from_rays from its
-        one elimination, product_fan from the factors' cones.  0 for any
+    det: d = ±det A of A*R = d*I for the rays A, kept by the constructor
+        that found the cone simplicial and full dimensional: cone_from_rays
+        from its one elimination, Fan._walk from a neighbour's by a
+        rank-one update, product_fan from the factors' cones.  0 for any
         other cone.
     inverse: (R, d), or None when det is 0.  R is `scaled_rows()`, which
         a product cone computes on its first call and keeps, so it
@@ -142,12 +146,49 @@ class _Once:
             return self.value
 
 
-def _simplex_rays(inv: Mat, det_a0: int) -> list:
-    """Extreme rays of {y : A0 y >= 0} for invertible A0, given A0*R = d*I
-    from `scaled_inverse`: the primitive columns of sign(d) * R (A0 r_i is
+def _transposed(cols: Mat) -> Mat:
+    return tuple(zip(*cols))
+
+
+def _walked_cone(n: int, idx: tuple, rays: Mat, cols: Mat, d: int) -> tuple:
+    """(cone, facets table) of the simplicial full-dimensional cone on the
+    given ray indices, from the columns of its A*R = d*I: normal q kills
+    every ray but ray q."""
+    killed = [idx[:q] + idx[q + 1:] for q in range(n)]
+    facets = tuple(sorted(zip(_simplex_rays(cols, d), killed)))
+    cone = Cone(rank=n, rays=tuple(rays[i] for i in idx),
+                facet_normals=tuple(g for g, _ in facets), dim=n, det=d,
+                scaled_rows=_Once(_transposed, cols))
+    return cone, facets
+
+
+class _Walk(NamedTuple):
+    """What Fan._walk found.
+
+    facets: {cone: its facets table} for each cone the walk built.
+    walls: (c, p, j, y, d) for each wall it crossed between two cones of
+        independent rays: c the cone it came from, with A*R = d*I, p the
+        position in c of its ray off the wall, j the other cone's ray off
+        it and y = rho_j*R.
+    closed: every maximal cone has `rank` independent rays, and every
+        ridge lies in exactly two of them, on opposite sides.
+    """
+
+    facets: dict
+    walls: tuple
+    closed: bool
+
+
+def _simplex_rays(cols: Iterable[Vec], d: int) -> list:
+    """Extreme rays of {y : A0 y >= 0} for invertible A0, given the columns
+    of R with A0*R = d*I: the primitive columns of sign(d) * R (A0 r_i is
     a positive multiple of e_i)."""
-    sign = 1 if det_a0 > 0 else -1
-    return [primitive(tuple(sign * row[i] for row in inv)) for i in range(len(inv))]
+    sign = 1 if d > 0 else -1
+    rays = []
+    for col in cols:
+        g = sign * gcd(*col)
+        rays.append(tuple([x // g for x in col]))
+    return rays
 
 
 def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat] = None,
@@ -174,7 +215,8 @@ def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat]
     """
     d = len(idx)
     if simplex is None:
-        simplex = _simplex_rays(*scaled_inverse([rows[i] for i in idx]))
+        inv, det_a0 = scaled_inverse([rows[i] for i in idx])
+        simplex = _simplex_rays(zip(*inv), det_a0)
     full = (1 << d) - 1
     current = [(r, full ^ (1 << i)) for i, r in enumerate(simplex)]
     others = chain((rows[i] for i in range(len(rows)) if i not in idx), more)
@@ -270,7 +312,7 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         gens = tuple(sorted(prim))
         inv, det_a = scaled_inverse(gens)
         if inv is not None:
-            normals = tuple(sorted(_simplex_rays(inv, det_a)))
+            normals = tuple(sorted(_simplex_rays(zip(*inv), det_a)))
             # tuple(inv) is inv
             return Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank,
                         det=det_a, scaled_rows=_Once(tuple, inv))
@@ -401,6 +443,12 @@ class Fan:
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
+    def __reduce__(self):
+        # rebuilt from its canonical form before its state, so that a memo
+        # keyed by the fan itself (check's pair of a fan with itself)
+        # can hash it while it is restored
+        return Fan, (self.rank, self.rays, self.max_cones), vars(self)
+
     def cone(self, idx: Sequence[int]) -> Cone:
         """The cone spanned by the given ray indices."""
         idx = tuple(sorted(idx))
@@ -448,12 +496,88 @@ class Fan:
     @cached_property
     def _facets(self) -> dict:
         """{maximal cone: ((normal, the cone's rays it kills), ...)} over
-        its facet normals.  Read only once every maximal cone passed its
-        own checks."""
-        rays = self.rays
-        return {c: tuple((g, tuple(i for i in c if not sum(map(mul, rays[i], g))))
-                         for g in self.cone(c).facet_normals)
+        its facet normals: the wall walk's table for a cone it built, and
+        otherwise the rays' pairings with each normal.  Read only once
+        every maximal cone passed its own checks."""
+        rays, walked = self.rays, self._walk.facets
+        return {c: walked[c] if c in walked else
+                tuple((g, tuple(i for i in c if not sum(map(mul, rays[i], g))))
+                      for g in self.cone(c).facet_normals)
                 for c in self.max_cones}
+
+    @cached_property
+    def _walk(self) -> "_Walk":
+        """Walk across the walls between the maximal cones of `rank` rays.
+
+        Each walk starts from a cone not yet reached whose Fan.cone is
+        simplicial (one elimination, or none when it is cached), so a fan
+        whose simplicial cones are connected by walls runs one.  A wall
+        is a ridge, such a cone's rays but one, that exactly two of them
+        hold: sigma = tau + a_p, with A*R = d*I for its rays A, and
+        sigma' = tau + rho.  It is visited once, from the first of the
+        two the walk reaches, with one product y = rho*R, so that
+        d*rho = sum_k y_k*a_k.  sign(d)*y_p < 0 says that rho lies
+        strictly across the wall from a_p; y_p = 0 that the rays of
+        sigma' are dependent, and the walk does not enter it.  Otherwise,
+        when sigma' is new, A'*R' = d'*I for its rays A' (A with a_p
+        replaced by rho) holds for d' = y_p and R' = (y_p*R - R_p*y^T)/d,
+        column p kept: the divisions are exact, since d' = d*det A'/det A
+        = ±det A' makes R' the adjugate of A' up to sign (Sylvester's
+        identity; Bareiss, Math. Comp. 22, 1968).  The walk caches the
+        cones it builds, in place of any equal cone built before; their
+        d = ±det may differ in sign from an elimination's, and every
+        reader takes |d| or sign(d).  Read only once the rays passed
+        validation's checks (primitive, distinct and nonzero)."""
+        n, rays, cache = self.rank, self.rays, self._cone_cache
+        simplicial = [c for c in self.max_cones if len(c) == n]
+        owners: dict = {}
+        for c in simplicial:
+            for p in range(n):
+                owners.setdefault(c[:p] + c[p + 1:], []).append(c)
+        closed = all(len(pair) == 2 for pair in owners.values())
+        known, facets, walls = {}, {}, []
+        for start in simplicial:
+            if start in known:
+                continue
+            try:
+                cone = self.cone(start)
+            except NotStrictlyConvexError:
+                continue
+            if not cone.det:
+                continue
+            known[start] = tuple(zip(*cone.scaled_rows())), cone.det
+            queue = [start]
+            for c in queue:
+                cols, d = known[c]
+                for p in range(n):
+                    tau = c[:p] + c[p + 1:]
+                    pair = owners.pop(tau, ())
+                    if len(pair) != 2:
+                        continue
+                    other = pair[1] if pair[0] == c else pair[0]
+                    # the ray of the other cone off the wall
+                    j = sum(other) - sum(tau)
+                    y = tuple([sum(map(mul, rays[j], col)) for col in cols])
+                    yp = y[p]
+                    closed = closed and d * yp < 0
+                    if not yp:
+                        continue
+                    walls.append((c, p, j, y, d))
+                    if other in known:
+                        continue
+                    queue.append(other)
+                    # R' by the columns of the rays of `other`
+                    col_p = cols[p]
+                    by_ray = {j: col_p}
+                    for i, col, yk in zip(c, cols, y):
+                        if i != c[p]:
+                            by_ray[i] = tuple([(yp * x - yk * xp) // d
+                                               for x, xp in zip(col, col_p)])
+                    cols2 = tuple(by_ray[i] for i in other)
+                    known[other] = cols2, yp
+                    cache[other], facets[other] = _walked_cone(n, other, rays, cols2, yp)
+        closed = closed and len(known) == len(self.max_cones)
+        return _Walk(facets, tuple(walls), closed)
 
     def face_normal_sum(self, cone: tuple, face: Sequence[int]) -> Vec:
         """u, the sum of the maximal cone's facet normals that vanish on
@@ -492,22 +616,28 @@ class Fan:
         covering argument for polyhedral subdivisions, De Loera-Rambau-
         Santos, Triangulations, ch. 4).  False means the fan is invalid or
         incomplete.  Read only after every maximal cone passed its own
-        checks.
+        checks.  When every maximal cone has `rank` rays, the wall walk
+        has made the ridge counts and the side tests; otherwise the facets
+        table is grouped by the rays each facet kills.
         """
-        if any(self.cone(c).dim != self.rank for c in self.max_cones):
+        if all(len(c) == self.rank for c in self.max_cones):
+            if not self._walk.closed:
+                return False
+        elif any(self.cone(c).dim != self.rank for c in self.max_cones):
             return False
-        # once every maximal cone is full dimensional, each normal is a
-        # facet's; group the facets by the rays they kill
-        owners: dict = {}
-        for c, facets in self._facets.items():
-            for g, ridge in facets:
-                owners.setdefault(ridge, []).append((c, g))
-        for ridge, sides in owners.items():
-            if len(sides) != 2:
-                return False
-            (_, g), (c, _) = sides
-            if any(pairing(self.rays[i], g) >= 0 for i in c if i not in ridge):
-                return False
+        else:
+            # once every maximal cone is full dimensional, each normal is a
+            # facet's; group the facets by the rays they kill
+            owners: dict = {}
+            for c, facets in self._facets.items():
+                for g, ridge in facets:
+                    owners.setdefault(ridge, []).append((c, g))
+            for ridge, sides in owners.items():
+                if len(sides) != 2:
+                    return False
+                (_, g), (c, _) = sides
+                if any(pairing(self.rays[i], g) >= 0 for i in c if i not in ridge):
+                    return False
         first, *others = self.max_cones
         point = tuple(map(sum, zip(*(self.rays[i] for i in first))))
         return not any(self.cone(c).contains(point) for c in others)
@@ -540,6 +670,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
     if entries:
         return ValidationReport(tuple(entries))
 
+    # the walk builds the simplicial cones it reaches, so Fan.cone finds them
+    fan._walk
     cones = {}
     for c in fan.max_cones:
         try:
@@ -642,8 +774,10 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     columns in the product cone's ray order, assembled only when a chart
     reads it; nothing is inverted again.  A pair with a lower-dimensional
     cone is left to Fan.cone, since its lineality normals depend on the
-    basis.  Validation, the ridge certificate and the roots still run on
-    the product itself.
+    basis.  When both factors are simplicial, each wall of the product is
+    a wall of one factor times a maximal cone of the other, so the
+    product's walk is the factors' (_product_walls).  Validation, the rest
+    of the ridge certificate and the roots still run on the product.
     """
     f1.require_valid()
     f2.require_valid()
@@ -651,10 +785,11 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     rays = product_rays(f1, f2)
     index = {r: i for i, r in enumerate(rays)}
 
-    def blocks(f: Fan, before: int, after: int) -> list:
-        """(product ray indices, the cone, its facets as (padded normal,
-        product indices of the rays it kills), or None when the cone is
-        not full dimensional) for each maximal cone of a factor."""
+    def blocks(f: Fan, before: int, after: int) -> tuple:
+        """The product index of each ray of a factor, and (product ray
+        indices, the cone, its facets as (padded normal, product indices
+        of the rays it kills), or None when the cone is not full
+        dimensional) for each maximal cone of the factor."""
         def pad(v):
             return (0,) * before + v + (0,) * after
         # the embedding keeps each factor's ray order
@@ -665,9 +800,9 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
             facets = (tuple((pad(g), tuple(to_product[i] for i in killed))
                             for g, killed in f._facets[c]) if cone.dim == f.rank else None)
             out.append((tuple(to_product[i] for i in c), cone, facets))
-        return out
+        return to_product, out
 
-    left, right = blocks(f1, 0, n2), blocks(f2, n1, 0)
+    (to1, left), (to2, right) = blocks(f1, 0, n2), blocks(f2, n1, 0)
     pf = Fan(n1 + n2, rays, [a + b for a, _, _ in left for b, _, _ in right])
     table = {}
     for a, cone1, facets1 in left:
@@ -685,7 +820,31 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
                 scaled_rows=_Once(_block_rows, cone1, cone2, a + b) if det else None)
     if all(facets is not None for _, _, facets in left + right):
         pf._facets = {c: table[c] for c in pf.max_cones}
+    if all(len(c) == f.rank for f in (f1, f2) for c in f.max_cones):
+        # a ridge of sigma x tau is a ridge of sigma times tau or sigma
+        # times a ridge of tau, so the product's walls are the factors'
+        walls = (_product_walls(f1._walk.walls, to1, [(b, cone.det) for b, cone, _ in right])
+                 + _product_walls(f2._walk.walls, to2, [(a, cone.det) for a, cone, _ in left]))
+        pf._walk = _Walk({}, tuple(walls), f1._walk.closed and f2._walk.closed)
     return pf
+
+
+def _product_walls(walls: tuple, to_product: list, others: list) -> list:
+    """The product's walls over one factor's: each wall (c, p, j, y, d) of
+    the factor times each maximal cone of the other factor, given as
+    (product ray indices, its det e).  The product cone's R is block
+    diagonal, the factor's R scaled by e in one block, so y is the
+    factor's scaled by e on the factor's rays and 0 on the other's, and
+    d is d*e."""
+    out = []
+    for c, p, j, y, d in walls:
+        a = [to_product[i] for i in c]
+        terms = dict(zip(a, y))
+        for b, e in others:
+            key = tuple(sorted(a + list(b)))
+            out.append((key, key.index(a[p]), to_product[j],
+                        tuple([e * terms.get(i, 0) for i in key]), d * e))
+    return out
 
 
 def _block_rows(cone1: Cone, cone2: Cone, order: tuple) -> Mat:

@@ -50,10 +50,8 @@ def pairing(p: Sequence[int], m: Sequence[int]) -> int:
 
 
 def gcd_vec(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g
+    """The gcd of the coordinates, non-negative; 0 for the zero vector."""
+    return math.gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> Vec:

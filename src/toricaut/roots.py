@@ -9,7 +9,7 @@ is fixed by its pairings c_i = <rho_i, e> with the rays of one chart (Cox,
 those coordinates rather than in the coordinates of M.  The chart is
 picked first: a basis of N_R among the rays of a maximal cone through
 rho_j, of least |det|.  A simplicial maximal cone is its own chart, and
-its inverse is the one elimination the cone already keeps; only a chart
+its inverse is the (R, d) the cone already keeps; only a chart
 exchanged into a non-simplicial cone is inverted here.  One double
 description per ray, in the chart's n coordinates, gives the vertices of
 the polytope's homogenisation; there the constraints c_i >= 0 on the
@@ -224,7 +224,7 @@ def _lifted_candidates(fan: Fan):
     broken by its index tuple, and then one double description bounds the
     roots of ray j in its coordinates (_chart_bounds).  A simplicial
     maximal cone of a complete fan is its own basis, and its A*R = d*I is
-    the one elimination the cone keeps: its d (Cone.det) ranks it, and its
+    the (R, d) the cone keeps: its |d| (Cone.det) ranks it, and its
     R (Cone.inverse) is read only for the chart chosen.  A non-simplicial
     cone's first basis (its rays outside the span of those before them) is
     found and inverted once per call.  When ray j is not in it,

@@ -5,7 +5,9 @@ The isomorphism search assigns images to a spanning set of anchor rays,
 backtracking with pruning by profiles of rays and ray pairs that any
 lattice isomorphism preserves: the faces through them, and their terms
 in the relations between adjacent simplicial cones, listed for a pair
-only when the search compares it.  The anchors are the independent rays
+only when the search compares it.  The relations come from the fan's
+wall walk, one product per wall made while the fan was validated, so
+the search inverts no cone for them.  The anchors are the independent rays
 of one maximal cone, the one whose rays have the fewest candidate images
 (then of the other rays, when that cone does not span), a first step
 toward the leaf pruning of McKay-Piperno (J. Symbolic Comput. 60, 2014):
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
@@ -111,33 +112,20 @@ def _wall_relations(fan: Fan) -> list:
     1983; Batyrev's primitive relations, Tohoku Math. J. 43, 1991; on a
     surface, -c_i is the self-intersection number, Oda, Convex Bodies and
     Algebraic Geometry, 1988, section 1.6).  rho and rho' get the terms
-    (1, alpha) and (1, alpha'), each i in tau (0, c_i).  It is read from
-    y = rho*R, with A*R = d*I for the rays A of sigma', which sigma' keeps:
-    d*rho = sum_k y_k*rho_k over the rays of sigma'."""
-    n, rays = fan.rank, fan.rays
-    walls = [[] for _ in rays]
-    first: dict = {}
-    for c in fan.max_cones:
-        cone = fan.cone(c)
-        if len(c) != n or not cone.det:
-            continue
-        cols = None
-        for p, rho2 in enumerate(c):
-            tau = c[:p] + c[p + 1:]
-            rho = first.pop(tau, None)
-            if rho is None:
-                first[tau] = rho2
-                continue
-            if cols is None:
-                r, d = cone.inverse
-                cols = tuple(zip(*r))
-            y = [sum(map(mul, rays[rho], col)) for col in cols]
-            g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
-            relation = {i: (0, x // g) for i, x in zip(c, y)}
-            relation[rho2] = (1, -y[p] // g)
-            relation[rho] = (1, d // g)
-            for i in relation:
-                walls[i].append(relation)
+    (1, alpha) and (1, alpha'), each i in tau (0, c_i).  The fan's wall
+    walk made the one product per wall it takes, y = rho'*R with
+    A*R = d*I, d = ±det, for the rays A of sigma: d*rho' = sum_k y_k*rho_k
+    over the rays of sigma, so dividing by the gcd g, signed like d, makes
+    the relation primitive with alpha' = d/g > 0, and alpha = -y_p/g > 0
+    since the two cones lie on opposite sides of the wall."""
+    walls = [[] for _ in fan.rays]
+    for c, p, j, y, d in fan._walk.walls:
+        g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
+        relation = {i: (0, x // g) for i, x in zip(c, y)}
+        relation[c[p]] = (1, -y[p] // g)
+        relation[j] = (1, d // g)
+        for i in relation:
+            walls[i].append(relation)
     return walls
 
 
@@ -156,8 +144,8 @@ def _ray_profiles(fan: Fan):
     P1^6.  A ray's profile is the sorted keys of the faces through it and
     its sorted terms in the relations through it; a pair's, the sorted
     keys of the faces through both and each ray's sorted terms in the
-    relations to which the other is opposite.  The relations cost a
-    product with a cone's inverse per wall, so they are added only when
+    relations to which the other is opposite.  The relations cost a gcd
+    and a dict per wall, and longer profiles, so they are added only when
     the faces leave every maximal cone more candidate images than there
     are rays (_least_cone): on Bl24P3.fan they leave 4, and the search
     tests |Aut| = 2 leaves without them.

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from toricaut import cli, symbolic
-from toricaut import fan as fan_module
+from toricaut import fan as fan_module, lattice, roots as roots_module
 from toricaut.cli import (
     FanDocument,
     FanDocumentError,
@@ -384,12 +384,24 @@ class TestProductCertificate:
     factors' cones, and still validates it."""
 
     def test_no_double_description_on_the_product(self, monkeypatch):
-        ranks, validated = [], []
-        build, validate = fan_module.cone_from_rays, fan_module.validate_fan
+        # events in order: each validation's start and end, each cone
+        # built from rays and each elimination
+        events = []
+        build, validate, inverse = (fan_module.cone_from_rays, fan_module.validate_fan,
+                                    lattice.scaled_inverse)
+
+        def validated(fan):
+            events.append(("validate", fan.rank))
+            report = validate(fan)
+            events.append(("validated", fan.rank))
+            return report
+
         monkeypatch.setattr(fan_module, "cone_from_rays",
-                            lambda rays, rank: ranks.append(rank) or build(rays, rank))
-        monkeypatch.setattr(fan_module, "validate_fan",
-                            lambda fan: validated.append(fan.rank) or validate(fan))
+                            lambda rays, rank: events.append(("cone", rank)) or build(rays, rank))
+        monkeypatch.setattr(fan_module, "validate_fan", validated)
+        for module in (lattice, fan_module, roots_module):
+            monkeypatch.setattr(module, "scaled_inverse",
+                                lambda a: events.append(("inverse", len(a))) or inverse(a))
         # bypass the memo so that the product fan is validated here
         monkeypatch.setattr(cli, "demazure_roots", cli.demazure_roots.__wrapped__)
         doc = parse_fan((FIXTURES / "F3_conjugate.fan").read_text())
@@ -397,8 +409,25 @@ class TestProductCertificate:
         certificates = run_certificates([(doc, fan, doc.name)])
         assert all(ok for _, _, ok, _ in certificates)
         assert certificates[-1][0] == "product_roots"
-        assert validated == [2, 4]
-        assert ranks and set(ranks) == {2}
+        assert [e for e in events if e[0].startswith("validate")] == [
+            ("validate", 2), ("validated", 2), ("validate", 4), ("validated", 4)]
+        # the factor's walk builds one cone from rays, with one elimination
+        start = events.index(("validate", 4))
+        assert events[:start] == [("validate", 2), ("cone", 2), ("inverse", 2), ("validated", 2)]
+        # and the product's validation neither builds a cone nor inverts one
+        assert events[start + 1] == ("validated", 4)
+
+    def test_a_second_check_reads_the_kept_verdict(self, capsys, monkeypatch):
+        # the product is built, validated and its roots found once per pair
+        validated = []
+        validate = fan_module.validate_fan
+        monkeypatch.setattr(fan_module, "validate_fan",
+                            lambda fan: validated.append(fan.rank) or validate(fan))
+        first = run_cli(["check", str(DATA / "P2xP2.fan")], capsys)
+        misses, count = demazure_roots.cache_info().misses, len(validated)
+        assert first[0] == 0 and 8 in validated
+        assert run_cli(["check", str(DATA / "P2xP2.fan")], capsys) == first
+        assert demazure_roots.cache_info().misses == misses and len(validated) == count
 
     def test_no_lower_dimensional_cones(self, monkeypatch):
         # regularity looks sigma' up among the fan's faces and samples

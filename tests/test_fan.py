@@ -1,4 +1,5 @@
 import gc
+import json
 import pathlib
 import pickle
 import random
@@ -8,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from toricaut import fan as fan_module, lattice, roots as roots_module
+from toricaut import cli, fan as fan_module, lattice, roots as roots_module
 from toricaut.cli import fan_from_document, parse_fan, run_certificates
 from toricaut.corpus import corpus
 from toricaut.fan import (
@@ -16,6 +17,7 @@ from toricaut.fan import (
     Fan,
     NotStrictlyConvexError,
     ValidationReport,
+    _Walk,
     _maximal,
     _pairwise_violations,
     cone_from_rays,
@@ -29,17 +31,19 @@ from toricaut.fan import (
 )
 from toricaut.lattice import det, identity_matrix, mat_mul, pairing, primitive
 from toricaut.roots import demazure_roots
-from toricaut.structure import aut_structure_report, decompose, fan_automorphisms
+from toricaut.structure import _wall_relations, aut_structure_report, decompose, fan_automorphisms
 from toricaut.symbolic import dual_monomials, ray_witness
 
 from test_roots import SQUARE_PYRAMID
 from util import (
     DualCone,
+    certificate_by_pairings,
     complete_by_adjacency,
     cube_fan,
     dual_cone,
     extreme_rays_by_subset_enumeration,
     faces_by_subset_scan,
+    facets_by_pairings,
     maximal_cones_oracle,
     minors_gcd,
     pairwise_violations_by_closure,
@@ -49,6 +53,8 @@ from util import (
     random_primitive,
     random_unimodular,
     support_contains,
+    wall_relations_by_solving,
+    weighted_projective_fan,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -146,7 +152,8 @@ class TestSimplicialCones:
 
 
 class TestOneEliminationPerCone:
-    def test_projective_space_runs_one_inverse_per_cone(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = Counter()
 
         def counted(name, fn):
@@ -159,12 +166,24 @@ class TestOneEliminationPerCone:
         for module in (lattice, fan_module, roots_module):
             monkeypatch.setattr(module, "scaled_inverse", inverse)
         monkeypatch.setattr(lattice, "_hermite", counted("hermite", lattice._hermite))
+        return calls
+
+    def test_projective_space_runs_one_inverse_per_fan(self, calls):
+        # the wall walk inverts the first maximal cone and updates the
+        # inverse across each wall to the next
         fan = _projective(9)
         assert fan.validation.ok and is_smooth(fan)
-        assert calls == {"inverse": 10}
+        assert calls == {"inverse": 1}
         calls.clear()
         assert len(demazure_roots.__wrapped__(fan)) == 90
         assert calls == {}
+
+    def test_blow_up_runs_one_inverse_per_fan(self, calls):
+        doc = parse_fan((FIXTURES / "Bl24P3.fan").read_text())
+        fan = Fan(doc.rank, doc.rays, doc.max_cones)
+        assert len(fan.max_cones) == 52
+        assert fan.validation.ok and is_complete(fan) and is_smooth(fan)
+        assert calls == {"inverse": 1}
 
     def test_product_cones_inherit_their_factors_inverse(self, fans, monkeypatch):
         # a product of simplicial fans keeps the factors' eliminations, so
@@ -804,3 +823,125 @@ class TestPerFanMemo:
             assert [copy.cone(c).inverse for c in f.max_cones] == [
                 f.cone(c).inverse for c in f.max_cones]
             assert demazure_roots(copy) == demazure_roots(f)
+
+
+def _walk_fans(corpus_fans):
+    """(label, fan) cases for the wall walk, each a fresh Fan so that the
+    walk builds its cones: the corpus, every valid fixture, seeded
+    blow-ups and conjugates, and weighted projective spaces up to rank 8."""
+    rng = random.Random(30)
+    fans = list(corpus_fans.items())
+    # the one invalid fixture is among TestWallWalkReports' documents
+    for path in sorted(set(FIXTURES.glob("*.fan")) - {FIXTURES / "pyramid_swapped.fan"}):
+        doc = parse_fan(path.read_text())
+        fans.append((path.stem, Fan(doc.rank, doc.rays, doc.max_cones)))
+    bases = [corpus_fans[name] for name in ("P2", "P3", "F1", "P1xP2")]
+    blow_ups = [random_blow_up(rng, base, rng.randint(1, 12)) for base in bases * 2]
+    fans += [(f"blow-up {k}", fan) for k, fan in enumerate(blow_ups)]
+    for name, fan in [("P2", bases[0]), ("P3", bases[1]), ("P2xP2", corpus_fans["P2xP2"]),
+                      ("blow-up 1", blow_ups[1]), ("blow-up 6", blow_ups[6])]:
+        fans.append((f"{name} conjugate", transform_fan(fan, random_unimodular(rng, fan.rank))))
+    for q in [(1, 1, 2), (1, 2, 3), (1, 2, 3, 5), (1, 1, 2, 2, 3), (1, 2, 3, 4, 5, 7),
+              (1, 1, 2, 2, 3, 3, 4), (1, 2, 3, 5, 7, 11, 13, 17), (1, 1, 2, 2, 3, 3, 4, 4, 5)]:
+        fans.append((f"P{q}", weighted_projective_fan(q)))
+    return [(label, Fan(f.rank, f.rays, f.max_cones)) for label, f in fans]
+
+
+def _relations(fan):
+    return [sorted(tuple(sorted(r.items())) for r in ws) for ws in _wall_relations(fan)]
+
+
+class TestWallWalk:
+    """Validation walks across the walls of a simplicial fan, one product
+    per wall and one rank-one update per cone it reaches; what it builds
+    matches one elimination per cone."""
+
+    def test_walked_cones_match_their_elimination(self, fans):
+        walked = 0
+        for label, fan in _walk_fans(fans):
+            assert fan.validation.ok, label
+            built = fan._walk.facets
+            if is_simplicial(fan) and is_complete(fan):
+                # every cone but the first is reached
+                assert set(built) == set(fan.max_cones[1:]), label
+            for c in built:
+                cone = fan.cone(c)
+                ref = cone_from_rays([fan.rays[i] for i in c], fan.rank)
+                assert cone == ref and cone.dim == ref.dim == fan.rank, (label, c)
+                r, d = cone.inverse
+                assert abs(d) == abs(ref.det)
+                assert mat_mul(cone.rays, r) == tuple(
+                    tuple(d * x for x in row) for row in identity_matrix(fan.rank)), (label, c)
+            walked += len(built)
+        assert walked >= 350
+
+    def test_facets_match_pairings(self, fans):
+        for label, fan in _walk_fans(fans):
+            assert fan.validation.ok, label
+            assert fan._facets == facets_by_pairings(fan), label
+
+    def test_certificate_matches_pairings(self, fans):
+        verdicts = Counter()
+        cases = _walk_fans(fans) + [(label, Fan(f.rank, f.rays, f.max_cones))
+                                    for label, f, _ in _equivalence_fans(fans)]
+        for label, fan in cases:
+            codes = {e.code for e in fan.validation.entries}
+            if codes <= {"intersection_not_face"}:
+                verdict = fan._certified_complete
+                assert verdict == certificate_by_pairings(fan), label
+                verdicts[verdict] += 1
+        assert verdicts[True] > 60 and verdicts[False] >= 10
+
+    def test_wall_relations_match_solving(self, fans):
+        for label, fan in _walk_fans(fans):
+            if is_complete(fan) and is_simplicial(fan):
+                assert _relations(fan) == wall_relations_by_solving(fan), label
+
+    def test_product_walls_match_the_products_own_walk(self, fans):
+        # product_fan takes its walls from the factors' walks
+        for a, b in [("P2", "F1"), ("P1xP2", "P112"), ("P2xP2", "P2xP2")]:
+            pf = product_fan(fans[a], fans[b])
+            fresh = Fan(pf.rank, pf.rays, pf.max_cones)
+            assert pf.validation.ok and fresh.validation.ok
+            assert pf._certified_complete and fresh._certified_complete
+            assert _relations(pf) == _relations(fresh), (a, b)
+
+
+class TestWallWalkReports:
+    """On invalid and incomplete fans the walk changes no report: `validate
+    --json` prints what it prints with the walk bypassed, every cone then
+    built by elimination and the certificate read off pairings."""
+
+    DOCS = {
+        "ridge in three cones": (2, [(1, 0), (0, 1), (-1, -1), (0, -1)],
+                                 [(0, 1), (1, 2), (2, 0), (0, 3)]),
+        "two neighbours on one side": (2, [(1, 0), (0, 1), (1, 2), (-1, -1)],
+                                       [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        # a square in the hyperplane x4 = 0: four extremal, dependent rays
+        "dependent rays": (4, [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0),
+                               (0, 0, 0, 1), (0, 0, -1, -1), (1, 1, 0, 1)],
+                           [(0, 1, 2, 3), (0, 1, 4, 6), (0, 1, 4, 5), (1, 2, 4, 5)]),
+        "dependent first cone": (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                                 [(0, 1, 2), (0, 1, 3), (1, 3, 4), (0, 3, 4)]),
+        "two disconnected stars": (2, [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
+                                   [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        "incomplete": (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                       [(0, 1, 2), (1, 2, 3), (0, 2, 3)]),
+    }
+
+    def validate_json(self, path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LOADED", {})
+        code = cli.main(["validate", "--json", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_byte_identical_with_the_walk_bypassed(self, tmp_path, capsys, monkeypatch):
+        paths = [FIXTURES / "pyramid_swapped.fan", FIXTURES / "P12_minus_cone.fan"]
+        for k, (n, rays, cones) in enumerate(self.DOCS.values()):
+            paths.append(tmp_path / f"case{k}.fan")
+            paths[-1].write_text(json.dumps({"rank": n, "rays": rays, "max_cones": cones}))
+        walked = [self.validate_json(path, capsys, monkeypatch) for path in paths]
+        monkeypatch.setattr(Fan, "_walk", property(lambda fan: _Walk({}, (), False)))
+        bypassed = [self.validate_json(path, capsys, monkeypatch) for path in paths]
+        assert walked == bypassed
+        assert [code for code, _, _ in walked] == [1, 0, 1, 1, 1, 1, 1, 0]

@@ -8,6 +8,7 @@ from toricaut.lattice import (
     _pivots_and_kernel,
     _saturated,
     det,
+    gcd_vec,
     hermite_normal_form,
     identity_matrix,
     invert_unimodular,
@@ -85,6 +86,15 @@ class TestPrimitive:
         for x in p:
             g = gcd(g, x)
         assert g == 1
+
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=6))
+    def test_gcd_vec_matches_a_pairwise_fold(self, v):
+        # non-negative, and 0 for the zero and the empty vector
+        from math import gcd
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        assert gcd_vec(v) == gcd_vec(tuple(v)) == g
 
 
 class TestHermiteNormalForm:

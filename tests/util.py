@@ -432,6 +432,73 @@ def complete_by_adjacency(fan):
     return len(seen) == len(fan.max_cones)
 
 
+def _eliminated_cones(fan):
+    """Each maximal cone built from its rays by cone_from_rays, never read
+    from the fan's cache."""
+    return {c: cone_from_rays([fan.rays[i] for i in c], fan.rank) for c in fan.max_cones}
+
+
+def facets_by_pairings(fan):
+    """Reference for fan._facets: each maximal cone's facet normals, each
+    with the cone's rays on which it vanishes."""
+    return {c: tuple((g, tuple(i for i in c if not pairing(fan.rays[i], g)))
+                     for g in cone.facet_normals)
+            for c, cone in _eliminated_cones(fan).items()}
+
+
+def certificate_by_pairings(fan):
+    """Reference for fan._certified_complete: every maximal cone full
+    dimensional, every ridge (the rays a facet normal kills) in exactly
+    two of them, the second's rays off it strictly across the first's
+    normal, and an interior point of the first cone in no other."""
+    cones = _eliminated_cones(fan)
+    if any(cone.dim != fan.rank for cone in cones.values()):
+        return False
+    owners = {}
+    for c, facets in facets_by_pairings(fan).items():
+        for g, ridge in facets:
+            owners.setdefault(ridge, []).append((c, g))
+    for ridge, sides in owners.items():
+        if len(sides) != 2:
+            return False
+        (_, g), (c, _) = sides
+        if any(pairing(fan.rays[i], g) >= 0 for i in c if i not in ridge):
+            return False
+    first, *others = fan.max_cones
+    point = tuple(map(sum, zip(*(fan.rays[i] for i in first))))
+    return not any(cones[c].contains(point) for c in others)
+
+
+def wall_relations_by_solving(fan):
+    """Reference for structure._wall_relations on a complete simplicial
+    fan: for each ray, the sorted relations of the walls through it, each
+    as sorted (ray, (0 or 1, coefficient)) items.  Across the wall tau
+    between sigma = tau + rho and sigma' = tau + rho', rho' is written in
+    the rays of sigma over the rationals, and the relation scaled to
+    primitive integers with rho's coefficient positive."""
+    walls = [[] for _ in fan.rays]
+    owners = {}
+    for c in fan.max_cones:
+        for p in range(len(c)):
+            owners.setdefault(c[:p] + c[p + 1:], []).append(c)
+    for tau, (c, other) in owners.items():
+        (rho,) = set(c) - set(tau)
+        (rho2,) = set(other) - set(tau)
+        coeffs = [x for x, in solve_left(transpose([fan.rays[i] for i in c]),
+                                         [(x,) for x in fan.rays[rho2]])]
+        scale = math.lcm(*(x.denominator for x in coeffs))
+        ints = [int(x * scale) for x in coeffs]
+        g = math.gcd(scale, *ints)
+        # rho2 = sum_k coeffs_k * c_k, so scale*rho2 - ints_rho * rho = sum over tau
+        relation = {i: (0, x // g) for i, x in zip(c, ints)}
+        relation[rho] = (1, -ints[c.index(rho)] // g)
+        relation[rho2] = (1, scale // g)
+        items = tuple(sorted(relation.items()))
+        for i in relation:
+            walls[i].append(items)
+    return [sorted(w) for w in walls]
+
+
 def support_contains(fan, v):
     """Does the support of the fan contain v?"""
     return any(fan.cone(c).contains(v) for c in fan.max_cones)
