@@ -19,7 +19,6 @@ from .fan import (
     is_simplicial,
     is_smooth,
     product_fan,
-    skeleton,
     transform_fan,
     validate_fan,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "product_roots",
     "reconstruct",
     "regularity_check",
-    "skeleton",
     "wreath_order_check",
     "transform_fan",
     "validate_fan",

@@ -31,10 +31,9 @@ of its facets' ray sets; and only an invalid or incomplete fan falls
 back to intersecting every pair of maximal cones.  An intersection is a
 face of a cone when its rays are rays of the fan equal to their closure,
 the cone's rays on every facet holding them all, a test polynomial in
-the number of facets that lists no faces.  A product fan takes its
-maximal cones, its facets table and its walls from the factors', so it
-runs no double description and inverts nothing; it is still validated
-and tested for completeness like any other fan.
+the number of facets that lists no faces.  A product fan is its
+factors' block rays and every pair of their maximal cones, validated
+like any other fan.
 """
 
 from __future__ import annotations
@@ -90,11 +89,10 @@ class Cone(NamedTuple):
     det: d = ±det A of A*R = d*I for the rays A, kept by the constructor
         that found the cone simplicial and full dimensional: cone_from_rays
         from its one elimination, Fan._walk from a neighbour's by a
-        rank-one update, product_fan from the factors' cones.  0 for any
-        other cone.
+        rank-one update.  0 for any other cone.
     inverse: (R, d), or None when det is 0.  R is `scaled_rows()`, which
-        a product cone computes on its first call and keeps, so it
-        assembles its block R only for a reader that needs it, and once.
+        a walked cone transposes from the walk's columns on its first
+        call and keeps, so only a reader that needs R pays for it, once.
 
     Equality and hash ignore det and scaled_rows; repr omits scaled_rows.
     """
@@ -761,117 +759,15 @@ def is_smooth(fan: Fan) -> bool:
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:
-    """Fan of the product: rays embed block-wise, cones are all products.
-
-    The maximal cones come from the factors' cones: for full-dimensional
-    sigma and tau the cone sigma x tau has the block rays and the facet
-    normals (g, 0) and (0, h) (Cox-Little-Schenck, Toric Varieties, 3.1),
-    so no double description runs on the product.  (g, 0) kills the rays
-    of sigma that g kills and every ray of tau, so when every factor cone
-    is full dimensional the product inherits its facets table from the
-    factors' too.  A product cone's A*R = d*I has d = d1*d2, which is all
-    that choosing a root chart reads, and R = diag(d2*R1, d1*R2), its
-    columns in the product cone's ray order, assembled only when a chart
-    reads it; nothing is inverted again.  A pair with a lower-dimensional
-    cone is left to Fan.cone, since its lineality normals depend on the
-    basis.  When both factors are simplicial, each wall of the product is
-    a wall of one factor times a maximal cone of the other, so the
-    product's walk is the factors' (_product_walls).  Validation, the rest
-    of the ridge certificate and the roots still run on the product.
-    """
+    """Fan of the product: rays embed block-wise, cones are all products
+    sigma x tau of the factors' maximal cones (Cox-Little-Schenck, Toric
+    Varieties, 3.1)."""
     f1.require_valid()
     f2.require_valid()
-    n1, n2 = f1.rank, f2.rank
-    rays = product_rays(f1, f2)
-    index = {r: i for i, r in enumerate(rays)}
-
-    def blocks(f: Fan, before: int, after: int) -> tuple:
-        """The product index of each ray of a factor, and (product ray
-        indices, the cone, its facets as (padded normal, product indices
-        of the rays it kills), or None when the cone is not full
-        dimensional) for each maximal cone of the factor."""
-        def pad(v):
-            return (0,) * before + v + (0,) * after
-        # the embedding keeps each factor's ray order
-        to_product = [index[pad(r)] for r in f.rays]
-        out = []
-        for c in f.max_cones:
-            cone = f.cone(c)
-            facets = (tuple((pad(g), tuple(to_product[i] for i in killed))
-                            for g, killed in f._facets[c]) if cone.dim == f.rank else None)
-            out.append((tuple(to_product[i] for i in c), cone, facets))
-        return to_product, out
-
-    (to1, left), (to2, right) = blocks(f1, 0, n2), blocks(f2, n1, 0)
-    pf = Fan(n1 + n2, rays, [a + b for a, _, _ in left for b, _, _ in right])
-    table = {}
-    for a, cone1, facets1 in left:
-        for b, cone2, facets2 in right:
-            if facets1 is None or facets2 is None:
-                continue
-            key = tuple(sorted(a + b))
-            facets = sorted([(g, tuple(sorted(killed + b))) for g, killed in facets1]
-                            + [(h, tuple(sorted(a + killed))) for h, killed in facets2])
-            table[key] = tuple(facets)
-            det = cone1.det * cone2.det
-            pf._cone_cache[key] = Cone(
-                rank=n1 + n2, rays=tuple(rays[i] for i in key),
-                facet_normals=tuple(g for g, _ in facets), dim=n1 + n2, det=det,
-                scaled_rows=_Once(_block_rows, cone1, cone2, a + b) if det else None)
-    if all(facets is not None for _, _, facets in left + right):
-        pf._facets = {c: table[c] for c in pf.max_cones}
-    if all(len(c) == f.rank for f in (f1, f2) for c in f.max_cones):
-        # a ridge of sigma x tau is a ridge of sigma times tau or sigma
-        # times a ridge of tau, so the product's walls are the factors'
-        walls = (_product_walls(f1._walk.walls, to1, [(b, cone.det) for b, cone, _ in right])
-                 + _product_walls(f2._walk.walls, to2, [(a, cone.det) for a, cone, _ in left]))
-        pf._walk = _Walk({}, tuple(walls), f1._walk.closed and f2._walk.closed)
-    return pf
-
-
-def _product_walls(walls: tuple, to_product: list, others: list) -> list:
-    """The product's walls over one factor's: each wall (c, p, j, y, d) of
-    the factor times each maximal cone of the other factor, given as
-    (product ray indices, its det e).  The product cone's R is block
-    diagonal, the factor's R scaled by e in one block, so y is the
-    factor's scaled by e on the factor's rays and 0 on the other's, and
-    d is d*e."""
-    out = []
-    for c, p, j, y, d in walls:
-        a = [to_product[i] for i in c]
-        terms = dict(zip(a, y))
-        for b, e in others:
-            key = tuple(sorted(a + list(b)))
-            out.append((key, key.index(a[p]), to_product[j],
-                        tuple([e * terms.get(i, 0) for i in key]), d * e))
-    return out
-
-
-def _block_rows(cone1: Cone, cone2: Cone, order: tuple) -> Mat:
-    """R = diag(d2*R1, d1*R2) of the product of two simplicial cones, from
-    their A*R = d*I, with its columns, listed in `order` by product ray
-    index, put in the product cone's sorted ray order."""
-    (r1, d1), (r2, d2) = cone1.inverse, cone2.inverse
-    n1, n2 = len(r1), len(r2)
-    rows = ([tuple(d2 * x for x in r) + (0,) * n2 for r in r1]
-            + [(0,) * n1 + tuple(d1 * x for x in r) for r in r2])
-    columns = sorted(range(len(order)), key=order.__getitem__)
-    return tuple(tuple(r[p] for p in columns) for r in rows)
-
-
-def product_rays(f1: Fan, f2: Fan) -> Mat:
-    """The rays of product_fan(f1, f2) in its order: the block-embedded
-    rays of both factors, sorted."""
-    return tuple(sorted([r + (0,) * f2.rank for r in f1.rays]
-                        + [(0,) * f1.rank + r for r in f2.rays]))
-
-
-def skeleton(fan: Fan, i: int) -> tuple[Cone, ...]:
-    """All i-dimensional cones of the face closure, canonically sorted."""
-    fan.require_valid()
-    if not 0 <= i <= fan.rank:
-        raise ValueError(f"skeleton index {i} out of range 0..{fan.rank}")
-    return tuple(fan.cone(c) for c in fan.cones_of_dim(i))
+    n1, n2, k1 = f1.rank, f2.rank, len(f1.rays)
+    rays = [r + (0,) * n2 for r in f1.rays] + [(0,) * n1 + r for r in f2.rays]
+    cones = [c1 + tuple(k1 + i for i in c2) for c1 in f1.max_cones for c2 in f2.max_cones]
+    return Fan(n1 + n2, rays, cones)
 
 
 def transform_fan(fan: Fan, u: Mat) -> Fan:

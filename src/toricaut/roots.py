@@ -22,8 +22,12 @@ coordinate at a time, dropping a prefix as soon as some other ray can no
 longer pair non-negatively with e.  A complete c gives e = R*c/d (A*R = d*I for the
 chart's rays A) when that is integral, and e is kept if it passes the
 definition.  The search, and its size, are the same for a fan and each of
-its GL(n, Z)-conjugates.  Completeness is a hard precondition: without it
-the root set may be infinite and the operation refuses to run.
+its GL(n, Z)-conjugates.  The roots of a product of two fans are
+enumerated the same way on its rays, without building its fan: a chart
+of the product is a chart of each factor, and its inverse is their
+inverses in two blocks (product_chart_roots).  Completeness is a hard
+precondition: without it the root set may be infinite and the operation
+refuses to run.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .fan import (
     _cone_generators,
     _pointed_extreme_rays,
     per_fan,
-    product_rays,
     require_complete,
 )
 from .lattice import (
@@ -119,12 +122,12 @@ class RootPolytope(NamedTuple):
         return box
 
 
-def root_ray_index(fan: Fan, e: Sequence[int]) -> Optional[int]:
-    """The distinguished ray index if e is a root of the fan, else None."""
-    if fan.rays and len(e) != fan.rank:
-        raise ValueError(f"rank mismatch: {fan.rank} vs {len(e)}")
+def root_ray_index(rays: Mat, e: Sequence[int]) -> Optional[int]:
+    """The distinguished ray index if e is a root over these rays, else None."""
+    if rays and len(e) != len(rays[0]):
+        raise ValueError(f"rank mismatch: {len(rays[0])} vs {len(e)}")
     negatives = []
-    for i, r in enumerate(fan.rays):
+    for i, r in enumerate(rays):
         v = sum(map(mul, r, e))
         if v < 0:
             if v != -1 or negatives:
@@ -136,7 +139,7 @@ def root_ray_index(fan: Fan, e: Sequence[int]) -> Optional[int]:
 _INFINITE = "fan is not complete: root set may be infinite"
 
 
-def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int, first: Iterable[int] = ()) -> tuple:
+def _chart_bounds(rays: Mat, j: int, chart: tuple, r: Mat, d: int, first: Iterable[int] = ()) -> tuple:
     """(ranges, rows) for the roots of ray j in the coordinates
     c_p = <rho_chart[p], e> of a chart through it, with A*R = d*I for the
     chart's rays A.
@@ -156,17 +159,17 @@ def _chart_bounds(fan: Fan, j: int, chart: tuple, r: Mat, d: int, first: Iterabl
     holds no integer.  The map e -> c is linear and invertible, so these
     are exactly the ranges of <rho_i, e> on the polytope in M.
     """
-    n, p = fan.rank, chart.index(j)
+    n, p = len(chart), chart.index(j)
     sign = 1 if d > 0 else -1
     cols = tuple(zip(*r))
     rows = []
 
     def homogenised():
         seen = set(chart)
-        for k in chain(first, range(len(fan.rays))):
+        for k in chain(first, range(len(rays))):
             if k not in seen:
                 seen.add(k)
-                w = tuple(sign * sum(map(mul, fan.rays[k], col)) for col in cols)
+                w = tuple(sign * sum(map(mul, rays[k], col)) for col in cols)
                 rows.append(w)
                 yield w[:p] + (-w[p],) + w[p + 1:]
 
@@ -215,23 +218,24 @@ def _lift(ranges: list, rows: list, r: Mat, d: int) -> list:
     return out
 
 
-def _lifted_candidates(fan: Fan):
-    """(j, e) for each lifted chart point of each ray's root polytope.
+def _ray_charts(fan: Fan) -> list:
+    """(chart, R, d, star) for each ray j: the chart its roots are bounded
+    and lifted in, with A*R = d*I for the chart's rays A, and the rays of
+    the maximal cones through ray j.
 
     The chart of ray j is a basis of N_R among the rays of a maximal cone
     through it: ray j and each further ray of the cone outside the span of
     those before it.  Of these, the chart of least |det| is taken, ties
-    broken by its index tuple, and then one double description bounds the
-    roots of ray j in its coordinates (_chart_bounds).  A simplicial
-    maximal cone of a complete fan is its own basis, and its A*R = d*I is
-    the (R, d) the cone keeps: its |d| (Cone.det) ranks it, and its
-    R (Cone.inverse) is read only for the chart chosen.  A non-simplicial
-    cone's first basis (its rays outside the span of those before them) is
-    found and inverted once per call.  When ray j is not in it,
-    ray j = (y/d)*A with y = rho_j*R, and its chart exchanges for ray j the
-    last basis ray f with y_f != 0 (the least basis holding ray j), so
-    |det| = |y_f| needs no second elimination.  Of the exchanged charts
-    only the chosen ones are inverted, so a simplicial fan inverts nothing.
+    broken by its index tuple.  A simplicial maximal cone of a complete
+    fan is its own basis, and its A*R = d*I is the (R, d) the cone keeps:
+    its |d| (Cone.det) ranks it, and its R (Cone.inverse) is read only for
+    the chart chosen.  A non-simplicial cone's first basis (its rays
+    outside the span of those before them) is found and inverted once per
+    call.  When ray j is not in it, ray j = (y/d)*A with y = rho_j*R, and
+    its chart exchanges for ray j the last basis ray f with y_f != 0 (the
+    least basis holding ray j), so |det| = |y_f| needs no second
+    elimination.  Of the exchanged charts only the chosen ones are
+    inverted, so a simplicial fan inverts nothing.
     """
     n = fan.rank
     inverses = {}
@@ -263,24 +267,40 @@ def _lifted_candidates(fan: Fan):
     for c in fan.max_cones:
         for i in c:
             through[i].append(c)
+    out = []
     for j, cones in enumerate(through):
         chart = min(chart_key(j, c) for c in cones)[1]
-        r, d = inverse(chart)
+        out.append((chart,) + inverse(chart) + (tuple(chain.from_iterable(cones)),))
+    return out
+
+
+def _lifted_candidates(rays: Mat, charts: Iterable[tuple]):
+    """(j, e) for each lifted chart point of each ray's root polytope,
+    given ray j's chart as the j-th of `charts` (_ray_charts): one double
+    description bounds the roots of ray j in the chart's coordinates,
+    reading the rows of its star first (_chart_bounds), and the lifting
+    lists the chart points within those bounds (_lift)."""
+    for j, (chart, r, d, star) in enumerate(charts):
         # on a blow-up of P2 one row of ray j's star empties its polytope
         # whenever rho_j has negative self-intersection
-        ranges, rows = _chart_bounds(fan, j, chart, r, d, chain.from_iterable(cones))
+        ranges, rows = _chart_bounds(rays, j, chart, r, d, star)
         if ranges is not None:
             for e in _lift(ranges, rows, r, d):
                 yield j, e
+
+
+def _roots(rays: Mat, charts: Iterable[tuple]) -> tuple:
+    """The lifted candidates that pass the definition, sorted as roots."""
+    out = [DemazureRoot(e=e, rho_e=j) for j, e in _lifted_candidates(rays, charts)
+           if root_ray_index(rays, e) == j]
+    return tuple(sorted(out, key=DemazureRoot.sort_key))
 
 
 @per_fan
 def demazure_roots(fan: Fan) -> tuple[DemazureRoot, ...]:
     """All Demazure roots, duplicate free, sorted by (ray index, e)."""
     require_complete(fan, _INFINITE)
-    out = [DemazureRoot(e=e, rho_e=j) for j, e in _lifted_candidates(fan)
-           if root_ray_index(fan, e) == j]
-    return tuple(sorted(out, key=DemazureRoot.sort_key))
+    return _roots(fan.rays, _ray_charts(fan))
 
 
 def classify_roots(roots: Sequence[DemazureRoot]):
@@ -298,21 +318,71 @@ def classify_roots(roots: Sequence[DemazureRoot]):
     return tuple(sorted(pairs)), tuple(unipotent)
 
 
+def _embedded(f1: Fan, f2: Fan) -> tuple:
+    """The rays of product_fan(f1, f2), sorted, and the index among them of
+    each ray of f1 and of each ray of f2; both fans must be complete."""
+    require_complete(f1, _INFINITE)
+    require_complete(f2, _INFINITE)
+    rays = [r + (0,) * f2.rank for r in f1.rays] + [(0,) * f1.rank + r for r in f2.rays]
+    index = {r: i for i, r in enumerate(sorted(rays))}
+    at = [index[r] for r in rays]
+    return tuple(index), at[:len(f1.rays)], at[len(f1.rays):]
+
+
 def product_roots(f1: Fan, f2: Fan) -> tuple[DemazureRoot, ...]:
     """Roots of the product fan, assembled factor-wise.
 
     Every root of a product has the form (e, 0) or (0, e'); the result
     equals demazure_roots(product_fan(f1, f2)) exactly.
     """
-    require_complete(f1, _INFINITE)
-    require_complete(f2, _INFINITE)
-    index = {r: i for i, r in enumerate(product_rays(f1, f2))}
+    _, to1, to2 = _embedded(f1, f2)
     n1, n2 = f1.rank, f2.rank
-    out = []
-    for r in demazure_roots(f1):
-        rho = f1.rays[r.rho_e] + (0,) * n2
-        out.append(DemazureRoot(e=r.e + (0,) * n2, rho_e=index[rho]))
-    for r in demazure_roots(f2):
-        rho = (0,) * n1 + f2.rays[r.rho_e]
-        out.append(DemazureRoot(e=(0,) * n1 + r.e, rho_e=index[rho]))
+    out = [DemazureRoot(e=r.e + (0,) * n2, rho_e=to1[r.rho_e]) for r in demazure_roots(f1)]
+    out += [DemazureRoot(e=(0,) * n1 + r.e, rho_e=to2[r.rho_e]) for r in demazure_roots(f2)]
     return tuple(sorted(out, key=DemazureRoot.sort_key))
+
+
+def product_chart_roots(f1: Fan, f2: Fan) -> tuple[DemazureRoot, ...]:
+    """The roots of product_fan(f1, f2), enumerated on its rays without
+    building it.
+
+    Demazure roots depend only on the rays and one chart per ray.  A
+    chart of sigma1 x sigma2 is a chart of each factor, A = diag(A1, A2),
+    with A*R = d*I for R = diag(d2*R1, d1*R2) and d = d1*d2 (Cox-Little-
+    Schenck, Toric Varieties, section 3.1), so nothing is inverted.  Each
+    ray of one factor takes its own chart in that factor (_ray_charts),
+    next to the other factor's chart of least |d|.  Its double
+    description reads the rays of its star in its factor first, then the
+    other factor's rays, starting with those of a cone opposite its
+    chart, which cut that factor's part of the orthant down to {0}, and
+    then the rest.  So an empty root polytope, as on most rays of a
+    blow-up, reads a few rows.  The candidates pass the same root test
+    as demazure_roots'.  product_roots assembles the same roots from the
+    factors' own, so the two agree exactly when every root of the
+    product is (e, 0) or (0, e').
+    """
+    rays, to1, to2 = _embedded(f1, f2)
+    n1, n2 = f1.rank, f2.rank
+    charts1, charts2 = _ray_charts(f1), _ray_charts(f2)
+    least1, least2 = (min(charts, key=lambda c: (abs(c[2]), c[0]), default=((), (), 1, ()))
+                      for charts in (charts1, charts2))
+
+    def block(one: tuple, two: tuple, star: Iterable[int]) -> tuple:
+        (c1, r1, d1, _), (c2, r2, d2, _) = one, two
+        r = ([tuple(d2 * x for x in row) + (0,) * n2 for row in r1]
+             + [(0,) * n1 + tuple(d1 * x for x in row) for row in r2])
+        return tuple(to1[i] for i in c1) + tuple(to2[i] for i in c2), tuple(r), d1 * d2, star
+
+    def read_order(f: Fan, chart: tuple, to: list) -> list:
+        # with the chart's rays, the rays of a cone holding minus their sum
+        # positively span N, so their rows cut the chart's orthant to {0}
+        v = vec_neg(tuple(map(sum, zip((0,) * f.rank, *(f.rays[i] for i in chart)))))
+        return [to[i] for i in next(c for c in f.max_cones if f.cone(c).contains(v))] + to
+
+    order1, order2 = read_order(f1, least1[0], to1), read_order(f2, least2[0], to2)
+    charts = [None] * len(rays)
+    for j, chart in enumerate(charts1):
+        charts[to1[j]] = block(chart, least2, chain(map(to1.__getitem__, chart[3]), order2))
+    for j, chart in enumerate(charts2):
+        charts[to2[j]] = block(least1, chart, chain(map(to2.__getitem__, chart[3]), order1))
+    return _roots(rays, charts)

@@ -144,11 +144,9 @@ def _ray_profiles(fan: Fan):
     P1^6.  A ray's profile is the sorted keys of the faces through it and
     its sorted terms in the relations through it; a pair's, the sorted
     keys of the faces through both and each ray's sorted terms in the
-    relations to which the other is opposite.  The relations cost a gcd
-    and a dict per wall, and longer profiles, so they are added only when
-    the faces leave every maximal cone more candidate images than there
-    are rays (_least_cone): on Bl24P3.fan they leave 4, and the search
-    tests |Aut| = 2 leaves without them.
+    relations to which the other is opposite.  The wall walk made the
+    product each relation is read from, so a relation costs a gcd and a
+    dict; a non-simplicial wall gives none.
     """
     nrays = len(fan.rays)
     keys = dict(fan.all_cones)
@@ -160,11 +158,9 @@ def _ray_profiles(fan: Fan):
         for i in face:
             faces[i].append(face)
             face_keys[i].append(key)
-    by_faces = [tuple(sorted(k)) for k in face_keys]
-    walls = (_wall_relations(fan) if _least_cone(fan, by_faces)[0] > nrays
-             else [[] for _ in range(nrays)])
-    single = [(k, tuple(sorted([w[i] for w in ws])))
-              for i, (k, ws) in enumerate(zip(by_faces, walls))]
+    walls = _wall_relations(fan)
+    single = [(tuple(sorted(k)), tuple(sorted([w[i] for w in ws])))
+              for i, (k, ws) in enumerate(zip(face_keys, walls))]
     rows: dict = {}
 
     def row(i: int) -> dict:

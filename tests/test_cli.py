@@ -36,7 +36,7 @@ from toricaut.symbolic import (
     regularity_check,
 )
 
-from util import random_unimodular, weighted_projective_fan
+from util import random_blow_up, random_unimodular, weighted_projective_fan
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "toricaut" / "data"
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
@@ -380,54 +380,67 @@ class TestActionCertificateCalls:
 
 
 class TestProductCertificate:
-    """The product_roots certificate builds the product fan once, from the
-    factors' cones, and still validates it."""
+    """The product_roots certificate enumerates the product's roots on its
+    rays in its factors' charts: it builds no product fan, validates and
+    builds no cone of the product's rank, and inverts nothing."""
 
-    def test_no_double_description_on_the_product(self, monkeypatch):
-        # events in order: each validation's start and end, each cone
-        # built from rays and each elimination
+    @staticmethod
+    def traced(monkeypatch) -> list:
+        """(event, rank) for each product_fan call, each validation, each
+        cone built from rays or by the wall walk, and each elimination."""
         events = []
-        build, validate, inverse = (fan_module.cone_from_rays, fan_module.validate_fan,
-                                    lattice.scaled_inverse)
-
-        def validated(fan):
-            events.append(("validate", fan.rank))
-            report = validate(fan)
-            events.append(("validated", fan.rank))
-            return report
-
+        build, walked, validate, inverse, product = (
+            fan_module.cone_from_rays, fan_module._walked_cone, fan_module.validate_fan,
+            lattice.scaled_inverse, fan_module.product_fan)
         monkeypatch.setattr(fan_module, "cone_from_rays",
                             lambda rays, rank: events.append(("cone", rank)) or build(rays, rank))
-        monkeypatch.setattr(fan_module, "validate_fan", validated)
+        monkeypatch.setattr(fan_module, "_walked_cone",
+                            lambda n, *rest: events.append(("walked", n)) or walked(n, *rest))
+        monkeypatch.setattr(fan_module, "validate_fan",
+                            lambda fan: events.append(("validate", fan.rank)) or validate(fan))
         for module in (lattice, fan_module, roots_module):
             monkeypatch.setattr(module, "scaled_inverse",
                                 lambda a: events.append(("inverse", len(a))) or inverse(a))
-        # bypass the memo so that the product fan is validated here
-        monkeypatch.setattr(cli, "demazure_roots", cli.demazure_roots.__wrapped__)
+        for module in (fan_module, cli):
+            monkeypatch.setattr(module, "product_fan", lambda f1, f2: events.append(
+                ("product", f1.rank + f2.rank)) or product(f1, f2))
+        return events
+
+    def certified(self, fan, name, events, walked) -> None:
+        """Two checks of the fan: every certificate holds, the events are
+        the fan's own validation, one elimination and `walked` cones
+        reached by its walk, and the second check reads the kept verdict."""
+        memo = cli._product_roots_hold
+        for k in range(2):
+            before = memo.cache_info()
+            certificates = run_certificates([(None, fan, name)])
+            after = memo.cache_info()
+            assert all(ok for _, _, ok, _ in certificates)
+            assert certificates[-1][:2] == ("product_roots", f"{name} x {name}")
+            assert (after.hits - before.hits, after.misses - before.misses) == (k, 1 - k)
+            assert events == [("validate", 2), ("cone", 2), ("inverse", 2)] + [("walked", 2)] * walked
+
+    def test_no_double_description_on_the_product(self, monkeypatch):
+        events = self.traced(monkeypatch)
         doc = parse_fan((FIXTURES / "F3_conjugate.fan").read_text())
-        fan = fan_from_document(doc)
-        certificates = run_certificates([(doc, fan, doc.name)])
-        assert all(ok for _, _, ok, _ in certificates)
-        assert certificates[-1][0] == "product_roots"
-        assert [e for e in events if e[0].startswith("validate")] == [
-            ("validate", 2), ("validated", 2), ("validate", 4), ("validated", 4)]
-        # the factor's walk builds one cone from rays, with one elimination
-        start = events.index(("validate", 4))
-        assert events[:start] == [("validate", 2), ("cone", 2), ("inverse", 2), ("validated", 2)]
-        # and the product's validation neither builds a cone nor inverts one
-        assert events[start + 1] == ("validated", 4)
+        self.certified(fan_from_document(doc), doc.name, events, 3)
+
+    def test_a_blow_up_lists_no_product_cone(self, monkeypatch):
+        # the self-product of a P2 blown up 300 times has 606 rays and
+        # 303^2 maximal cones, none of them listed
+        fan = random_blow_up(random.Random(5), corpus()["P2"], 300)
+        events = self.traced(monkeypatch)
+        self.certified(fan, "Bl300P2", events, 302)
 
     def test_a_second_check_reads_the_kept_verdict(self, capsys, monkeypatch):
-        # the product is built, validated and its roots found once per pair
-        validated = []
-        validate = fan_module.validate_fan
-        monkeypatch.setattr(fan_module, "validate_fan",
-                            lambda fan: validated.append(fan.rank) or validate(fan))
+        # the product's roots are found once per pair, and no fan of rank
+        # 8 is built or validated
+        events = self.traced(monkeypatch)
         first = run_cli(["check", str(DATA / "P2xP2.fan")], capsys)
-        misses, count = demazure_roots.cache_info().misses, len(validated)
-        assert first[0] == 0 and 8 in validated
+        misses, count = demazure_roots.cache_info().misses, len(events)
+        assert first[0] == 0 and max(rank for _, rank in events) == 4
         assert run_cli(["check", str(DATA / "P2xP2.fan")], capsys) == first
-        assert demazure_roots.cache_info().misses == misses and len(validated) == count
+        assert demazure_roots.cache_info().misses == misses and len(events) == count
 
     def test_no_lower_dimensional_cones(self, monkeypatch):
         # regularity looks sigma' up among the fan's faces and samples

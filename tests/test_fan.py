@@ -25,12 +25,11 @@ from toricaut.fan import (
     is_simplicial,
     is_smooth,
     product_fan,
-    skeleton,
     transform_fan,
     validate_fan,
 )
 from toricaut.lattice import det, identity_matrix, mat_mul, pairing, primitive
-from toricaut.roots import demazure_roots
+from toricaut.roots import demazure_roots, product_chart_roots
 from toricaut.structure import _wall_relations, aut_structure_report, decompose, fan_automorphisms
 from toricaut.symbolic import dual_monomials, ray_witness
 
@@ -186,8 +185,9 @@ class TestOneEliminationPerCone:
         assert calls == {"inverse": 1}
 
     def test_product_cones_inherit_their_factors_inverse(self, fans, monkeypatch):
-        # a product of simplicial fans keeps the factors' eliminations, so
-        # its validation and roots invert nothing
+        # a product chart's A*R = d*I is block diagonal in its factors'
+        # charts, so the roots of a product of simplicial fans, enumerated
+        # on its rays, invert nothing
         factors = {name: f for name, f in fans.items() if f.rank <= 3}
         assert all(f.validation.ok and is_simplicial(f) for f in factors.values())
         counts = {name: len(demazure_roots(f)) for name, f in factors.items()}
@@ -197,7 +197,7 @@ class TestOneEliminationPerCone:
             monkeypatch.setattr(module, "scaled_inverse",
                                 lambda a: calls.append(len(a)) or inverse(a))
         for name, f in factors.items():
-            roots = demazure_roots.__wrapped__(product_fan(f, f))
+            roots = product_chart_roots(f, f)
             assert len(roots) == 2 * counts[name] and not calls, name
         assert len(factors) == 11
 
@@ -620,22 +620,14 @@ def _product_cases(corpus_fans):
 
 
 class TestProductCones:
-    """product_fan builds the product's maximal cones from the factors'
-    cones; they must equal what double description gives on the rays."""
-
-    def test_cached_cones_match_double_description(self, fans):
-        for label, f1, f2 in _product_cases(fans):
-            pf = product_fan(f1, f2)
-            cached = dict(pf._cone_cache)
-            built = {c: cone_from_rays([pf.rays[i] for i in c], pf.rank) for c in pf.max_cones}
-            assert set(cached) == {c for c, cone in built.items() if cone.dim == pf.rank}, label
-            for c, cone in cached.items():
-                assert cone == built[c], (label, c)
-            assert {c: pf.cone(c) for c in pf.max_cones} == built, label
+    """product_fan lists the factors' block rays and every pair of their
+    maximal cones; the product is validated and its cones built like any
+    other fan's."""
 
     def test_cached_inverses_solve_the_product_cones(self, fans):
         # A*R = d*I and |d| = |det A| on every product cone of corpus fans
-        # up to rank 6; a non-simplicial factor gives no inverse
+        # up to rank 6, kept by the cone's elimination; a non-simplicial
+        # factor gives no inverse
         checked = 0
         for f1 in fans.values():
             for f2 in fans.values():
@@ -664,39 +656,6 @@ class TestProductCones:
             assert validate_fan(fresh) == pf.validation, label
             assert is_complete(fresh) == is_complete(pf) == (
                 is_complete(f1) and is_complete(f2)), label
-
-    def test_inherited_data_matches_a_fresh_product(self, fans):
-        # the facets table, the ridge certificate, the validation report and
-        # each cone's A*R = d*I that a product takes from its factors equal
-        # what the same fan computes when built from its rays and cones
-        rng = random.Random(2301)
-        conjugates = [transform_fan(fans[name], random_unimodular(rng, fans[name].rank, steps=12))
-                      for name in ("F3", "P1xP2")]
-        named = list(fans.values())
-        pairs = [(a, b) for k, a in enumerate(named) for b in named[k:]]
-        cube5, minus = (fan_from_document(parse_fan((FIXTURES / f"{name}.fan").read_text()))
-                        for name in ("cube5", "P12_minus_cone"))
-        pairs += [(cube5, fans["P1"]), (minus, fans["P1"]), (conjugates[0], conjugates[0]),
-                  (conjugates[0], conjugates[1])]
-        inverses = inherited = 0
-        for f1, f2 in pairs:
-            pf = product_fan(f1, f2)
-            inherited += "_facets" in vars(pf)
-            fresh = Fan(pf.rank, pf.rays, pf.max_cones)
-            assert pf._facets == fresh._facets, (f1, f2)
-            assert pf._certified_complete == fresh._certified_complete, (f1, f2)
-            assert pf.validation == fresh.validation, (f1, f2)
-            for c in pf.max_cones:
-                cone, built = pf.cone(c), fresh.cone(c)
-                assert (cone.inverse is None) == (built.inverse is None), (f1, f2, c)
-                if cone.inverse:
-                    r, d = cone.inverse
-                    assert mat_mul(cone.rays, r) == tuple(
-                        tuple(d * x for x in row) for row in identity_matrix(pf.rank))
-                    assert abs(d) == abs(built.det) == abs(cone.det)
-                    inverses += 1
-        assert inherited == len(pairs) == 82
-        assert inverses == 1726
 
 
 class TestAbsorption:
@@ -740,22 +699,20 @@ class TestAbsorption:
 
 
 class TestSkeleton:
+    """The i-skeleton, as ray index tuples: Fan.cones_of_dim."""
+
     def test_p2(self, fans):
-        assert len(skeleton(fans["P2"], 1)) == 3
-        assert len(skeleton(fans["P2"], 2)) == 3
-        assert len(skeleton(fans["P2"], 0)) == 1
+        assert len(fans["P2"].cones_of_dim(1)) == 3
+        assert len(fans["P2"].cones_of_dim(2)) == 3
+        assert fans["P2"].cones_of_dim(0) == ((),)
 
     def test_product_rays_not_products(self, fans):
         fan = product_fan(fans["P1"], fans["P1"])
-        rays = skeleton(fan, 1)
+        rays = fan.cones_of_dim(1)
         assert len(rays) == 4
-        for c in rays:
-            (r,) = c.rays
+        for (i,) in rays:
+            r = fan.rays[i]
             assert r[:1] == (0,) or r[1:] == (0,)
-
-    def test_out_of_range(self, fans):
-        with pytest.raises(ValueError):
-            skeleton(fans["P2"], 3)
 
 
 class TestInvariants:
@@ -811,7 +768,7 @@ class TestPerFanMemo:
             assert ref() is None, name
 
     def test_a_fan_with_warm_caches_pickles(self):
-        # its cones, with each product cone's _Once, and the facts kept on it
+        # its cones, with each walked cone's _Once, and the facts kept on it
         fans = corpus()
         fan, pf = fans["P1xP2"], product_fan(fans["P2"], fans["F1"])
         assert all(ok for _, _, ok, _ in run_certificates([(None, fan, "P1xP2")]))
@@ -896,15 +853,6 @@ class TestWallWalk:
         for label, fan in _walk_fans(fans):
             if is_complete(fan) and is_simplicial(fan):
                 assert _relations(fan) == wall_relations_by_solving(fan), label
-
-    def test_product_walls_match_the_products_own_walk(self, fans):
-        # product_fan takes its walls from the factors' walks
-        for a, b in [("P2", "F1"), ("P1xP2", "P112"), ("P2xP2", "P2xP2")]:
-            pf = product_fan(fans[a], fans[b])
-            fresh = Fan(pf.rank, pf.rays, pf.max_cones)
-            assert pf.validation.ok and fresh.validation.ok
-            assert pf._certified_complete and fresh._certified_complete
-            assert _relations(pf) == _relations(fresh), (a, b)
 
 
 class TestWallWalkReports:

@@ -1,8 +1,8 @@
 """The result records of every layer: immutable, with the fields, equality,
 hash and repr they have always had.  Cone and FanDocument compare and
 hash without their cached data (det, scaled_rows) and their parse
-warnings, and a product cone assembles its block inverse only for a
-reader, once."""
+warnings, and a cone the wall walk built transposes its inverse only for
+a reader, once."""
 
 import pytest
 
@@ -13,6 +13,7 @@ from toricaut.fan import (
     ValidationEntry,
     ValidationReport,
     cone_from_rays,
+    is_smooth,
     product_fan,
 )
 from toricaut.roots import DemazureRoot, RootPolytope, demazure_roots
@@ -154,28 +155,37 @@ def test_reprs():
 
 
 class TestProductConeInverse:
+    """The walk across a product's walls keeps each cone's R as the
+    columns it updates, transposed for the first reader of the inverse."""
+
     @pytest.fixture
     def assembled(self, monkeypatch):
         calls = []
-        block_rows = fan_module._block_rows
+        transposed = fan_module._transposed
 
         def counted(*args):
             calls.append(args)
-            return block_rows(*args)
-        monkeypatch.setattr(fan_module, "_block_rows", counted)
+            return transposed(*args)
+        monkeypatch.setattr(fan_module, "_transposed", counted)
         return calls
 
     def test_assembled_once_on_read(self, fans, assembled):
         pf = product_fan(fans["P2"], fans["F1"])
-        cone = pf.cone(pf.max_cones[0])
-        first = cone.inverse
-        assert cone.inverse == first and len(assembled) == 1
-        fresh = cone_from_rays(cone.rays, pf.rank)
-        assert first == fresh.inverse
+        assert pf.validation.ok and assembled == []
+        # the walk starts from the first cone and builds the others
+        cone = pf.cone(pf.max_cones[1])
+        (r, d), fresh = cone.inverse, cone_from_rays(cone.rays, pf.rank)
+        assert cone.inverse == (r, d) and len(assembled) == 1
+        # d = ±det, R signed like d
+        sign = d // fresh.det
+        assert (r, d) == (tuple(tuple(sign * x for x in row) for row in fresh.inverse[0]),
+                          sign * fresh.det)
 
     def test_never_assembled_unread(self, fans, assembled):
+        # validation, smoothness and equality read no walked cone's R
         pf = product_fan(fans["P2"], fans["F1"])
+        assert pf.validation.ok and is_smooth(pf)
         cones = [pf.cone(c) for c in pf.max_cones]
-        assert pf.validation.ok and all(abs(c.det) == 1 for c in cones)
-        assert cones[0] == cone_from_rays(cones[0].rays, pf.rank)
+        assert all(abs(c.det) == 1 for c in cones)
+        assert cones[1] == cone_from_rays(cones[1].rays, pf.rank)
         assert assembled == []

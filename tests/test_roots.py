@@ -14,8 +14,10 @@ from toricaut.lattice import det, identity_matrix, invert_unimodular, mat_mul, p
 from toricaut.roots import (
     RootPolytope,
     _lifted_candidates,
+    _ray_charts,
     classify_roots,
     demazure_roots,
+    product_chart_roots,
     product_roots,
     root_ray_index,
 )
@@ -85,7 +87,7 @@ class TestDemazureRoots:
         with pytest.raises(IncompleteFanError, match="may be infinite"):
             demazure_roots(a2)
         # the raw definition filter really does admit arbitrarily large e here
-        hits = [e for e in [(-1, k) for k in range(10)] if root_ray_index(a2, e) is not None]
+        hits = [e for e in [(-1, k) for k in range(10)] if root_ray_index(a2.rays, e) is not None]
         assert len(hits) == 10
 
 
@@ -149,8 +151,12 @@ def large_conjugates(fans):
     yield fans["P2xP2"], u
 
 
+def candidates(fan):
+    return _lifted_candidates(fan.rays, _ray_charts(fan))
+
+
 def count_candidates(fan):
-    return sum(1 for _ in _lifted_candidates(fan))
+    return sum(1 for _ in candidates(fan))
 
 
 class TestChartEnumeration:
@@ -186,7 +192,7 @@ class TestChartEnumeration:
                     Fan(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -2, -3)],
                         combinations(range(5), 4))]
         for fan in weighted + [transform_fan(f, random_unimodular(rng, f.rank)) for f in weighted]:
-            assert sorted(_lifted_candidates(fan)) == [(r.rho_e, r.e) for r in demazure_roots(fan)]
+            assert sorted(candidates(fan)) == [(r.rho_e, r.e) for r in demazure_roots(fan)]
 
     def test_non_simplicial_chart(self):
         assert len(demazure_roots(SQUARE_PYRAMID)) == 13
@@ -247,8 +253,8 @@ class TestChartEnumeration:
         read = {}
         bounds = roots_module._chart_bounds
 
-        def recorded(fan, j, *rest):
-            ranges, rows = bounds(fan, j, *rest)
+        def recorded(rays, j, *rest):
+            ranges, rows = bounds(rays, j, *rest)
             read[j] = (ranges, len(rows))
             return ranges, rows
 
@@ -309,7 +315,7 @@ class TestChartEnumeration:
                         if not all(expected):
                             expected = None
                     inverse = lattice.scaled_inverse([fan.rays[i] for i in chart])
-                    ranges, _ = roots_module._chart_bounds(fan, j, chart, *inverse)
+                    ranges, _ = roots_module._chart_bounds(fan.rays, j, chart, *inverse)
                     assert ranges == expected, (fan.rays, j, chart)
                     charts += 1
                     empty += expected is None
@@ -322,15 +328,15 @@ class TestChartEnumeration:
         chosen = []
         bounds = roots_module._chart_bounds
         monkeypatch.setattr(roots_module, "_chart_bounds",
-                            lambda fan, j, chart, *rest: chosen.append((j, chart))
-                            or bounds(fan, j, chart, *rest))
+                            lambda rays, j, chart, *rest: chosen.append((j, chart))
+                            or bounds(rays, j, chart, *rest))
         cube = fan_from_document(parse_fan((FIXTURES / "cube5.fan").read_text()))
         rng = random.Random(114)
         conjugates = [transform_fan(cube, random_unimodular(rng, 5)) for _ in range(2)]
         exchanged = 0
         for fan in self.chart_pool(fans) + conjugates:
             chosen.clear()
-            for _ in _lifted_candidates(fan):
+            for _ in candidates(fan):
                 pass
             expected = [(j, min(self.charts_through(fan, j),
                                 key=lambda c: (abs(det([fan.rays[i] for i in c])), c)))
@@ -436,6 +442,8 @@ class TestProductRoots:
         roots = product_roots(fans["P2"], trivial)
         assert len(roots) == 6
         assert roots == demazure_roots(product_fan(fans["P2"], trivial))
+        assert roots == product_chart_roots(fans["P2"], trivial)
+        assert product_chart_roots(trivial, trivial) == ()
 
     def test_matches_direct_enumeration_random(self, fans):
         rng = random.Random(55)
@@ -443,7 +451,8 @@ class TestProductRoots:
         pool += [random_complete_fan_rank2(rng) for _ in range(4)]
         for f1 in pool:
             for f2 in pool:
-                assert product_roots(f1, f2) == demazure_roots(product_fan(f1, f2))
+                direct = demazure_roots(product_fan(f1, f2))
+                assert product_roots(f1, f2) == product_chart_roots(f1, f2) == direct
 
     def test_incomplete_rejected(self, fans):
         with pytest.raises(IncompleteFanError):

@@ -512,7 +512,7 @@ def roots_oracle(fan, box_radius):
         raise IncompleteFanError("fan is not complete: root set may be infinite")
     out = []
     for e in product(range(-box_radius, box_radius + 1), repeat=fan.rank):
-        j = root_ray_index(fan, e)
+        j = root_ray_index(fan.rays, e)
         if j is not None:
             out.append(DemazureRoot(e=e, rho_e=j))
     return tuple(sorted(out, key=DemazureRoot.sort_key))
