@@ -8,7 +8,9 @@ A fan document is a single JSON object with exactly the fields
 Exit codes: 0 success, 1 mathematical/validation failure, 2 usage or
 parse error.  All reports are deterministic.  Each command builds its
 --json object once and renders the human report from that object, so the
-two carry the same fields.
+two carry the same fields.  The --json text is indented by 2 with sorted
+keys and ASCII escapes, byte-identical to json.dumps(obj, indent=2,
+sort_keys=True) (see _json_text).
 
 Documents are loaded into one Fan per canonical fan per process: every
 subcommand run in the same process on the same fan (in any ray or cone
@@ -23,6 +25,8 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
@@ -35,7 +39,6 @@ from .fan import (
     per_fan,
     product_fan,
 )
-from .lattice import primitive
 from .roots import classify_roots, demazure_roots, product_chart_roots, product_roots
 from .structure import (
     aut_structure_report,
@@ -58,10 +61,7 @@ class FanDocumentError(ValueError):
 
 
 _FIELDS = {"rank", "rays", "max_cones", "name"}
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false are bools
+_INT = frozenset((int,))  # exact types: bool is an int subclass, and not a JSON integer
 
 
 class FanDocument(NamedTuple):
@@ -102,32 +102,33 @@ def parse_fan(text: str) -> FanDocument:
         if key not in raw:
             raise FanDocumentError(f"missing field '{key}'")
     rank = raw["rank"]
-    if not _is_int(rank) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise FanDocumentError("'rank' must be a non-negative integer")
     rays = []
     warnings = []
-    if not isinstance(raw["rays"], list):
+    if type(raw["rays"]) is not list:
         raise FanDocumentError("'rays' must be an array")
     for i, r in enumerate(raw["rays"]):
-        if (not isinstance(r, list) or len(r) != rank
-                or not all(_is_int(x) for x in r)):
+        if type(r) is not list or len(r) != rank or not _INT.issuperset(map(type, r)):
             raise FanDocumentError(f"ray {i} must be an array of {rank} integers")
-        if not any(r):
+        g = gcd(*r)
+        if g == 0:
             raise FanDocumentError(f"ray {i} is the zero vector")
-        p = primitive(r)
-        if list(p) != r:
-            warnings.append(f"ray {i} normalized to {list(p)}")
-        rays.append(p)
-    if not isinstance(raw["max_cones"], list):
+        if g != 1:
+            r = [x // g for x in r]
+            warnings.append(f"ray {i} normalized to {r}")
+        rays.append(tuple(r))
+    if type(raw["max_cones"]) is not list:
         raise FanDocumentError("'max_cones' must be an array")
     cones = []
     for j, c in enumerate(raw["max_cones"]):
-        if not isinstance(c, list) or not all(_is_int(i) for i in c):
+        if type(c) is not list or not _INT.issuperset(map(type, c)):
             raise FanDocumentError(f"cone {j} must be an array of ray indices")
-        for i in c:
-            if not 0 <= i < len(rays):
-                raise FanDocumentError(f"cone {j}: ray index {i} out of range")
-        cones.append(tuple(sorted(set(c))))
+        idx = sorted(set(c))
+        if idx and (idx[0] < 0 or idx[-1] >= len(rays)):
+            bad = next(i for i in c if not 0 <= i < len(rays))
+            raise FanDocumentError(f"cone {j}: ray index {bad} out of range")
+        cones.append(tuple(idx))
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise FanDocumentError("'name' must be a string")
@@ -172,6 +173,42 @@ def _document_obj(doc: FanDocument) -> dict:
 
 def document_to_json(doc: FanDocument) -> str:
     return json.dumps(_document_obj(doc), indent=2)
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for the
+    types the commands emit: dict with str keys, list, tuple, str, int,
+    True, False and None, each exactly (no subclass); a TypeError for any
+    other.  The standard encoder runs in pure Python whenever it indents;
+    here each row of ints is one str.join."""
+    t = type(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if _INT.issuperset(map(type, obj)):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _load(path: str) -> tuple:
@@ -449,7 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FanValidationError, IncompleteFanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(obj, indent=2, sort_keys=True) if args.json else "\n".join(render()))
+    print(_json_text(obj) if args.json else "\n".join(render()))
     return code
 
 

@@ -109,7 +109,7 @@ class Cone(NamedTuple):
         return (self.scaled_rows(), self.det) if self.det else None
 
     def contains(self, v: Sequence[int]) -> bool:
-        return all(pairing(v, g) >= 0 for g in self.facet_normals)
+        return all(sum(map(mul, v, g)) >= 0 for g in self.facet_normals)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -413,23 +413,23 @@ class Fan:
 
     def __init__(self, rank: int, rays: Iterable[Sequence[int]],
                  max_cones: Iterable[Iterable[int]]):
-        self.rank = int(rank)
-        ray_list = [vec(r) for r in rays]
+        self.rank = rank = int(rank)
+        ray_list = [tuple(map(int, r)) for r in rays]
         for r in ray_list:
-            if len(r) != self.rank:
-                raise ValueError(f"ray {r} does not have rank {self.rank}")
-        cones = []
+            if len(r) != rank:
+                raise ValueError(f"ray {r} does not have rank {rank}")
+        order = sorted(range(len(ray_list)), key=ray_list.__getitem__)
+        relabel = dict(zip(order, range(len(order))))
+        cones = set()
         for c in max_cones:
-            idx = tuple(sorted({int(i) for i in c}))
-            for i in idx:
-                if not 0 <= i < len(ray_list):
-                    raise ValueError(f"ray index {i} out of range")
-            cones.append(idx)
-        order = sorted(range(len(ray_list)), key=lambda i: (ray_list[i], i))
-        relabel = {old: new for new, old in enumerate(order)}
-        self.rays: Mat = tuple(ray_list[i] for i in order)
-        remapped = sorted({tuple(sorted(relabel[i] for i in c)) for c in cones})
-        self.max_cones: tuple = _maximal(remapped) or ((),)
+            idx = set(map(int, c))
+            try:
+                cones.add(tuple(sorted(map(relabel.__getitem__, idx))))
+            except KeyError:
+                bad = next(i for i in sorted(idx) if i not in relabel)
+                raise ValueError(f"ray index {bad} out of range") from None
+        self.rays: Mat = tuple(map(ray_list.__getitem__, order))
+        self.max_cones: tuple = _maximal(sorted(cones)) or ((),)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Fan) and self.rank == other.rank

@@ -204,7 +204,7 @@ def _lift(ranges: list, rows: list, r: Mat, d: int) -> list:
 
     def descend(p: int, prefix: tuple, sums: list) -> None:
         if p == n:
-            num = [sum(a * b for a, b in zip(row, prefix)) for row in r]
+            num = [sum(map(mul, row, prefix)) for row in r]
             if all(x % d == 0 for x in num):
                 out.append(tuple(x // d for x in num))
             return

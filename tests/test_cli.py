@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -110,6 +111,78 @@ class TestParseFan:
         for fan in fans.values():
             text = document_to_json(document_from_fan(fan))
             assert fan_from_document(parse_fan(text)) == fan
+
+
+def _reference_load(obj):
+    """The canonical (rays, max_cones) and warnings of a document object,
+    each ray made primitive by lattice.primitive: the loader's contract,
+    built without parse_fan or Fan."""
+    prim, warnings = [], []
+    for i, r in enumerate(obj["rays"]):
+        p = lattice.primitive(r)
+        if list(p) != r:
+            warnings.append(f"ray {i} normalized to {list(p)}")
+        prim.append(p)
+    rays = sorted(prim)
+    where = {i: rays.index(p) for i, p in enumerate(prim)}
+    cones = sorted({tuple(sorted({where[i] for i in c})) for c in obj["max_cones"]})
+    return tuple(rays), tuple(cones), tuple(warnings)
+
+
+class TestLoader:
+    """parse_fan checks and normalises each ray in one pass, and Fan puts
+    the result in canonical form; both against a per-ray reference."""
+
+    def test_seeded_documents_match_the_reference(self, fans):
+        rng = random.Random(3232)
+        sources = [*fans.values()] + [
+            fan_from_document(parse_fan((FIXTURES / f"{name}.fan").read_text()))
+            for name in ("Bl24P3", "F3_conjugate", "cube5", "P1122334")]
+        warned = 0
+        for _ in range(6):
+            for fan in sources:
+                if rng.random() < 0.5:
+                    fan = transform_fan(fan, random_unimodular(rng, fan.rank))
+                order = rng.sample(range(len(fan.rays)), len(fan.rays))
+                where = {old: new for new, old in enumerate(order)}
+                scales = [rng.choice((1, 1, 2, 3, 12)) for _ in order]
+                rays = [[k * x for x in fan.rays[i]] for k, i in zip(scales, order)]
+                # each cone shuffled, now and then with a repeated index
+                cones = [rng.sample([where[i] for i in c], len(c))
+                         + [where[c[0]]] * rng.randrange(2)
+                         for c in rng.sample(fan.max_cones, len(fan.max_cones))]
+                obj = {"rank": fan.rank, "rays": rays, "max_cones": cones}
+                doc = parse_fan(json.dumps(obj))
+                loaded = fan_from_document(doc)
+                assert (loaded.rays, loaded.max_cones, doc.warnings) == _reference_load(obj)
+                assert all(type(x) is int for r in loaded.rays for x in r)
+                warned += bool(doc.warnings)
+        assert warned > 50
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1, true]]}',
+         "cone 1 must be an array of ray indices"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1.0], [-1, -1]], "max_cones": [[0, 1]]}',
+         "ray 1 must be an array of 2 integers"),
+        ('{"rank": 2, "rays": [[1, 0], [[0], 1], [-1, -1]], "max_cones": [[0, 1]]}',
+         "ray 1 must be an array of 2 integers"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1], [-1]], "max_cones": [[0, 1]]}',
+         "ray 2 must be an array of 2 integers"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [2, -1, 5]]}',
+         "cone 1: ray index -1 out of range"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 3]]}',
+         "cone 1: ray index 3 out of range"),
+        ('{"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 7, -2]]}',
+         "cone 1: ray index 7 out of range"),
+        # the first bad ray is named, before any zero or cone check
+        ('{"rank": 2, "rays": [[2, 4], [0, 0], [1, false]], "max_cones": [[0, 9]]}',
+         "ray 1 is the zero vector"),
+    ], ids=["bool-in-cone", "float-in-ray", "nested-list", "short-ray", "negative-index",
+            "index-equal-to-ray-count", "first-bad-index", "first-bad-ray"])
+    def test_messages(self, text, message):
+        with pytest.raises(FanDocumentError) as caught:
+            parse_fan(text)
+        assert str(caught.value) == message
 
 
 def run_cli(args, capsys):
@@ -615,6 +688,80 @@ class TestGoldens:
         assert code == 0
         expected = json.loads((GOLDENS / f"{name}.report.json").read_text())
         assert json.loads(out) == expected
+
+
+class TestJsonBytes:
+    """--json prints json.dumps(obj, indent=2, sort_keys=True) byte for
+    byte.  The goldens compare parsed objects, so they do not see the
+    layout."""
+
+    @staticmethod
+    def check(args, capsys) -> bool:
+        code, out, _ = run_cli(args, capsys)
+        if not out:
+            assert code != 0, args
+            return False
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", args
+        return True
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.fan")) + sorted(FIXTURES.glob("*.fan")),
+                             ids=lambda path: f"{path.parent.name}/{path.stem}")
+    def test_every_subcommand(self, path, capsys):
+        # report on cube5 runs the generating-set search of a group of
+        # order 3,840 (ROADMAP item 2)
+        printed = [self.check([command, "--json", str(path)], capsys) for command in FAN_COMMANDS
+                   if (command, path.name) != ("report", "cube5.fan")]
+        assert any(printed)
+
+    @pytest.mark.parametrize("command", ["check", "product"])
+    def test_two_files(self, command, capsys):
+        assert self.check([command, "--json", str(DATA / "P1.fan"), str(DATA / "P2.fan")], capsys)
+
+
+class TestJsonText:
+    """cli._json_text against json.dumps(..., indent=2, sort_keys=True)."""
+
+    def test_seeded_objects_match_json_dumps(self):
+        rng = random.Random(3202)
+        letters = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                   "\xe9", "\u22ca", "\u2028", "\ud800", "\U0001f600"]
+
+        def text():
+            return "".join(rng.choice(letters) for _ in range(rng.randrange(5)))
+
+        def atom():
+            return rng.choice([rng.randint(-9, 9), -rng.randrange(10 ** 299, 10 ** 300),
+                               10 ** 300 - 1, True, False, None, text()])
+
+        def value(depth):
+            kind = rng.randrange(5) if depth < 4 else 0
+            if kind == 0:
+                return atom()
+            if kind == 1:   # a row of ints, now and then holding True, False or None
+                row = [rng.randint(-99, 99) for _ in range(rng.randrange(6))]
+                if row and rng.random() < 0.3:
+                    row[rng.randrange(len(row))] = rng.choice([True, False, None])
+                return rng.choice([row, tuple(row)])
+            if kind == 2:
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            if kind == 3:
+                return tuple(value(depth + 1) for _ in range(rng.randrange(4)))
+            return {text(): value(depth + 1) for _ in range(rng.randrange(4))}
+
+        objects = [value(0) for _ in range(800)]
+        for obj in objects:
+            assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        rendered = "".join(cli._json_text(obj) for obj in objects)
+        for piece in ("[]", "{}", "true", "false", "null", "\\u22ca", '\\"', "\\\\", "\\u0000",
+                      "\\ud800", "9" * 300):
+            assert piece in rendered, piece
+        assert re.search(r"-[0-9]{300}\b", rendered)
+
+    @pytest.mark.parametrize("obj", [1.5, {"a": [1, 2.0]}, {1, 2}, b"x", [object()]],
+                             ids=["float", "float-in-row", "set", "bytes", "object"])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
 
 
 def _human_cases():

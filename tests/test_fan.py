@@ -59,6 +59,33 @@ from util import (
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
+class TestFanConstructor:
+    """Fan normalises what any caller passes: integer-like entries become
+    ints, rays are sorted and cones relabelled, sorted and absorbed."""
+
+    def test_canonical_form(self):
+        fan = Fan(2.0, iter([[1.0, 0], (0, True), range(-1, -3, -1), [2, 1]]),
+                  [[0, "1"], (1, 2, 2), {2, 3}, [3, 0], [0]])
+        assert fan.rank == 2 and type(fan.rank) is int
+        assert fan.rays == ((-1, -2), (0, 1), (1, 0), (2, 1))
+        assert all(type(x) is int for r in fan.rays for x in r)
+        assert fan.max_cones == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert fan == Fan(2, fan.rays, fan.max_cones)
+
+    @pytest.mark.parametrize("cones, message", [
+        ([[0, 1], [4, -1, 2]], "ray index -1 out of range"),
+        ([[0, 1], [1, 5, 3]], "ray index 3 out of range"),
+    ])
+    def test_index_out_of_range(self, cones, message):
+        with pytest.raises(ValueError) as caught:
+            Fan(2, [(1, 0), (0, 1), (-1, -1)], cones)
+        assert str(caught.value) == message
+
+    def test_ray_of_another_rank(self):
+        with pytest.raises(ValueError, match=r"ray \(1, 0, 0\) does not have rank 2"):
+            Fan(2, [(1, 0), [1, 0, 0]], [[0]])
+
+
 class TestConeFromRays:
     def test_first_orthant_self_dual(self):
         c = cone_from_rays([(1, 0), (0, 1)], 2)
