@@ -472,8 +472,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the commands whose arguments are one or more fan files and --json
+_FILE_COMMANDS = frozenset(name for name, (_, nargs, _) in COMMANDS.items() if nargs == "+")
+
+
+def _plain_args(argv: list) -> Optional[argparse.Namespace]:
+    """The Namespace build_parser().parse_args(argv) returns when argv is
+    [command, file, ..., --json, ...] for a command of _FILE_COMMANDS, with
+    at least one file, every file before the first --json and none of them
+    starting with "-"; None for any other argv, which argparse parses,
+    reports and rejects itself.  Building the parser costs more than most
+    commands' work on a small fan."""
+    if not argv or argv[0] not in _FILE_COMMANDS or not all(type(a) is str for a in argv):
+        return None
+    k = 1
+    while k < len(argv) and argv[k][:1] != "-":
+        k += 1
+    if k == 1 or any(a != "--json" for a in argv[k:]):
+        return None
+    return argparse.Namespace(command=argv[0], files=argv[1:k], json=k < len(argv))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         fans = [_load(path) for path in args.files]
         for doc, _, name in fans:

@@ -47,7 +47,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .lattice import (
     Mat,
     Vec,
-    _checked_rows,
     _pivots_and_kernel,
     _saturated,
     is_primitive,
@@ -249,8 +248,9 @@ def _pointed_extreme_rays(rows: Sequence[Vec], idx: list, simplex: Optional[Mat]
     return sorted(r for r, _ in current)
 
 
-def halfspace_cone_generators(normals: Sequence[Sequence[int]], n: int) -> tuple[Mat, Mat]:
-    """Generators of {x in R^n : <a, x> >= 0 for every a in normals}.
+def _cone_generators(normals: Sequence[Vec], n: int) -> tuple[Mat, Mat]:
+    """Generators of {x in R^n : <a, x> >= 0 for every a in normals}, the
+    normals integer tuples of length n.
 
     Returns (extreme_rays, lineality_basis); the cone equals the sum of
     cone(extreme_rays) and span(lineality_basis).  Extreme rays are
@@ -258,11 +258,6 @@ def halfspace_cone_generators(normals: Sequence[Sequence[int]], n: int) -> tuple
     pointed part is computed inside the orthogonal complement of the
     lineality space, which keeps every step in exact lattice coordinates.
     """
-    return _cone_generators(_checked_rows(normals, n), n)
-
-
-def _cone_generators(normals: Sequence[Vec], n: int) -> tuple[Mat, Mat]:
-    """halfspace_cone_generators of integer tuples of length n."""
     rows = list(dict.fromkeys(a for a in normals if any(a)))
     pivots, lin = _pivots_and_kernel(rows, n)
     d = n - len(lin)

@@ -25,7 +25,12 @@ definition.  The search, and its size, are the same for a fan and each of
 its GL(n, Z)-conjugates.  The roots of a product of two fans are
 enumerated the same way on its rays, without building its fan: a chart
 of the product is a chart of each factor, and its inverse is their
-inverses in two blocks (product_chart_roots).  Completeness is a hard
+inverses in two blocks (product_chart_roots).  On the self-product of
+one fan, the swap (x, y) -> (y, x) of the two factors is a unimodular
+automorphism that carries each ray of the first factor, its chart and its
+root polytope to the same ray of the second, so only the first factor's
+rays are enumerated and each root found gives its mirror (Cox, 1995,
+section 4: Aut of the fan acts on the roots).  Completeness is a hard
 precondition: without it the root set may be infinite and the operation
 refuses to run.
 """
@@ -218,7 +223,8 @@ def _lift(ranges: list, rows: list, r: Mat, d: int) -> list:
     return out
 
 
-def _ray_charts(fan: Fan) -> list:
+@per_fan
+def _ray_charts(fan: Fan) -> tuple:
     """(chart, R, d, star) for each ray j: the chart its roots are bounded
     and lifted in, with A*R = d*I for the chart's rays A, and the rays of
     the maximal cones through ray j.
@@ -230,12 +236,13 @@ def _ray_charts(fan: Fan) -> list:
     fan is its own basis, and its A*R = d*I is the (R, d) the cone keeps:
     its |d| (Cone.det) ranks it, and its R (Cone.inverse) is read only for
     the chart chosen.  A non-simplicial cone's first basis (its rays
-    outside the span of those before them) is found and inverted once per
-    call.  When ray j is not in it, ray j = (y/d)*A with y = rho_j*R, and
-    its chart exchanges for ray j the last basis ray f with y_f != 0 (the
+    outside the span of those before them) is found and inverted once.
+    When ray j is not in it, ray j = (y/d)*A with y = rho_j*R, and its
+    chart exchanges for ray j the last basis ray f with y_f != 0 (the
     least basis holding ray j), so |det| = |y_f| needs no second
     elimination.  Of the exchanged charts only the chosen ones are
-    inverted, so a simplicial fan inverts nothing.
+    inverted, so a simplicial fan inverts nothing.  The table is kept on
+    the fan: demazure_roots and product_chart_roots read the same one.
     """
     n = fan.rank
     inverses = {}
@@ -271,16 +278,17 @@ def _ray_charts(fan: Fan) -> list:
     for j, cones in enumerate(through):
         chart = min(chart_key(j, c) for c in cones)[1]
         out.append((chart,) + inverse(chart) + (tuple(chain.from_iterable(cones)),))
-    return out
+    return tuple(out)
 
 
 def _lifted_candidates(rays: Mat, charts: Iterable[tuple]):
-    """(j, e) for each lifted chart point of each ray's root polytope,
-    given ray j's chart as the j-th of `charts` (_ray_charts): one double
-    description bounds the roots of ray j in the chart's coordinates,
-    reading the rows of its star first (_chart_bounds), and the lifting
-    lists the chart points within those bounds (_lift)."""
-    for j, (chart, r, d, star) in enumerate(charts):
+    """(j, e) for each lifted chart point of the root polytope of each ray
+    j given with its chart as (j, (chart, R, d, star)) in `charts` (as
+    _ray_charts lists them): one double description bounds the roots of
+    ray j in the chart's coordinates, reading the rows of its star first
+    (_chart_bounds), and the lifting lists the chart points within those
+    bounds (_lift)."""
+    for j, (chart, r, d, star) in charts:
         # on a blow-up of P2 one row of ray j's star empties its polytope
         # whenever rho_j has negative self-intersection
         ranges, rows = _chart_bounds(rays, j, chart, r, d, star)
@@ -300,7 +308,7 @@ def _roots(rays: Mat, charts: Iterable[tuple]) -> tuple:
 def demazure_roots(fan: Fan) -> tuple[DemazureRoot, ...]:
     """All Demazure roots, duplicate free, sorted by (ray index, e)."""
     require_complete(fan, _INFINITE)
-    return _roots(fan.rays, _ray_charts(fan))
+    return _roots(fan.rays, enumerate(_ray_charts(fan)))
 
 
 def classify_roots(roots: Sequence[DemazureRoot]):
@@ -357,13 +365,20 @@ def product_chart_roots(f1: Fan, f2: Fan) -> tuple[DemazureRoot, ...]:
     chart, which cut that factor's part of the orthant down to {0}, and
     then the rest.  So an empty root polytope, as on most rays of a
     blow-up, reads a few rows.  The candidates pass the same root test
-    as demazure_roots'.  product_roots assembles the same roots from the
-    factors' own, so the two agree exactly when every root of the
-    product is (e, 0) or (0, e').
+    as demazure_roots'.  When f1 == f2, the swap (x, y) -> (y, x) maps
+    the product onto itself, ray (rho_j, 0) to ray (0, rho_j), and the
+    chart, star and read order of the one to those of the other, so only
+    the rays (rho_j, 0) are enumerated, each of their double descriptions
+    still reading every row of the product, and each root (e, e') found
+    gives its mirror (e', e).  product_roots assembles the same roots
+    from the factors' own, so the two agree exactly when every root of
+    the product is (e, 0) or (0, e').
     """
     rays, to1, to2 = _embedded(f1, f2)
     n1, n2 = f1.rank, f2.rank
-    charts1, charts2 = _ray_charts(f1), _ray_charts(f2)
+    square = f1 == f2
+    charts1 = _ray_charts(f1)
+    charts2 = charts1 if square else _ray_charts(f2)
     least1, least2 = (min(charts, key=lambda c: (abs(c[2]), c[0]), default=((), (), 1, ()))
                       for charts in (charts1, charts2))
 
@@ -379,10 +394,15 @@ def product_chart_roots(f1: Fan, f2: Fan) -> tuple[DemazureRoot, ...]:
         v = vec_neg(tuple(map(sum, zip((0,) * f.rank, *(f.rays[i] for i in chart)))))
         return [to[i] for i in next(c for c in f.max_cones if f.cone(c).contains(v))] + to
 
-    order1, order2 = read_order(f1, least1[0], to1), read_order(f2, least2[0], to2)
-    charts = [None] * len(rays)
-    for j, chart in enumerate(charts1):
-        charts[to1[j]] = block(chart, least2, chain(map(to1.__getitem__, chart[3]), order2))
-    for j, chart in enumerate(charts2):
-        charts[to2[j]] = block(least1, chart, chain(map(to2.__getitem__, chart[3]), order1))
+    order2 = read_order(f2, least2[0], to2)
+    charts = [(to1[j], block(chart, least2, chain(map(to1.__getitem__, chart[3]), order2)))
+              for j, chart in enumerate(charts1)]
+    if square:
+        mirror = dict(zip(to1, to2))
+        found = _roots(rays, charts)
+        found += tuple(DemazureRoot(e=r.e[n1:] + r.e[:n1], rho_e=mirror[r.rho_e]) for r in found)
+        return tuple(sorted(found, key=DemazureRoot.sort_key))
+    order1 = read_order(f1, least1[0], to1)
+    charts += [(to2[j], block(least1, chart, chain(map(to2.__getitem__, chart[3]), order1)))
+               for j, chart in enumerate(charts2)]
     return _roots(rays, charts)

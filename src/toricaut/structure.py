@@ -545,9 +545,10 @@ def _group_factors(dec: Decomposition) -> list:
     return classes
 
 
+@per_fan
 def aut_structure_report(fan: Fan) -> AutStructureReport:
     """Full structure report: roots, neutral-component dimension, fan
-    automorphisms and the product/wreath decomposition."""
+    automorphisms and the product/wreath decomposition; kept on the fan."""
     require_complete(fan, "structure reports need a complete fan")
     dec = decompose(fan)
     roots = demazure_roots(fan)

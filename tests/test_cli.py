@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 from toricaut import cli, symbolic
-from toricaut import fan as fan_module, lattice, roots as roots_module
+from toricaut import fan as fan_module, lattice, roots as roots_module, structure as structure_module
 from toricaut.cli import (
     FanDocument,
     FanDocumentError,
@@ -416,6 +418,88 @@ class TestCommands:
         assert code == 0 and "normalized to [1, 2]" in err
 
 
+class TestArguments:
+    """main reads [command, file, ..., --json, ...] of a command taking fan
+    files without building the argparse parser; argparse parses, reports
+    and rejects every other argv."""
+
+    @staticmethod
+    def argparse_result(argv) -> tuple:
+        """(vars of argparse's Namespace, or None if it exits; its stdout
+        and stderr)."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                parsed = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                parsed = None
+        return parsed, out.getvalue(), err.getvalue()
+
+    def test_seeded_argv_match_argparse(self):
+        rng = random.Random(3301)
+        tokens = list(cli.COMMANDS) + ["a.fan", "b.fan", "roots", "--json", "--json", "-h",
+                                       "--js", "-o", "--", "-", ""]
+        plain = exits = 0
+        for _ in range(3000):
+            argv = [rng.choice(tokens) for _ in range(rng.randrange(6))]
+            if rng.random() < 0.5 and argv:
+                argv[0] = rng.choice(list(cli.COMMANDS))
+            fast = cli._plain_args(list(argv))
+            parsed, _, _ = self.argparse_result(argv)
+            if fast is not None:
+                assert vars(fast) == parsed, argv
+                plain += 1
+            exits += parsed is None
+        assert plain >= 300 and exits >= 300, (plain, exits)
+
+    def test_the_plain_form_builds_no_parser(self, capsys, monkeypatch):
+        expected = run_cli(["roots", str(DATA / "P1.fan"), "--json"], capsys)
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built"))
+        for argv, files, json_flag in ((["roots", "a.fan"], ["a.fan"], False),
+                                       (["check", "", "b", "--json", "--json"], ["", "b"], True)):
+            assert vars(cli._plain_args(argv)) == {
+                "command": argv[0], "files": files, "json": json_flag}
+        assert run_cli(["roots", str(DATA / "P1.fan"), "--json"], capsys) == expected
+
+    @pytest.mark.parametrize("argv,err", [
+        ([], "usage: toricaut [-h] {validate,roots,autos,decompose,report,product,check} ...\n"
+             "toricaut: error: the following arguments are required: command\n"),
+        (["roots"], "usage: toricaut roots [-h] [--json] files [files ...]\n"
+                    "toricaut roots: error: the following arguments are required: files\n"),
+        (["check", "--json"], "usage: toricaut check [-h] [--json] files [files ...]\n"
+                              "toricaut check: error: the following arguments are required: "
+                              "files\n"),
+        (["roots", "a.fan", "-o", "x"],
+         "usage: toricaut [-h] {validate,roots,autos,decompose,report,product,check} ...\n"
+         "toricaut: error: unrecognized arguments: -o x\n"),
+    ], ids=["empty", "no-files", "json-no-files", "foreign-option"])
+    def test_malformed_argv(self, argv, err, capsys):
+        assert cli._plain_args(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", err)
+
+    def test_a_dash_is_a_file_name(self, capsys):
+        assert cli._plain_args(["roots", "-"]) is None
+        assert run_cli(["roots", "-"], capsys) == (
+            2, "", "error: -: [Errno 2] No such file or directory: '-'\n")
+
+
+class TestReportMemo:
+    def test_a_repeated_report_is_a_memo_hit(self, capsys):
+        memo = structure_module.aut_structure_report
+        args = ["report", "--json", str(FIXTURES / "P2xP2xP1_u.fan")]
+        outputs = []
+        for k in range(3):
+            before = memo.cache_info()
+            outputs.append(run_cli(args, capsys))
+            after = memo.cache_info()
+            if k:
+                assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
+
+
 class TestActionCertificateCalls:
     """check runs each binomial identity, whose verdict depends on the
     degree <rho_e, m> alone, once per distinct degree of the height-2
@@ -537,6 +621,89 @@ class TestProductCertificate:
             assert all(ok for _, _, ok, _ in certificates), path.name
             assert low == [], path.name
         assert len(paths) == 16
+
+
+def _fresh(name: str) -> Fan:
+    """A new Fan of a fixture document, with nothing kept on it yet."""
+    doc = parse_fan((FIXTURES / f"{name}.fan").read_text())
+    return Fan(doc.rank, doc.rays, doc.max_cones)
+
+
+def _square_cases() -> list:
+    conjugate = transform_fan(corpus()["P1xP2"], random_unimodular(random.Random(3303), 3))
+    return [("F3_conjugate", _fresh("F3_conjugate")), ("P112_F9", _fresh("P112_F9")),
+            ("P1xP2 conjugate", conjugate)]
+
+
+class TestSquareProduct:
+    """check on one fan enumerates its self-product's roots at the first
+    factor's rays only, and the swap of the factors gives the rest; two
+    different fans enumerate at every ray of their product."""
+
+    @staticmethod
+    def bounds_calls(monkeypatch) -> list:
+        """The number of rays each _chart_bounds call reads."""
+        calls = []
+        bounds = roots_module._chart_bounds
+        monkeypatch.setattr(roots_module, "_chart_bounds",
+                            lambda rays, *rest: calls.append(len(rays)) or bounds(rays, *rest))
+        return calls
+
+    @staticmethod
+    def verdicts(fans) -> dict:
+        return {c: ok for c, _, ok, _ in run_certificates([(None, f, "F") for f in fans])}
+
+    def test_square_equals_the_roots_of_the_product_fan(self):
+        for name, fan in _square_cases():
+            roots = roots_module.product_chart_roots(fan, fan)
+            assert roots == demazure_roots(product_fan(fan, fan)) == product_roots(fan, fan), name
+            assert len(roots) == 2 * len(demazure_roots(fan)) > 0, name
+
+    def test_one_fan_enumerates_one_factor(self, monkeypatch):
+        charts = roots_module._ray_charts
+        for name, fan in _square_cases():
+            calls = self.bounds_calls(monkeypatch)
+            before = charts.cache_info()
+            assert all(self.verdicts([fan]).values()), name
+            # the product's roots come last, at its first factor's rays
+            n = len(fan.rays)
+            assert calls.count(2 * n) == n and calls[-n:] == [2 * n] * n, name
+            # one chart table per fan whose roots were enumerated: the fan,
+            # built for its roots and read by the product, and on P1xP2 the
+            # two factors whose roots wreath_order compares
+            middle = charts.cache_info()
+            assert middle.misses - before.misses == len(set(calls[:-n])), name
+            assert calls[:n] == [n] * n and (roots_module._ray_charts,) in fan.memo, name
+            roots_module.product_chart_roots(fan, fan)
+            assert charts.cache_info().misses == middle.misses, name
+
+    def test_two_fans_enumerate_both_factors(self, monkeypatch):
+        f1, f2 = _fresh("F3_conjugate"), _fresh("P112_F9")
+        calls = self.bounds_calls(monkeypatch)
+        assert all(self.verdicts([f1, f2]).values())
+        n1, n2 = len(f1.rays), len(f2.rays)
+        assert calls == [n1] * n1 + [n2] * n2 + [n1 + n2] * (n1 + n2)
+
+    def test_a_dropped_factor_root_fails_the_certificate(self, monkeypatch):
+        # product_roots reads demazure_roots through the roots module; the
+        # other certificates read the full root list and still pass
+        roots = roots_module.demazure_roots
+        monkeypatch.setattr(roots_module, "demazure_roots", lambda f: roots(f)[1:])
+        for name, fan in _square_cases():
+            verdicts = self.verdicts([fan])
+            assert verdicts.pop("product_roots") is False and all(verdicts.values()), name
+
+    def test_a_dropped_product_root_fails_the_certificate(self, monkeypatch):
+        lift = roots_module._lift
+        for name, fan in _square_cases():
+            n = fan.rank
+            dropped = demazure_roots(fan)[-1].e + (0,) * n
+
+            def lifted(ranges, *rest):
+                return [e for e in lift(ranges, *rest) if len(ranges) == n or e != dropped]
+            monkeypatch.setattr(roots_module, "_lift", lifted)
+            verdicts = self.verdicts([fan])
+            assert verdicts.pop("product_roots") is False and all(verdicts.values()), name
 
 
 class TestCertificateTables:

@@ -29,7 +29,7 @@ from toricaut.fan import (
     validate_fan,
 )
 from toricaut.lattice import det, identity_matrix, mat_mul, pairing, primitive
-from toricaut.roots import demazure_roots, product_chart_roots
+from toricaut.roots import _ray_charts, demazure_roots, product_chart_roots
 from toricaut.structure import _wall_relations, aut_structure_report, decompose, fan_automorphisms
 from toricaut.symbolic import dual_monomials, ray_witness
 
@@ -43,6 +43,7 @@ from util import (
     extreme_rays_by_subset_enumeration,
     faces_by_subset_scan,
     facets_by_pairings,
+    halfspace_cone_generators,
     maximal_cones_oracle,
     minors_gcd,
     pairwise_violations_by_closure,
@@ -147,7 +148,7 @@ class TestSimplicialCones:
                 c = cone_from_rays(gens, n)
                 normals, lin = extreme_rays_by_subset_enumeration(gens, n)
                 assert lin == () and c.facet_normals == normals, gens
-                assert fan_module.halfspace_cone_generators(gens, n) == (normals, ())
+                assert halfspace_cone_generators(gens, n) == (normals, ())
                 assert c.rays == extreme_rays_by_subset_enumeration(normals, n)[0]
                 assert c.rays == tuple(sorted({primitive(g) for g in gens}))
                 assert c.dim == n
@@ -263,8 +264,6 @@ class TestDualCone:
 
 class TestHalfspaceGenerators:
     def test_matches_subset_oracle_randomized(self):
-        from toricaut.fan import halfspace_cone_generators
-        from util import extreme_rays_by_subset_enumeration
         rng = random.Random(271828)
         for _ in range(300):
             n = rng.randint(1, 4)
@@ -280,8 +279,7 @@ class TestHalfspaceGenerators:
         # duplicate and redundant rows, and many rays on common faces: the
         # active sets carried from the parent rays and the d - 2 filter on
         # adjacent pairs must still give exactly the extreme rays
-        from toricaut.fan import halfspace_cone_generators
-        from util import degenerate_cone_rows, extreme_rays_by_subset_enumeration
+        from util import degenerate_cone_rows
         rng = random.Random(141421)
         degenerate = 0
         for _ in range(40):
@@ -298,8 +296,6 @@ class TestHalfspaceGenerators:
     def test_matches_subset_oracle_degenerate(self):
         # systems with opposite pairs force implicit equalities, the
         # delicate case for the double description adjacency test
-        from toricaut.fan import halfspace_cone_generators
-        from util import extreme_rays_by_subset_enumeration
         rng = random.Random(161803)
         for _ in range(200):
             n = rng.randint(2, 4)
@@ -767,8 +763,8 @@ class TestPerFanMemo:
     on the same fan reads them, an equal but distinct fan computes its own,
     and dropping the fan frees them."""
 
-    MEMOS = ((demazure_roots, ()), (fan_automorphisms, ()), (decompose, ()),
-             (ray_witness, (0,)), (dual_monomials, ((0, 1), 1)))
+    MEMOS = ((_ray_charts, ()), (demazure_roots, ()), (fan_automorphisms, ()), (decompose, ()),
+             (aut_structure_report, ()), (ray_witness, (0,)), (dual_monomials, ((0, 1), 1)))
 
     def test_a_second_call_on_the_same_fan_is_a_hit(self):
         fan, equal = corpus()["P2"], corpus()["P2"]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from toricaut.fan import Fan, halfspace_cone_generators
+from toricaut.fan import Fan
 from toricaut.lattice import (
     _pivots_and_kernel,
     _saturated,
@@ -22,7 +22,7 @@ from toricaut.lattice import (
     vec_add,
 )
 
-from util import greedy_independent_rows, minors_gcd, random_unimodular
+from util import greedy_independent_rows, halfspace_cone_generators, minors_gcd, random_unimodular
 
 
 def int_matrix(max_dim=4, bound=9):

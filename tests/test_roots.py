@@ -152,7 +152,7 @@ def large_conjugates(fans):
 
 
 def candidates(fan):
-    return _lifted_candidates(fan.rays, _ray_charts(fan))
+    return _lifted_candidates(fan.rays, enumerate(_ray_charts(fan)))
 
 
 def count_candidates(fan):

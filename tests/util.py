@@ -14,10 +14,10 @@ from toricaut.fan import (
     ValidationEntry,
     _cone_generators,
     cone_from_rays,
-    halfspace_cone_generators,
     is_complete,
 )
 from toricaut.lattice import (
+    _checked_rows,
     complete_to_unimodular,
     det,
     hermite_normal_form,
@@ -331,6 +331,12 @@ def dual_cone(c):
         return cone_from_rays(c.facet_normals, c.rank)
     gens, lin = _cone_generators(c.rays, c.rank)
     return DualCone(rank=c.rank, generators=gens, lineality=lin)
+
+
+def halfspace_cone_generators(normals, n):
+    """fan._cone_generators of any integer rows of length n, which are
+    checked and converted to tuples first (lattice._checked_rows)."""
+    return _cone_generators(_checked_rows(normals, n), n)
 
 
 def extreme_rays_by_subset_enumeration(normals, n):
