@@ -15,14 +15,16 @@ constraint rows gives both the lineality and the independent rows the
 method starts from.  A simplicial full-dimensional cone is one
 elimination, A*R = d*I for its rays A, d = ±det A: its dual is the
 method's starting simplex, whose rays are the facet normals, so no
-Hermite form and no double description run on it, and the cone keeps
-(R, d) for the readers of its determinant and its chart (smoothness, the
-roots), each of which reads |d| or sign(d).  A simplicial fan runs one
-elimination and then one product per wall (Fan._walk), which tests the
-wall's sides, updates (R, d) to the neighbour's and gives the wall's
-relation.  The same engine bounds the root polytopes, as the extreme rays
-of their homogenisations in chart coordinates, where the unit rows are
-the starting simplex and nothing is inverted or put in Hermite form.
+Hermite form and no double description run on it.  A simplicial fan runs
+one elimination and then one product per wall (Fan._walk), which tests
+the wall's sides, updates (R, d) to the neighbour's and gives the wall's
+relation.  The fan keeps each cone's (R, d) for the readers of its
+determinant and its basis (smoothness, and through Fan.cone_basis the
+roots' charts, the multiplicities and the decomposition), each of which
+reads |d| or sign(d).  The same engine bounds the root polytopes, as the
+extreme rays of their homogenisations in chart coordinates, where the
+unit rows are the starting simplex and nothing is inverted or put in
+Hermite form.
 Each fan keeps one table of its maximal cones' facets, each normal with
 the rays it kills.  The ridge certificate, from the walk's side tests or
 from the table grouped by ray set, proves a fan both valid and complete,
@@ -85,66 +87,15 @@ class Cone(NamedTuple):
     facet_normals: vectors in M with cone = {x : <x, g> >= 0 for all g};
         includes +/- pairs spanning the annihilator of the cone's span when
         the cone is not full dimensional.
-    det: d = ±det A of A*R = d*I for the rays A, kept by the constructor
-        that found the cone simplicial and full dimensional: cone_from_rays
-        from its one elimination, Fan._walk from a neighbour's by a
-        rank-one update.  0 for any other cone.
-    inverse: (R, d), or None when det is 0.  R is `scaled_rows()`, which
-        a walked cone transposes from the walk's columns on its first
-        call and keeps, so only a reader that needs R pays for it, once.
-
-    Equality and hash ignore det and scaled_rows; repr omits scaled_rows.
     """
 
     rank: int
     rays: Mat
     facet_normals: Mat
     dim: int
-    det: int = 0
-    scaled_rows: Optional[Callable[[], Mat]] = None
-
-    @property
-    def inverse(self) -> Optional[tuple]:
-        return (self.scaled_rows(), self.det) if self.det else None
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(sum(map(mul, v, g)) >= 0 for g in self.facet_normals)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:4] == other[:4]
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:4])
-
-    def __repr__(self) -> str:
-        return (f"Cone(rank={self.rank!r}, rays={self.rays!r}, "
-                f"facet_normals={self.facet_normals!r}, dim={self.dim!r}, det={self.det!r})")
-
-
-class _Once:
-    """fn(*args), computed on the first call and returned on every call;
-    unlike a closure, it keeps the cone holding it picklable."""
-
-    __slots__ = ("fn", "args", "value")
-
-    def __init__(self, fn: Callable, *args):
-        self.fn, self.args = fn, args
-
-    def __call__(self):
-        try:
-            return self.value
-        except AttributeError:
-            self.value = self.fn(*self.args)
-            return self.value
-
-
-def _transposed(cols: Mat) -> Mat:
-    return tuple(zip(*cols))
 
 
 def _walked_cone(n: int, idx: tuple, rays: Mat, cols: Mat, d: int) -> tuple:
@@ -154,8 +105,7 @@ def _walked_cone(n: int, idx: tuple, rays: Mat, cols: Mat, d: int) -> tuple:
     killed = [idx[:q] + idx[q + 1:] for q in range(n)]
     facets = tuple(sorted(zip(_simplex_rays(cols, d), killed)))
     cone = Cone(rank=n, rays=tuple(rays[i] for i in idx),
-                facet_normals=tuple(g for g, _ in facets), dim=n, det=d,
-                scaled_rows=_Once(_transposed, cols))
+                facet_normals=tuple(g for g, _ in facets), dim=n)
     return cone, facets
 
 
@@ -169,11 +119,14 @@ class _Walk(NamedTuple):
         it and y = rho_j*R.
     closed: every maximal cone has `rank` independent rays, and every
         ridge lies in exactly two of them, on opposite sides.
+    inverses: {cone: (columns of R, d)} with A*R = d*I for its rays A, for
+        each cone it built.
     """
 
     facets: dict
     walls: tuple
     closed: bool
+    inverses: dict
 
 
 def _simplex_rays(cols: Iterable[Vec], d: int) -> list:
@@ -283,11 +236,10 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
     rank independent generators cost one elimination, A*R = d*I for the
     sorted rays A: the cone is simplicial, the generators are its rays,
     and its dual is the starting simplex of the double description, with
-    the primitive columns of sign(d) * R as facet normals.  The cone keeps
-    (R, d) as its `inverse`, so no reader inverts it again.  Any other
+    the primitive columns of sign(d) * R as facet normals.  Any other
     generators run the double description twice: once for the dual, and
     once for the dual's dual, which drops the non-extremal generators and
-    finds any line; that cone keeps no inverse.
+    finds any line.
     """
     prim = []
     seen = set()
@@ -306,9 +258,7 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         inv, det_a = scaled_inverse(gens)
         if inv is not None:
             normals = tuple(sorted(_simplex_rays(zip(*inv), det_a)))
-            # tuple(inv) is inv
-            return Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank,
-                        det=det_a, scaled_rows=_Once(tuple, inv))
+            return Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank)
     dual_gens, dual_lin = _cone_generators(prim, rank)
     normals = set(dual_gens)
     for b in dual_lin:
@@ -454,6 +404,34 @@ class Fan:
     def _cone_cache(self) -> dict:
         return {}
 
+    @per_fan
+    def cone_basis(self, c: tuple) -> Optional[tuple]:
+        """(basis, R, d) for a maximal cone, with A*R = d*I, d = ±det A,
+        for the basis's rays A: the cone itself when it is simplicial, with
+        the (R, d) of the wall walk, and otherwise its pivots (the rays
+        outside the span of the rays before them) with one elimination;
+        None when the cone is not full dimensional.  Kept on the fan, so
+        the roots' charts, the isomorphism search's multiplicities and
+        the decomposition's blocks read one basis per cone."""
+        walked = self._walk.inverses.get(c)
+        if walked is not None:
+            cols, d = walked
+            return c, tuple(zip(*cols)), d
+        pivots = _pivots_and_kernel([self.rays[i] for i in c], self.rank)[0]
+        if len(pivots) < self.rank:
+            return None
+        basis = tuple(c[p] for p in pivots)
+        return (basis,) + scaled_inverse([self.rays[i] for i in basis])
+
+    @cached_property
+    def star(self) -> tuple:
+        """The maximal cones through each ray, in max_cones order."""
+        through = [[] for _ in self.rays]
+        for c in self.max_cones:
+            for i in c:
+                through[i].append(c)
+        return tuple(map(tuple, through))
+
     @cached_property
     def memo(self) -> dict:
         """The facts other modules compute from this fan (per_fan)."""
@@ -502,11 +480,10 @@ class Fan:
     def _walk(self) -> "_Walk":
         """Walk across the walls between the maximal cones of `rank` rays.
 
-        Each walk starts from a cone not yet reached whose Fan.cone is
-        simplicial (one elimination, or none when it is cached), so a fan
-        whose simplicial cones are connected by walls runs one.  A wall
-        is a ridge, such a cone's rays but one, that exactly two of them
-        hold: sigma = tau + a_p, with A*R = d*I for its rays A, and
+        Each walk starts from a cone not yet reached whose rays are
+        independent, with one elimination, so a fan whose simplicial cones
+        are connected by walls runs one.  A wall is a ridge, such a cone's
+        rays but one, that exactly two of them hold: sigma = tau + a_p, with A*R = d*I for its rays A, and
         sigma' = tau + rho.  It is visited once, from the first of the
         two the walk reaches, with one product y = rho*R, so that
         d*rho = sum_k y_k*a_k.  sign(d)*y_p < 0 says that rho lies
@@ -517,7 +494,8 @@ class Fan:
         column p kept: the divisions are exact, since d' = d*det A'/det A
         = ±det A' makes R' the adjugate of A' up to sign (Sylvester's
         identity; Bareiss, Math. Comp. 22, 1968).  The walk caches the
-        cones it builds, in place of any equal cone built before; their
+        cones it builds, in place of any equal cone built before, and
+        keeps each one's (R, d) for Fan.cone_basis and is_smooth; a walked
         d = ±det may differ in sign from an elimination's, and every
         reader takes |d| or sign(d).  Read only once the rays passed
         validation's checks (primitive, distinct and nonzero)."""
@@ -532,13 +510,12 @@ class Fan:
         for start in simplicial:
             if start in known:
                 continue
-            try:
-                cone = self.cone(start)
-            except NotStrictlyConvexError:
+            inv, d = scaled_inverse([rays[i] for i in start])
+            if not d:
                 continue
-            if not cone.det:
-                continue
-            known[start] = tuple(zip(*cone.scaled_rows())), cone.det
+            cols = tuple(zip(*inv))
+            known[start] = cols, d
+            cache[start], facets[start] = _walked_cone(n, start, rays, cols, d)
             queue = [start]
             for c in queue:
                 cols, d = known[c]
@@ -570,7 +547,7 @@ class Fan:
                     known[other] = cols2, yp
                     cache[other], facets[other] = _walked_cone(n, other, rays, cols2, yp)
         closed = closed and len(known) == len(self.max_cones)
-        return _Walk(facets, tuple(walls), closed)
+        return _Walk(facets, tuple(walls), closed, known)
 
     def face_normal_sum(self, cone: tuple, face: Sequence[int]) -> Vec:
         """u, the sum of the maximal cone's facet normals that vanish on
@@ -745,12 +722,13 @@ def is_simplicial(fan: Fan) -> bool:
 
 
 def is_smooth(fan: Fan) -> bool:
-    """Every cone's rays extend to a Z-basis of N: |det| = 1 for a
-    simplicial full-dimensional cone, read off the elimination it keeps,
-    and a Hermite form for any other cone."""
+    """Every cone's rays extend to a Z-basis of N: |d| = 1 for a
+    simplicial full-dimensional cone, read off the wall walk's (R, d)
+    without building R, and a Hermite form for any other cone."""
     fan.require_valid()
-    return all(abs(cone.det) == 1 if cone.det else _saturated(cone.rays, fan.rank)
-               for cone in map(fan.cone, fan.max_cones))
+    walked = fan._walk.inverses
+    return all(abs(walked[c][1]) == 1 if c in walked
+               else _saturated([fan.rays[i] for i in c], fan.rank) for c in fan.max_cones)
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:

@@ -9,7 +9,7 @@ is fixed by its pairings c_i = <rho_i, e> with the rays of one chart (Cox,
 those coordinates rather than in the coordinates of M.  The chart is
 picked first: a basis of N_R among the rays of a maximal cone through
 rho_j, of least |det|.  A simplicial maximal cone is its own chart, and
-its inverse is the (R, d) the cone already keeps; only a chart
+its inverse is the (R, d) its fan keeps (Fan.cone_basis); only a chart
 exchanged into a non-simplicial cone is inverted here.  One double
 description per ray, in the chart's n coordinates, gives the vertices of
 the polytope's homogenisation; there the constraints c_i >= 0 on the
@@ -52,7 +52,6 @@ from .fan import (
 from .lattice import (
     Mat,
     Vec,
-    _pivots_and_kernel,
     identity_matrix,
     scaled_inverse,
     vec_mat,
@@ -232,52 +231,33 @@ def _ray_charts(fan: Fan) -> tuple:
     The chart of ray j is a basis of N_R among the rays of a maximal cone
     through it: ray j and each further ray of the cone outside the span of
     those before it.  Of these, the chart of least |det| is taken, ties
-    broken by its index tuple.  A simplicial maximal cone of a complete
-    fan is its own basis, and its A*R = d*I is the (R, d) the cone keeps:
-    its |d| (Cone.det) ranks it, and its R (Cone.inverse) is read only for
-    the chart chosen.  A non-simplicial cone's first basis (its rays
-    outside the span of those before them) is found and inverted once.
-    When ray j is not in it, ray j = (y/d)*A with y = rho_j*R, and its
-    chart exchanges for ray j the last basis ray f with y_f != 0 (the
-    least basis holding ray j), so |det| = |y_f| needs no second
-    elimination.  Of the exchanged charts only the chosen ones are
-    inverted, so a simplicial fan inverts nothing.  The table is kept on
-    the fan: demazure_roots and product_chart_roots read the same one.
+    broken by its index tuple.  Each maximal cone gives its basis with its
+    A*R = d*I (Fan.cone_basis): a simplicial cone of a complete fan is its
+    own basis, with the (R, d) of the fan's wall walk.  When ray j is not
+    in the basis, ray j = (y/d)*A with y = rho_j*R, and its chart
+    exchanges for ray j the last basis ray f with y_f != 0 (the least
+    basis holding ray j), so |det| = |y_f| needs no second elimination.
+    Only the exchanged charts chosen are inverted here, so a simplicial
+    fan inverts nothing.  The table is kept on the fan: demazure_roots and
+    product_chart_roots read the same one.
     """
-    n = fan.rank
-    inverses = {}
-    bases = {}
-    simplicial = set()
-
-    def inverse(chart: tuple) -> tuple:
-        if chart not in inverses:
-            inverses[chart] = (fan.cone(chart).inverse if chart in simplicial
-                               else scaled_inverse([fan.rays[i] for i in chart]))
-        return inverses[chart]
+    n, rays = fan.rank, fan.rays
 
     def chart_key(j: int, cone: tuple) -> tuple:
-        if len(cone) == n:
-            simplicial.add(cone)
-            return abs(fan.cone(cone).det), cone
-        if cone not in bases:
-            pivots = _pivots_and_kernel([fan.rays[i] for i in cone], n)[0]
-            bases[cone] = tuple(cone[p] for p in pivots)
-        basis = bases[cone]
-        r, d = inverse(basis)
+        basis, r, d = fan.cone_basis(cone)
         if j in basis:
-            return abs(d), basis
-        y = vec_mat(fan.rays[j], r)
+            return abs(d), basis, cone
+        y = vec_mat(rays[j], r)
         f = max(q for q in range(n) if y[q])
-        return abs(y[f]), tuple(sorted(basis[:f] + basis[f + 1:] + (j,)))
+        return abs(y[f]), tuple(sorted(basis[:f] + basis[f + 1:] + (j,))), cone
 
-    through = [[] for _ in fan.rays]
-    for c in fan.max_cones:
-        for i in c:
-            through[i].append(c)
     out = []
-    for j, cones in enumerate(through):
-        chart = min(chart_key(j, c) for c in cones)[1]
-        out.append((chart,) + inverse(chart) + (tuple(chain.from_iterable(cones)),))
+    for j, cones in enumerate(fan.star):
+        _, chart, cone = min(chart_key(j, c) for c in cones)
+        basis, r, d = fan.cone_basis(cone)
+        if chart != basis:
+            r, d = scaled_inverse([rays[i] for i in chart])
+        out.append((chart, r, d, tuple(chain.from_iterable(cones))))
     return tuple(out)
 
 

@@ -23,12 +23,12 @@ coordinates of their saturated spans, once per search, and the anchors
 are inverted there.
 
 Decomposition seeds blocks with the connected components of the ray
-configuration's linear matroid, read off the fundamental circuits of one
-basis among the rays of the first maximal cone (a circuit can never split
-across direct factors), then exhausts bipartitions of those blocks.  Each
-split is verified by three criteria; one elimination of the two sides'
-stacked lattice bases decides the direct sum and gives the factors'
-coordinates.  Each leaf keeps the failed bipartitions as its
+configuration's linear matroid, read off the fundamental circuits of the
+basis the fan keeps for its first maximal cone (Fan.cone_basis; a circuit
+can never split across direct factors), then exhausts bipartitions of
+those blocks.  Each split is verified by three criteria; one elimination
+of the two sides' stacked lattice bases decides the direct sum and gives
+the factors' coordinates.  Each leaf keeps the failed bipartitions as its
 indecomposability certificate.
 """
 
@@ -39,7 +39,6 @@ from collections import Counter, defaultdict
 from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
-    Cone,
     Fan,
     is_complete,
     is_simplicial,
@@ -88,17 +87,18 @@ def invariant_vector(fan: Fan) -> tuple:
             complete, nroots)
 
 
-def _multiplicity(cone: Cone, rank: int) -> int:
-    """The index in N of the lattice spanned by a full-dimensional cone's
-    rays: |d| of the elimination a simplicial cone keeps, and otherwise
-    the product of the pivots of one Hermite form of the rays.  A GL(n, Z)
-    invariant, like the 0 given to a cone of lower dimension."""
-    if cone.det:
-        return abs(cone.det)
-    if cone.dim < rank:
+def _multiplicity(fan: Fan, c: tuple) -> int:
+    """The index in N of the lattice spanned by a maximal cone's rays: |d|
+    of a simplicial cone's Fan.cone_basis, and otherwise the product of
+    the pivots of one Hermite form of the rays.  A GL(n, Z) invariant,
+    like the 0 given to a cone of lower dimension."""
+    basis = fan.cone_basis(c)
+    if basis is None:
         return 0
-    h, _ = hermite_normal_form(cone.rays)
-    return math.prod(h[i][i] for i in range(rank))
+    if basis[0] == c:
+        return abs(basis[2])
+    h, _ = hermite_normal_form([fan.rays[i] for i in c])
+    return math.prod(h[i][i] for i in range(fan.rank))
 
 
 def _wall_relations(fan: Fan) -> list:
@@ -151,7 +151,7 @@ def _ray_profiles(fan: Fan):
     nrays = len(fan.rays)
     keys = dict(fan.all_cones)
     for c in fan.max_cones:
-        keys[c] += (fan.rank + 1) * (_multiplicity(fan.cone(c), fan.rank) - 1)
+        keys[c] += (fan.rank + 1) * (_multiplicity(fan, c) - 1)
     faces = [[] for _ in range(nrays)]
     face_keys = [[] for _ in range(nrays)]
     for face, key in keys.items():
@@ -389,16 +389,14 @@ def _ray_blocks(fan: Fan) -> list:
     """Connected components of the linear matroid on the ray vectors.
 
     Components are computed from the fundamental circuits with respect to
-    one basis: the pivots of the rays of the first maximal cone, which spans
-    N_R because every maximal cone of a complete fan is full dimensional.
+    one basis: the first maximal cone's (Fan.cone_basis), which spans N_R
+    because every maximal cone of a complete fan is full dimensional.
     A circuit always lies inside a single component, the components do not
     depend on the basis, and a direct-sum split of the fan can only
     separate whole components.
     """
     rays = fan.rays
-    cone = fan.max_cones[0]
-    basis_idx = [cone[p] for p in _pivots_and_kernel([rays[i] for i in cone], fan.rank)[0]]
-    inverse, _ = scaled_inverse(tuple(rays[i] for i in basis_idx))
+    basis_idx, inverse, _ = fan.cone_basis(fan.max_cones[0])
     components = [{i} for i in range(len(rays))]
     for i in range(len(rays)):
         if i in basis_idx:
@@ -532,9 +530,13 @@ class AutStructureReport(NamedTuple):
         return tuple((c.label, c.multiplicity) for c in self.factor_classes)
 
 
-def _group_factors(dec: Decomposition) -> list:
+@per_fan
+def _group_factors(fan: Fan) -> tuple:
+    """The factors of decompose(fan) in classes of isomorphic fans, each a
+    (representative, member indices) pair, sorted by their invariants;
+    kept on the fan, so report and check search the pairs once."""
     classes: list = []
-    for idx, factor in enumerate(dec.factors):
+    for idx, factor in enumerate(decompose(fan).factors):
         for cls in classes:
             if fan_isomorphism(factor.fan, cls[0]) is not None:
                 cls[1].append(idx)
@@ -542,7 +544,7 @@ def _group_factors(dec: Decomposition) -> list:
         else:
             classes.append([factor.fan, [idx]])
     classes.sort(key=lambda cls: (invariant_vector(cls[0]), cls[0].rays))
-    return classes
+    return tuple((rep, tuple(members)) for rep, members in classes)
 
 
 @per_fan
@@ -550,10 +552,9 @@ def aut_structure_report(fan: Fan) -> AutStructureReport:
     """Full structure report: roots, neutral-component dimension, fan
     automorphisms and the product/wreath decomposition; kept on the fan."""
     require_complete(fan, "structure reports need a complete fan")
-    dec = decompose(fan)
     roots = demazure_roots(fan)
     autos = fan_automorphisms(fan)
-    classes = _group_factors(dec)
+    classes = _group_factors(fan)
     factor_classes = []
     pieces = []
     for k, (rep, members) in enumerate(classes):
@@ -561,7 +562,7 @@ def aut_structure_report(fan: Fan) -> AutStructureReport:
         r = len(members)
         factor_classes.append(FactorClass(
             label=label, representative=rep, multiplicity=r,
-            member_indices=tuple(members),
+            member_indices=members,
             root_count=len(demazure_roots(rep)),
             dim_aut0=lie_dimension(rep),
             fan_automorphism_order=len(fan_automorphisms(rep))))
@@ -593,7 +594,7 @@ def wreath_order_check(fan: Fan) -> bool:
     require_complete(fan, "theorem check needs a complete fan")
     dec = decompose(fan)
     autos = fan_automorphisms(fan)
-    classes = _group_factors(dec)
+    classes = _group_factors(fan)
     expected = 1
     for rep, members in classes:
         r = len(members)

@@ -264,7 +264,7 @@ def cone_points(fan: Fan, cone_idx: tuple) -> frozenset:
 def ray_witness(fan: Fan, j: int) -> tuple:
     """The witness character m0 and chart of ray j (faithfulness_check),
     from one Hermite form per ray."""
-    charts = [c for c in fan.max_cones if j in c]
+    charts = fan.star[j]
     if not charts:
         raise ValueError("distinguished ray lies in no maximal cone")
     m1 = hermite_normal_form(tuple((x,) for x in fan.rays[j]))[1][0]
@@ -296,7 +296,7 @@ def ray_degrees(fan: Fan, j: int) -> tuple:
     non-simplicial chart lists its parallelepiped points.
     """
     rho, ks = fan.rays[j], set()
-    for cone_idx in (c for c in fan.max_cones if j in c):
+    for cone_idx in fan.star[j]:
         normals = fan.cone(cone_idx).facet_normals
         steps = [pairing(rho, g) for g in normals]
         if len(normals) == fan.rank:
@@ -393,7 +393,7 @@ def action_chart_check(fan: Fan, root: DemazureRoot) -> ActionChartCertificate:
     """
     rho_e, values = root.rho_e, _row(fan, root.e)
     ok = all(values[i] >= (-1 if i == rho_e else 0)
-             for cone_idx in fan.max_cones if rho_e in cone_idx for i in cone_idx)
+             for cone_idx in fan.star[rho_e] for i in cone_idx)
     return ActionChartCertificate(root=root, degrees=ray_degrees(fan, rho_e),
                                   additive=ok, infinitesimal=ok)
 

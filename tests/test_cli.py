@@ -500,6 +500,20 @@ class TestReportMemo:
         assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
 
 
+class TestFactorClassesMemo:
+    def test_a_check_after_a_report_searches_no_factor_pair(self, capsys, monkeypatch):
+        # the classes of isomorphic factors are kept on the fan that was
+        # decomposed, so check's wreath certificate reads report's
+        monkeypatch.setattr(cli, "_LOADED", {})
+        calls, search = [], structure_module.fan_isomorphism
+        monkeypatch.setattr(structure_module, "fan_isomorphism",
+                            lambda f1, f2: calls.append((f1, f2)) or search(f1, f2))
+        path = str(DATA / "P2xP2.fan")
+        assert run_cli(["report", path], capsys)[0] == 0 and calls
+        calls.clear()
+        assert run_cli(["check", path], capsys)[0] == 0 and calls == []
+
+
 class TestActionCertificateCalls:
     """check runs each binomial identity, whose verdict depends on the
     degree <rho_e, m> alone, once per distinct degree of the height-2
@@ -565,8 +579,9 @@ class TestProductCertificate:
 
     def certified(self, fan, name, events, walked) -> None:
         """Two checks of the fan: every certificate holds, the events are
-        the fan's own validation, one elimination and `walked` cones
-        reached by its walk, and the second check reads the kept verdict."""
+        the fan's own validation, one elimination and the `walked` cones
+        its walk builds from it, the first included, and the second check
+        reads the kept verdict."""
         memo = cli._product_roots_hold
         for k in range(2):
             before = memo.cache_info()
@@ -575,19 +590,19 @@ class TestProductCertificate:
             assert all(ok for _, _, ok, _ in certificates)
             assert certificates[-1][:2] == ("product_roots", f"{name} x {name}")
             assert (after.hits - before.hits, after.misses - before.misses) == (k, 1 - k)
-            assert events == [("validate", 2), ("cone", 2), ("inverse", 2)] + [("walked", 2)] * walked
+            assert events == [("validate", 2), ("inverse", 2)] + [("walked", 2)] * walked
 
     def test_no_double_description_on_the_product(self, monkeypatch):
         events = self.traced(monkeypatch)
         doc = parse_fan((FIXTURES / "F3_conjugate.fan").read_text())
-        self.certified(fan_from_document(doc), doc.name, events, 3)
+        self.certified(fan_from_document(doc), doc.name, events, 4)
 
     def test_a_blow_up_lists_no_product_cone(self, monkeypatch):
         # the self-product of a P2 blown up 300 times has 606 rays and
         # 303^2 maximal cones, none of them listed
         fan = random_blow_up(random.Random(5), corpus()["P2"], 300)
         events = self.traced(monkeypatch)
-        self.certified(fan, "Bl300P2", events, 302)
+        self.certified(fan, "Bl300P2", events, 303)
 
     def test_a_second_check_reads_the_kept_verdict(self, capsys, monkeypatch):
         # the product's roots are found once per pair, and no fan of rank

@@ -30,7 +30,13 @@ from toricaut.fan import (
 )
 from toricaut.lattice import det, identity_matrix, mat_mul, pairing, primitive
 from toricaut.roots import _ray_charts, demazure_roots, product_chart_roots
-from toricaut.structure import _wall_relations, aut_structure_report, decompose, fan_automorphisms
+from toricaut.structure import (
+    _group_factors,
+    _wall_relations,
+    aut_structure_report,
+    decompose,
+    fan_automorphisms,
+)
 from toricaut.symbolic import dual_monomials, ray_witness
 
 from test_roots import SQUARE_PYRAMID
@@ -43,6 +49,7 @@ from util import (
     extreme_rays_by_subset_enumeration,
     faces_by_subset_scan,
     facets_by_pairings,
+    greedy_independent_rows,
     halfspace_cone_generators,
     maximal_cones_oracle,
     minors_gcd,
@@ -124,7 +131,7 @@ class TestConeFromRays:
 class TestSimplicialCones:
     """rank independent generators take one elimination instead of the
     double description: the facet normals are the primitive columns of
-    sign(d) * R, and the cone keeps (R, d)."""
+    sign(d) * R, and the cone's fan keeps (R, d)."""
 
     @staticmethod
     def generators(rng, n, k):
@@ -152,7 +159,10 @@ class TestSimplicialCones:
                 assert c.rays == extreme_rays_by_subset_enumeration(normals, n)[0]
                 assert c.rays == tuple(sorted({primitive(g) for g in gens}))
                 assert c.dim == n
-                r, d = c.inverse
+                # the fan of the one cone keeps its elimination
+                fan = Fan(n, c.rays, [range(n)])
+                basis, r, d = fan.cone_basis(tuple(range(n)))
+                assert basis == tuple(range(n)) and fan.cone(basis) == c
                 assert mat_mul(c.rays, r) == tuple(tuple(d * x for x in row)
                                                    for row in identity_matrix(n))
                 assert abs(d) == abs(det(c.rays))
@@ -169,7 +179,9 @@ class TestSimplicialCones:
                 # a sum of two generators is not extremal and is dropped
                 c = cone_from_rays(gens + [tuple(x + y for x, y in zip(a, b))], n)
                 assert c.rays == tuple(sorted({primitive(g) for g in gens}))
-                assert c.dim == n - 1 and c.inverse is None
+                assert c.dim == n - 1
+                assert Fan(n, c.rays, [range(len(c.rays))]).cone_basis(
+                    tuple(range(len(c.rays)))) is None
                 dual, lin = extreme_rays_by_subset_enumeration(c.rays, n)
                 assert set(c.facet_normals) == set(dual) | set(lin) | {
                     tuple(-x for x in v) for v in lin}
@@ -578,9 +590,10 @@ class TestSmoothSimplicial:
                            for c in fan.max_cones)
             assert is_smooth(fan) == expected, fan.rays
             for c in fan.max_cones:
-                cone = fan.cone(c)
-                assert (cone.inverse is not None) == (len(c) == cone.dim == fan.rank)
-                verdicts[cone.inverse is not None, minors_gcd(cone.rays, len(c)) == 1] += 1
+                cone, basis = fan.cone(c), fan.cone_basis(c)
+                simplicial = basis is not None and basis[0] == c
+                assert simplicial == (len(c) == cone.dim == fan.rank)
+                verdicts[simplicial, minors_gcd(cone.rays, len(c)) == 1] += 1
             verdicts[expected] += 1
         # both verdicts, and cones on both paths with both outcomes
         assert all(verdicts[key] for key in (True, False, (True, True), (True, False),
@@ -649,8 +662,8 @@ class TestProductCones:
 
     def test_cached_inverses_solve_the_product_cones(self, fans):
         # A*R = d*I and |d| = |det A| on every product cone of corpus fans
-        # up to rank 6, kept by the cone's elimination; a non-simplicial
-        # factor gives no inverse
+        # up to rank 6, kept by the product's wall walk; a non-simplicial
+        # factor gives cones whose basis is a proper subset of their rays
         checked = 0
         for f1 in fans.values():
             for f2 in fans.values():
@@ -658,15 +671,15 @@ class TestProductCones:
                     continue
                 pf = product_fan(f1, f2)
                 for c in pf.max_cones:
-                    cone = pf.cone(c)
-                    r, d = cone.inverse
-                    assert mat_mul(cone.rays, r) == tuple(
+                    basis, r, d = pf.cone_basis(c)
+                    rays = pf.cone(c).rays
+                    assert basis == c and mat_mul(rays, r) == tuple(
                         tuple(d * x for x in row) for row in identity_matrix(pf.rank)), c
-                    assert abs(d) == abs(det(cone.rays))
+                    assert abs(d) == abs(det(rays))
                     checked += 1
         cube5 = fan_from_document(parse_fan((FIXTURES / "cube5.fan").read_text()))
         for pf in (product_fan(cube5, fans["P1"]), product_fan(fans["P2"], cube5)):
-            assert all(pf.cone(c).inverse is None for c in pf.max_cones)
+            assert all(pf.cone_basis(c)[0] != c for c in pf.max_cones)
         assert checked > 1000
 
     def test_fresh_fan_gets_same_verdicts(self, fans):
@@ -763,7 +776,8 @@ class TestPerFanMemo:
     on the same fan reads them, an equal but distinct fan computes its own,
     and dropping the fan frees them."""
 
-    MEMOS = ((_ray_charts, ()), (demazure_roots, ()), (fan_automorphisms, ()), (decompose, ()),
+    MEMOS = ((Fan.cone_basis, ((0, 1),)), (_ray_charts, ()), (demazure_roots, ()),
+             (fan_automorphisms, ()), (decompose, ()), (_group_factors, ()),
              (aut_structure_report, ()), (ray_witness, (0,)), (dual_monomials, ((0, 1), 1)))
 
     def test_a_second_call_on_the_same_fan_is_a_hit(self):
@@ -791,7 +805,7 @@ class TestPerFanMemo:
             assert ref() is None, name
 
     def test_a_fan_with_warm_caches_pickles(self):
-        # its cones, with each walked cone's _Once, and the facts kept on it
+        # its cones, the walk's (R, d) and the facts kept on it
         fans = corpus()
         fan, pf = fans["P1xP2"], product_fan(fans["P2"], fans["F1"])
         assert all(ok for _, _, ok, _ in run_certificates([(None, fan, "P1xP2")]))
@@ -800,8 +814,8 @@ class TestPerFanMemo:
         for f in (fan, pf):
             copy = pickle.loads(pickle.dumps(f))
             assert copy == f and vars(copy) == vars(f)
-            assert [copy.cone(c).inverse for c in f.max_cones] == [
-                f.cone(c).inverse for c in f.max_cones]
+            assert [copy.cone_basis(c) for c in f.max_cones] == [
+                f.cone_basis(c) for c in f.max_cones]
             assert demazure_roots(copy) == demazure_roots(f)
 
 
@@ -842,14 +856,14 @@ class TestWallWalk:
             assert fan.validation.ok, label
             built = fan._walk.facets
             if is_simplicial(fan) and is_complete(fan):
-                # every cone but the first is reached
-                assert set(built) == set(fan.max_cones[1:]), label
+                # the first cone is eliminated and every other one reached
+                assert set(built) == set(fan.max_cones), label
             for c in built:
                 cone = fan.cone(c)
                 ref = cone_from_rays([fan.rays[i] for i in c], fan.rank)
                 assert cone == ref and cone.dim == ref.dim == fan.rank, (label, c)
-                r, d = cone.inverse
-                assert abs(d) == abs(ref.det)
+                basis, r, d = fan.cone_basis(c)
+                assert basis == c and abs(d) == abs(det(cone.rays))
                 assert mat_mul(cone.rays, r) == tuple(
                     tuple(d * x for x in row) for row in identity_matrix(fan.rank)), (label, c)
             walked += len(built)
@@ -912,7 +926,65 @@ class TestWallWalkReports:
             paths.append(tmp_path / f"case{k}.fan")
             paths[-1].write_text(json.dumps({"rank": n, "rays": rays, "max_cones": cones}))
         walked = [self.validate_json(path, capsys, monkeypatch) for path in paths]
-        monkeypatch.setattr(Fan, "_walk", property(lambda fan: _Walk({}, (), False)))
+        monkeypatch.setattr(Fan, "_walk", property(lambda fan: _Walk({}, (), False, {})))
         bypassed = [self.validate_json(path, capsys, monkeypatch) for path in paths]
         assert walked == bypassed
         assert [code for code, _, _ in walked] == [1, 0, 1, 1, 1, 1, 1, 0]
+
+
+def _basis_fans(corpus_fans):
+    """The wall walk's fans, with the products of cube5, whose maximal
+    cones are not simplicial, with P1 and P2, and a fan with a maximal
+    cone of lower dimension."""
+    cube5 = fan_from_document(parse_fan((FIXTURES / "cube5.fan").read_text()))
+    return _walk_fans(corpus_fans) + [
+        ("cube5 x P1", product_fan(cube5, corpus_fans["P1"])),
+        ("P2 x cube5", product_fan(corpus_fans["P2"], cube5)),
+        ("quadrant and ray", Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)]))]
+
+
+class TestConeBasis:
+    """Each maximal cone's basis, with A*R = d*I for its rays A, is kept
+    by its fan: the cone itself when it is simplicial, and otherwise its
+    rays outside the span of the rays before them."""
+
+    def test_solves_each_maximal_cone(self, fans):
+        kinds = Counter()
+        for label, fan in _basis_fans(fans):
+            assert fan.validation.ok, label
+            for c in fan.max_cones:
+                dim, found = fan.cone(c).dim, fan.cone_basis(c)
+                if dim < fan.rank:
+                    assert found is None, (label, c)
+                    kinds["lower"] += 1
+                    continue
+                basis, r, d = found
+                rows = [fan.rays[i] for i in basis]
+                assert mat_mul(rows, r) == tuple(
+                    tuple(d * x for x in row) for row in identity_matrix(fan.rank)), (label, c)
+                assert abs(d) == abs(det(rows)) > 0, (label, c)
+                simplicial = len(c) == fan.rank
+                assert (basis == c) == simplicial, (label, c)
+                pivots = greedy_independent_rows([fan.rays[i] for i in c])
+                assert basis == tuple(c[p] for p in pivots), (label, c)
+                kinds[simplicial] += 1
+        assert kinds[True] > 400 and kinds[False] >= 50 and kinds["lower"] == 1, kinds
+
+    def test_none_on_a_lower_dimensional_cone(self):
+        fan = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)])
+        assert fan.validation.ok and not is_complete(fan)
+        # the constructor sorts the rays: (-1, -1) comes first
+        ray, quadrant = fan.max_cones
+        assert (ray, quadrant) == ((0,), (1, 2)) and fan.cone_basis(ray) is None
+        assert fan.cone_basis(quadrant) == (quadrant, ((0, 1), (1, 0)), 1)
+
+
+class TestStar:
+    def test_matches_the_scan(self, fans):
+        rays = 0
+        for label, fan in _basis_fans(fans):
+            for j in range(len(fan.rays)):
+                assert fan.star[j] == tuple(c for c in fan.max_cones if j in c), (label, j)
+            assert len(fan.star) == len(fan.rays), label
+            rays += len(fan.rays)
+        assert rays > 400

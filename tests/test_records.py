@@ -1,21 +1,21 @@
-"""The result records of every layer: immutable, with the fields, equality,
-hash and repr they have always had.  Cone and FanDocument compare and
-hash without their cached data (det, scaled_rows) and their parse
-warnings, and a cone the wall walk built transposes its inverse only for
-a reader, once."""
+"""The result records of every layer: immutable named tuples, equal,
+hashed and printed by their fields, except that a FanDocument compares
+and hashes without its parse warnings.  A cone's (R, d) is kept by its fan
+(Fan.cone_basis), which builds a walked cone's R only for a reader, once."""
 
 import pytest
 
-from toricaut import fan as fan_module
 from toricaut.cli import FanDocument, parse_fan
 from toricaut.fan import (
     Cone,
+    Fan,
     ValidationEntry,
     ValidationReport,
     cone_from_rays,
     is_smooth,
     product_fan,
 )
+from toricaut.lattice import scaled_inverse
 from toricaut.roots import DemazureRoot, RootPolytope, demazure_roots
 from toricaut.structure import (
     AutStructureReport,
@@ -45,7 +45,7 @@ from util import DualCone, dual_cone
 
 FIELDS = {
     FanDocument: ("rank", "rays", "max_cones", "name", "warnings"),
-    Cone: ("rank", "rays", "facet_normals", "dim", "det", "scaled_rows"),
+    Cone: ("rank", "rays", "facet_normals", "dim"),
     DualCone: ("rank", "generators", "lineality"),
     ValidationEntry: ("code", "message"),
     ValidationReport: ("entries",),
@@ -119,18 +119,20 @@ def test_equal_to_a_copy_and_hashed_by_fields(fans):
         values = {name: getattr(record, name) for name in names}
         copy = type(record)(**values)
         assert copy == record and not copy != record and hash(copy) == hash(record)
-        if type(record) not in (Cone, FanDocument):
+        if type(record) is not FanDocument:
             assert hash(record) == hash(tuple(values.values()))
 
 
 def test_cone_ignores_its_elimination():
+    # the cone is its four fields; its fan keeps the elimination
     cone = cone_from_rays([(1, 0), (1, 2)], 2)
     bare = Cone(rank=cone.rank, rays=cone.rays, facet_normals=cone.facet_normals, dim=cone.dim)
-    assert cone.det == 2 and bare.det == 0 and bare.scaled_rows is None
     assert cone == bare and not cone != bare and hash(cone) == hash(bare)
     assert hash(cone) == hash((cone.rank, cone.rays, cone.facet_normals, cone.dim))
-    other = Cone(rank=2, rays=cone.rays, facet_normals=cone.facet_normals, dim=1, det=2)
+    other = Cone(rank=2, rays=cone.rays, facet_normals=cone.facet_normals, dim=1)
     assert cone != other and not cone == other
+    fan = Fan(2, cone.rays, [(0, 1)])
+    assert fan.cone((0, 1)) == cone and fan.cone_basis((0, 1)) == ((0, 1), ((2, 0), (-1, 1)), 2)
 
 
 def test_document_ignores_its_warnings():
@@ -146,46 +148,46 @@ def test_document_ignores_its_warnings():
 def test_reprs():
     assert repr(DemazureRoot(e=(1, 0), rho_e=2)) == "DemazureRoot(e=(1, 0), rho_e=2)"
     assert repr(cone_from_rays([(1, 0), (1, 2)], 2)) == (
-        "Cone(rank=2, rays=((1, 0), (1, 2)), facet_normals=((0, 1), (2, -1)), dim=2, det=2)")
+        "Cone(rank=2, rays=((1, 0), (1, 2)), facet_normals=((0, 1), (2, -1)), dim=2)")
     assert repr(cone_from_rays([(1, 0, 0), (0, 1, 0)], 3)) == (
         "Cone(rank=3, rays=((0, 1, 0), (1, 0, 0)), facet_normals=((0, 0, -1), (0, 0, 1), "
-        "(0, 1, 0), (1, 0, 0)), dim=2, det=0)")
+        "(0, 1, 0), (1, 0, 0)), dim=2)")
     assert repr(HomogeneousDerivation(p=(0, 1), e=(1, -1))) == (
         "HomogeneousDerivation(p=(0, 1), e=(1, -1))")
 
 
 class TestProductConeInverse:
     """The walk across a product's walls keeps each cone's R as the
-    columns it updates, transposed for the first reader of the inverse."""
+    columns it updates; Fan.cone_basis transposes them for the first
+    reader of a cone, and only for it."""
 
     @pytest.fixture
-    def assembled(self, monkeypatch):
-        calls = []
-        transposed = fan_module._transposed
-
-        def counted(*args):
-            calls.append(args)
-            return transposed(*args)
-        monkeypatch.setattr(fan_module, "_transposed", counted)
-        return calls
+    def assembled(self):
+        """The number of cones whose (basis, R, d) is built from here on."""
+        before = Fan.cone_basis.cache_info().misses
+        return lambda: Fan.cone_basis.cache_info().misses - before
 
     def test_assembled_once_on_read(self, fans, assembled):
         pf = product_fan(fans["P2"], fans["F1"])
-        assert pf.validation.ok and assembled == []
+        assert pf.validation.ok and assembled() == 0
         # the walk starts from the first cone and builds the others
-        cone = pf.cone(pf.max_cones[1])
-        (r, d), fresh = cone.inverse, cone_from_rays(cone.rays, pf.rank)
-        assert cone.inverse == (r, d) and len(assembled) == 1
+        c = pf.max_cones[1]
+        basis, r, d = pf.cone_basis(c)
+        assert pf.cone_basis(c) == (c, r, d) and assembled() == 1
         # d = ±det, R signed like d
-        sign = d // fresh.det
-        assert (r, d) == (tuple(tuple(sign * x for x in row) for row in fresh.inverse[0]),
-                          sign * fresh.det)
+        rays = pf.cone(c).rays
+        ref, det_a = scaled_inverse(rays)
+        sign = d // det_a
+        assert (r, d) == (tuple(tuple(sign * x for x in row) for row in ref), sign * det_a)
+        # the roots read every cone's basis, each built once
+        demazure_roots(pf)
+        demazure_roots.__wrapped__(pf)
+        assert assembled() == len(pf.max_cones)
 
     def test_never_assembled_unread(self, fans, assembled):
-        # validation, smoothness and equality read no walked cone's R
+        # validation, smoothness and equality build no cone's R
         pf = product_fan(fans["P2"], fans["F1"])
         assert pf.validation.ok and is_smooth(pf)
         cones = [pf.cone(c) for c in pf.max_cones]
-        assert all(abs(c.det) == 1 for c in cones)
         assert cones[1] == cone_from_rays(cones[1].rays, pf.rank)
-        assert assembled == []
+        assert assembled() == 0

@@ -1,8 +1,11 @@
 """Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`, which together cost a fresh interpreter about 20 ms.  pytest
-imports both itself, so the check runs in a new interpreter."""
+imports both itself, so the check runs in a new interpreter.  Every
+module imports only names it uses."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,3 +23,22 @@ def test_import_loads_no_dataclasses_or_inspect():
     done = subprocess.run([sys.executable, "-c", CHECK], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export, so it is left out
+    unused = []
+    for path in sorted(pathlib.Path(toricaut.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -13,7 +13,7 @@ import toricaut
 from toricaut.cli import fan_from_document, parse_fan
 from toricaut.corpus import corpus
 from toricaut.fan import Fan, IncompleteFanError, is_complete, product_fan, transform_fan
-from toricaut import lattice, structure
+from toricaut import fan as fan_module, lattice, structure
 from toricaut.lattice import (
     det,
     identity_matrix,
@@ -431,24 +431,37 @@ class TestDecompose:
         assert any(len(fan.max_cones[0]) > fan.rank for fan in tested)
 
     def test_one_basis_and_one_elimination_per_split(self, fans, monkeypatch):
-        # one Hermite form per block search (the first maximal cone's
-        # pivots) and no determinant: a split's inverse decides direct_sum;
-        # fresh fans, since each fan keeps its decomposition
+        # the block search reads the first maximal cone's basis off its fan
+        # (Fan.cone_basis): a validated simplicial fan's wall walk has
+        # inverted it, so the search makes no Hermite form and no
+        # elimination; a split's own factor makes the one elimination its
+        # walk starts from, and cube5, whose first cone is not simplicial,
+        # one Hermite form for the cone's pivots and one elimination of
+        # them.  No determinant: a split's inverse decides direct_sum.
+        # Fresh fans, since each fan keeps its decomposition.
         tested = self._fans(corpus())
         for fan in tested:
             # validated before counting, so only decompose's own calls count
             assert is_complete(fan)
-        hermite, ray_blocks = lattice._hermite, structure._ray_blocks
-        forms, dets, per_search = [], [], []
+        validated = {id(fan) for fan in tested}
+        hermite, inverse, ray_blocks = lattice._hermite, lattice.scaled_inverse, structure._ray_blocks
+        forms, inverses, dets, per_search = [], [], [], []
 
         def counting_hermite(a):
             forms.append(a)
             return hermite(a)
 
+        def counting_inverse(a):
+            inverses.append(a)
+            return inverse(a)
+
         def counting_ray_blocks(fan):
-            before = len(forms)
+            before = len(forms), len(inverses)
             blocks = ray_blocks(fan)
-            per_search.append(len(forms) - before)
+            simplicial = len(fan.max_cones[0]) == fan.rank
+            expected = (0, 0 if id(fan) in validated else 1) if simplicial else (1, 1)
+            assert (len(forms) - before[0], len(inverses) - before[1]) == expected, fan
+            per_search.append(expected)
             return blocks
 
         def counting_det(a):
@@ -456,13 +469,15 @@ class TestDecompose:
             return det(a)
 
         monkeypatch.setattr(lattice, "_hermite", counting_hermite)
+        for module in (lattice, fan_module, structure):
+            monkeypatch.setattr(module, "scaled_inverse", counting_inverse)
         monkeypatch.setattr(structure, "_ray_blocks", counting_ray_blocks)
         for module in (lattice, structure):
             monkeypatch.setattr(module, "det", counting_det)
         for fan in tested:
             decompose(fan)
         assert dets == []
-        assert per_search == [1] * len(per_search) and len(per_search) > len(tested)
+        assert set(per_search) == {(0, 0), (0, 1), (1, 1)} and len(per_search) > len(tested)
 
     def test_direct_sum_bases(self, fans):
         for name in ("P1xP1", "P1xP2", "P2xP2", "P1xP1xP1"):
