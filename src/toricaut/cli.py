@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
@@ -455,10 +454,9 @@ COMMANDS = {
 }
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args keeps no
-    state between calls."""
+    """The command-line parser, for every argv that _plain_args does not
+    answer."""
     parser = argparse.ArgumentParser(
         prog="toricaut",
         description="Automorphism structure of complete toric varieties from their fans.")

@@ -12,7 +12,7 @@ Dual descriptions are computed exactly by the double description method
 purely combinatorial adjacency test on active sets that each new ray
 inherits from its two parents); one Hermite normal form of the
 constraint rows gives both the lineality and the independent rows the
-method starts from.  A simplicial full-dimensional cone is one
+method starts from.  A fan's simplicial full-dimensional cone is one
 elimination, A*R = d*I for its rays A, d = ±det A: its dual is the
 method's starting simplex, whose rays are the facet normals, so no
 Hermite form and no double description run on it.  A simplicial fan runs
@@ -20,11 +20,11 @@ one elimination and then one product per wall (Fan._walk), which tests
 the wall's sides, updates (R, d) to the neighbour's and gives the wall's
 relation.  The fan keeps each cone's (R, d) for the readers of its
 determinant and its basis (smoothness, and through Fan.cone_basis the
-roots' charts, the multiplicities and the decomposition), each of which
-reads |d| or sign(d).  The same engine bounds the root polytopes, as the
-extreme rays of their homogenisations in chart coordinates, where the
-unit rows are the starting simplex and nothing is inverted or put in
-Hermite form.
+roots' charts, the multiplicities, the isomorphism search's anchors and
+the decomposition), each of which reads |d| or sign(d).  The same engine
+bounds the root polytopes, as the extreme rays of their homogenisations
+in chart coordinates, where the unit rows are the starting simplex and
+nothing is inverted or put in Hermite form.
 Each fan keeps one table of its maximal cones' facets, each normal with
 the rays it kills.  The ridge certificate, from the walk's side tests or
 from the table grouped by ray set, proves a fan both valid and complete,
@@ -233,13 +233,10 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
 
     Non-extremal generators are discarded; the empty set gives the zero
     cone.  Raises NotStrictlyConvexError if the generators span a line.
-    rank independent generators cost one elimination, A*R = d*I for the
-    sorted rays A: the cone is simplicial, the generators are its rays,
-    and its dual is the starting simplex of the double description, with
-    the primitive columns of sign(d) * R as facet normals.  Any other
-    generators run the double description twice: once for the dual, and
-    once for the dual's dual, which drops the non-extremal generators and
-    finds any line.
+    The double description runs twice: once for the dual, and once for
+    the dual's dual, which drops the non-extremal generators and finds
+    any line.  A fan's simplicial full-dimensional cones are built by its
+    wall walk instead (Fan._walk), one product per wall.
     """
     prim = []
     seen = set()
@@ -253,12 +250,6 @@ def cone_from_rays(rays: Iterable[Sequence[int]], rank: int) -> Cone:
         if p not in seen:
             seen.add(p)
             prim.append(p)
-    if len(prim) == rank:
-        gens = tuple(sorted(prim))
-        inv, det_a = scaled_inverse(gens)
-        if inv is not None:
-            normals = tuple(sorted(_simplex_rays(zip(*inv), det_a)))
-            return Cone(rank=rank, rays=gens, facet_normals=normals, dim=rank)
     dual_gens, dual_lin = _cone_generators(prim, rank)
     normals = set(dual_gens)
     for b in dual_lin:
@@ -412,7 +403,7 @@ class Fan:
         outside the span of the rays before them) with one elimination;
         None when the cone is not full dimensional.  Kept on the fan, so
         the roots' charts, the isomorphism search's multiplicities and
-        the decomposition's blocks read one basis per cone."""
+        anchors, and the decomposition's blocks read one basis per cone."""
         walked = self._walk.inverses.get(c)
         if walked is not None:
             cols, d = walked

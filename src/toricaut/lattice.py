@@ -242,13 +242,6 @@ def scaled_inverse(a: Mat) -> tuple:
     return tuple(tuple(r[n:]) for r in aug), prev
 
 
-def invert_unimodular(u: Mat) -> Mat:
-    r, d = scaled_inverse(u)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(d * x for x in row) for row in r)
-
-
 def _saturated(rows: Sequence[Vec], n: int) -> bool:
     """Do the k integer rows of length n extend to a basis of Z^n?
 
@@ -261,26 +254,3 @@ def _saturated(rows: Sequence[Vec], n: int) -> bool:
         return False
     h = _hermite(transpose(rows, n))[0]
     return all(h[i][i] == 1 for i in range(len(rows)))
-
-
-def complete_to_unimodular(rows: Mat, n: int) -> Mat:
-    """Extend a basis of a saturated sublattice to an n x n unimodular matrix.
-
-    The given rows come first.  Raises if the rows do not generate a
-    saturated sublattice of full row rank.
-    """
-    rows = mat(rows)
-    d = len(rows)
-    if d == 0:
-        return identity_matrix(n)
-    if any(len(r) != n for r in rows):
-        raise ValueError("wrong ambient rank")
-    h, u = _hermite(transpose(rows, n))
-    if sum(1 for r in h if any(r)) != d:
-        raise ValueError("rows are not linearly independent")
-    # rows^T = U^-1 * H, so rows = T^T * V[:d] for the top block T of H and
-    # V = (U^T)^-1; the independent rows are saturated exactly when every
-    # pivot of T is 1, and then T, reduced above its pivots, is I
-    if any(h[i][i] != 1 for i in range(d)):
-        raise ValueError("rows do not generate a saturated sublattice")
-    return rows + invert_unimodular(transpose(u))[d:]

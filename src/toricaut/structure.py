@@ -1,26 +1,24 @@
 """Fan isomorphisms and automorphisms, indecomposable factorization, and
 the product/wreath structure of the automorphism group.
 
-The isomorphism search assigns images to a spanning set of anchor rays,
-backtracking with pruning by profiles of rays and ray pairs that any
-lattice isomorphism preserves: the faces through them, and their terms
-in the relations between adjacent simplicial cones, listed for a pair
-only when the search compares it.  The relations come from the fan's
-wall walk, one product per wall made while the fan was validated, so
-the search inverts no cone for them.  The anchors are the independent rays
-of one maximal cone, the one whose rays have the fewest candidate images
-(then of the other rays, when that cone does not span), a first step
-toward the leaf pruning of McKay-Piperno (J. Symbolic Comput. 60, 2014):
-on a blow-up of P3 by 24 star subdivisions the search tests 2 leaves
-instead of 4,080, and on F1^3, whose face lattice is that of P1^6, 48
-instead of 46,080.  It
-inverts the anchor rays once per search, as an integer matrix R and
-d = ±det with A*R = d*I, so each leaf costs one integer product R*B and a
-divisibility test by d; a candidate is kept only if it is integral,
-unimodular and carries the whole cone set bijectively onto the target's.
-When the rays do not span N, both fans' rays are first written in
-coordinates of their saturated spans, once per search, and the anchors
-are inverted there.
+The isomorphism search maps one complete fan onto another.  It assigns
+images to anchor rays, backtracking with pruning by profiles of rays and
+ray pairs that any lattice isomorphism preserves: the faces through them,
+and their terms in the relations between adjacent simplicial cones,
+listed for a pair only when the search compares it.  The relations come
+from the fan's wall walk, one product per wall made while the fan was
+validated, so the search inverts no cone for them.  The anchors are the
+basis the fan keeps for one maximal cone (Fan.cone_basis), the one whose
+rays have the fewest candidate images, a first step toward the leaf
+pruning of McKay-Piperno (J. Symbolic Comput. 60, 2014): on a blow-up of
+P3 by 24 star subdivisions the search tests 2 leaves instead of 4,080,
+and on F1^3, whose face lattice is that of P1^6, 48 instead of 46,080.
+The fan keeps the anchors' integer matrix R and d = ±det with A*R = d*I
+(the wall walk's, or one elimination of a non-simplicial cone's pivots),
+so the search inverts nothing, and each leaf costs one integer product
+R*B and a divisibility test by d; a candidate is kept only if it is
+integral, unimodular and carries the whole cone set bijectively onto the
+target's.
 
 Decomposition seeds blocks with the connected components of the ray
 configuration's linear matroid, read off the fundamental circuits of the
@@ -40,7 +38,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .fan import (
     Fan,
-    is_complete,
     is_simplicial,
     is_smooth,
     per_fan,
@@ -51,12 +48,9 @@ from .fan import (
 from .lattice import (
     Mat,
     Vec,
-    _pivots_and_kernel,
-    complete_to_unimodular,
     det,
     hermite_normal_form,
     identity_matrix,
-    invert_unimodular,
     mat,
     mat_mul,
     scaled_inverse,
@@ -79,22 +73,20 @@ class FanIsomorphism(NamedTuple):
 
 
 def invariant_vector(fan: Fan) -> tuple:
-    """Cheap isomorphism invariants used to short-circuit searches."""
-    complete = is_complete(fan)
+    """Cheap isomorphism invariants of a complete fan, used to
+    short-circuit searches."""
     counts = tuple(len(fan.cones_of_dim(d)) for d in range(fan.rank + 1))
-    nroots = len(demazure_roots(fan)) if complete else -1
     return (fan.rank, len(fan.rays), counts, is_smooth(fan), is_simplicial(fan),
-            complete, nroots)
+            len(demazure_roots(fan)))
 
 
+@per_fan
 def _multiplicity(fan: Fan, c: tuple) -> int:
     """The index in N of the lattice spanned by a maximal cone's rays: |d|
     of a simplicial cone's Fan.cone_basis, and otherwise the product of
-    the pivots of one Hermite form of the rays.  A GL(n, Z) invariant,
-    like the 0 given to a cone of lower dimension."""
+    the pivots of one Hermite form of the rays, kept on the fan.  A
+    GL(n, Z) invariant."""
     basis = fan.cone_basis(c)
-    if basis is None:
-        return 0
     if basis[0] == c:
         return abs(basis[2])
     h, _ = hermite_normal_form([fan.rays[i] for i in c])
@@ -191,28 +183,16 @@ _NO_PAIR = ((), (), ())
 def _least_cone(fan: Fan, single: list) -> tuple:
     """(product, cone) for the maximal cone whose rays have the fewest
     candidate images: the least product of their single-profile class
-    sizes, ties broken by the least index tuple."""
+    sizes, ties broken by the least index tuple.  The class sizes come
+    from the profiles, GL(n, Z) invariants, so the bound on the leaves
+    does not depend on the lattice basis."""
     count = Counter(single)
     size = [count[p] for p in single]
     return min((math.prod([size[i] for i in c]), c) for c in fan.max_cones)
 
 
-def _cone_anchor_indices(fan: Fan, single: list) -> list:
-    """The pivots of the rays of one maximal cone, then of the other rays:
-    the rays, in that order, outside the span of the rays before them.
-
-    The cone is _least_cone's.  On a complete fan its rays span N, so
-    every anchor is a ray of that cone.  The class sizes come from the
-    profiles, GL(n, Z) invariants, so the bound on the leaves does not
-    depend on the lattice basis.
-    """
-    cone = _least_cone(fan, single)[1]
-    order = list(cone) + [i for i in range(len(fan.rays)) if i not in cone]
-    return [order[p] for p in _pivots_and_kernel([fan.rays[i] for i in order], fan.rank)[0]]
-
-
 def _candidate_matrix(inverse: Mat, d: int, images: Sequence[Vec]) -> Optional[Mat]:
-    """The unimodular U with A*U = B, given R = d*A^-1 from `scaled_inverse`
+    """The unimodular U with A*U = B, given R = d*A^-1 from Fan.cone_basis
     and the image rows B; None unless R*B/d is integral and unimodular."""
     cols = tuple(zip(*images))
     rows = []
@@ -249,32 +229,15 @@ def _check_iso(f1: Fan, f2: Fan, u: Mat) -> Optional[FanIsomorphism]:
 def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
     if f1.rank != f2.rank:
         return []
-    f1.require_valid()
-    f2.require_valid()
+    for f in (f1, f2):
+        require_complete(f, "isomorphisms are searched between complete fans")
     if f1 is not f2 and invariant_vector(f1) != invariant_vector(f2):
-        return []
-    n = f1.rank
-    if not f1.rays:
-        if f1.max_cones == f2.max_cones:
-            return [FanIsomorphism(matrix=identity_matrix(n), ray_permutation=())]
         return []
     single1, pair1 = _ray_profiles(f1)
     single2, pair2 = (single1, pair1) if f1 is f2 else _ray_profiles(f2)
-    anchors = _cone_anchor_indices(f1, single1)
-    d = len(anchors)
-    anchor_rows, rays2 = tuple(f1.rays[i] for i in anchors), f2.rays
-    if d < n:
-        # the rays span a proper subspace: take them in the first d
-        # coordinates of a unimodular frame V per fan, whose first d rows
-        # are a basis of the saturated span of its rays, W = V^-1
-        bases = [span_saturation_basis(f.rays, n) for f in (f1, f2)]
-        if len(bases[1]) != d:
-            return []
-        v1, v2 = (complete_to_unimodular(b, n) for b in bases)
-        w1, w2 = invert_unimodular(v1), invert_unimodular(v2)
-        anchor_rows = tuple(vec_mat(r, w1)[:d] for r in anchor_rows)
-        rays2 = tuple(vec_mat(r, w2)[:d] for r in f2.rays)
-    inverse, scale = scaled_inverse(anchor_rows)
+    # the anchors are a basis of the least cone, with A*R = d*I kept by f1
+    anchors, inverse, scale = f1.cone_basis(_least_cone(f1, single1)[1])
+    n = len(anchors)
     classes: dict = {}
     for b, profile in enumerate(single2):
         classes.setdefault(profile, []).append(b)
@@ -286,14 +249,12 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
     results = []
 
     def backtrack(pos: int, chosen: list, rows: list):
-        if pos == d:
+        if pos == n:
             # distinct leaves give distinct U: the anchors are independent,
             # and a valid fan repeats no ray, so their images differ
-            u = _candidate_matrix(inverse, scale, tuple(rays2[b] for b in chosen))
+            u = _candidate_matrix(inverse, scale, tuple(f2.rays[b] for b in chosen))
             if u is None:
                 return False
-            if d < n:
-                u = mat_mul(w1, mat_mul(u, v2[:d]) + v2[d:])
             iso = _check_iso(f1, f2, u)
             if iso is None:
                 return False
@@ -316,10 +277,11 @@ def _isomorphism_search(f1: Fan, f2: Fan, find_all: bool) -> list:
 
 
 def fan_isomorphism(f1: Fan, f2: Fan) -> Optional[FanIsomorphism]:
-    """Some isomorphism f1 -> f2, or None; the first hit in search order:
-    the anchors are the independent rays of one maximal cone of f1 (see
-    _cone_anchor_indices), and their images are tried by increasing
-    target ray index."""
+    """Some isomorphism f1 -> f2 of complete fans, or None; the first hit
+    in search order: the anchors are the basis Fan.cone_basis keeps for
+    one maximal cone of f1 (see _least_cone), and their images are tried
+    by increasing target ray index.  Raises FanValidationError unless both
+    fans are valid, and IncompleteFanError unless both are complete."""
     found = _isomorphism_search(f1, f2, find_all=False)
     return found[0] if found else None
 

@@ -424,13 +424,13 @@ class TestArguments:
     and rejects every other argv."""
 
     @staticmethod
-    def argparse_result(argv) -> tuple:
-        """(vars of argparse's Namespace, or None if it exits; its stdout
+    def argparse_result(parser, argv) -> tuple:
+        """(vars of the parser's Namespace, or None if it exits; its stdout
         and stderr)."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                parsed = vars(cli.build_parser().parse_args(argv))
+                parsed = vars(parser.parse_args(argv))
             except SystemExit:
                 parsed = None
         return parsed, out.getvalue(), err.getvalue()
@@ -439,13 +439,15 @@ class TestArguments:
         rng = random.Random(3301)
         tokens = list(cli.COMMANDS) + ["a.fan", "b.fan", "roots", "--json", "--json", "-h",
                                        "--js", "-o", "--", "-", ""]
+        # parse_args keeps no state between calls, so one parser serves all
+        parser = cli.build_parser()
         plain = exits = 0
         for _ in range(3000):
             argv = [rng.choice(tokens) for _ in range(rng.randrange(6))]
             if rng.random() < 0.5 and argv:
                 argv[0] = rng.choice(list(cli.COMMANDS))
             fast = cli._plain_args(list(argv))
-            parsed, _, _ = self.argparse_result(argv)
+            parsed, _, _ = self.argparse_result(parser, argv)
             if fast is not None:
                 assert vars(fast) == parsed, argv
                 plain += 1

@@ -32,6 +32,7 @@ from toricaut.lattice import det, identity_matrix, mat_mul, pairing, primitive
 from toricaut.roots import _ray_charts, demazure_roots, product_chart_roots
 from toricaut.structure import (
     _group_factors,
+    _multiplicity,
     _wall_relations,
     aut_structure_report,
     decompose,
@@ -129,9 +130,10 @@ class TestConeFromRays:
 
 
 class TestSimplicialCones:
-    """rank independent generators take one elimination instead of the
-    double description: the facet normals are the primitive columns of
-    sign(d) * R, and the cone's fan keeps (R, d)."""
+    """On rank independent generators the double description gives the
+    cone that the wall walk of its one-cone fan builds from one
+    elimination: the facet normals are the primitive columns of
+    sign(d) * R, and the fan keeps (R, d)."""
 
     @staticmethod
     def generators(rng, n, k):
@@ -762,8 +764,7 @@ class TestInvariants:
                            for r in cone.rays for g in cone.facet_normals)
 
     def test_transform_roundtrip(self, fans):
-        from util import random_unimodular
-        from toricaut.lattice import invert_unimodular
+        from util import invert_unimodular, random_unimodular
         rng = random.Random(3)
         for name in ("P2", "F1", "P1xP2"):
             fan = fans[name]
@@ -776,9 +777,10 @@ class TestPerFanMemo:
     on the same fan reads them, an equal but distinct fan computes its own,
     and dropping the fan frees them."""
 
-    MEMOS = ((Fan.cone_basis, ((0, 1),)), (_ray_charts, ()), (demazure_roots, ()),
-             (fan_automorphisms, ()), (decompose, ()), (_group_factors, ()),
-             (aut_structure_report, ()), (ray_witness, (0,)), (dual_monomials, ((0, 1), 1)))
+    MEMOS = ((Fan.cone_basis, ((0, 1),)), (_multiplicity, ((0, 1),)), (_ray_charts, ()),
+             (demazure_roots, ()), (fan_automorphisms, ()), (decompose, ()),
+             (_group_factors, ()), (aut_structure_report, ()), (ray_witness, (0,)),
+             (dual_monomials, ((0, 1), 1)))
 
     def test_a_second_call_on_the_same_fan_is_a_hit(self):
         fan, equal = corpus()["P2"], corpus()["P2"]

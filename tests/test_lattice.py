@@ -11,7 +11,6 @@ from toricaut.lattice import (
     gcd_vec,
     hermite_normal_form,
     identity_matrix,
-    invert_unimodular,
     is_unimodular,
     mat,
     mat_mul,
@@ -22,7 +21,13 @@ from toricaut.lattice import (
     vec_add,
 )
 
-from util import greedy_independent_rows, halfspace_cone_generators, minors_gcd, random_unimodular
+from util import (
+    greedy_independent_rows,
+    halfspace_cone_generators,
+    invert_unimodular,
+    minors_gcd,
+    random_unimodular,
+)
 
 
 def int_matrix(max_dim=4, bound=9):

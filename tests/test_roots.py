@@ -10,7 +10,7 @@ import pytest
 from toricaut import fan as fan_module, lattice, roots as roots_module
 from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import Fan, IncompleteFanError, product_fan, transform_fan
-from toricaut.lattice import det, identity_matrix, invert_unimodular, mat_mul, pairing, transpose, vec_mat, vec_neg
+from toricaut.lattice import det, identity_matrix, mat_mul, pairing, transpose, vec_mat, vec_neg
 from toricaut.roots import (
     RootPolytope,
     _lifted_candidates,
@@ -25,6 +25,7 @@ from toricaut.roots import (
 from util import (
     COMPLETE_FIXTURES,
     greedy_independent_rows,
+    invert_unimodular,
     random_blow_up,
     random_complete_fan_rank2,
     random_unimodular,

@@ -1,7 +1,8 @@
 """Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`, which together cost a fresh interpreter about 20 ms.  pytest
 imports both itself, so the check runs in a new interpreter.  Every
-module imports only names it uses."""
+module imports only names it uses, and every function and class a module
+defines is read elsewhere in the package or exported."""
 
 import ast
 import os
@@ -42,3 +43,24 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_helper_is_read():
+    # each top-level function and class of a module is read by name in
+    # the package outside its own body, unless the package exports it
+    package = pathlib.Path(toricaut.__file__).parent
+    exempt = set(toricaut.__all__) | {"corpus.corpus"}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    defined = [(module, node) for module, tree in trees.items() if module != "__init__"
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    unread = []
+    for module, node in defined:
+        if node.name in exempt or f"{module}.{node.name}" in exempt:
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(isinstance(n, ast.Name) and n.id == node.name and id(n) not in inside
+                   for tree in trees.values() for n in ast.walk(tree)):
+            unread.append(f"{module}.{node.name}")
+    assert unread == []

@@ -12,12 +12,18 @@ import pytest
 import toricaut
 from toricaut.cli import fan_from_document, parse_fan
 from toricaut.corpus import corpus
-from toricaut.fan import Fan, IncompleteFanError, is_complete, product_fan, transform_fan
-from toricaut import fan as fan_module, lattice, structure
+from toricaut.fan import (
+    Fan,
+    FanValidationError,
+    IncompleteFanError,
+    is_complete,
+    product_fan,
+    transform_fan,
+)
+from toricaut import fan as fan_module, lattice, roots as roots_module, structure, symbolic
 from toricaut.lattice import (
     det,
     identity_matrix,
-    invert_unimodular,
     is_unimodular,
     mat_mul,
     rank_of,
@@ -35,9 +41,11 @@ from toricaut.structure import (
 from toricaut.symbolic import lie_dimension
 
 from util import (
+    COMPLETE_FIXTURES,
     automorphism_order_oracle,
     compose,
     inverse,
+    invert_unimodular,
     minors_gcd,
     random_blow_up,
     random_complete_fan_rank2,
@@ -137,12 +145,13 @@ class TestAnchorInverse:
     def test_anchor_determinant_above_one(self):
         # the multiplicities in the ray profiles set (1, 0), whose cones
         # both have multiplicity 2, apart from (-1, ±2): the anchors are the
-        # rays (-1, -2), (1, 0) of the first cone with fewest candidate
-        # images, d = ±2
+        # basis the fan keeps for the first cone with fewest candidate
+        # images, its rays (-1, -2), (1, 0) with d = ±2
         fan = self.NON_SMOOTH
-        anchors = structure._cone_anchor_indices(fan, structure._ray_profiles(fan)[0])
+        cone = structure._least_cone(fan, structure._ray_profiles(fan)[0])[1]
+        anchors, _, d = fan.cone_basis(cone)
         assert [fan.rays[i] for i in anchors] == [(-1, -2), (1, 0)]
-        assert abs(det(tuple(fan.rays[i] for i in anchors))) == 2
+        assert abs(d) == abs(det(tuple(fan.rays[i] for i in anchors))) == 2
         assert len(fan_automorphisms(fan)) == 2
 
     def test_orders_against_bijection_oracle(self, fans):
@@ -184,33 +193,21 @@ class TestFanIsomorphism:
         assert fan_isomorphism(fans["F1"], fans["F2"]) is None
         assert fan_isomorphism(fans["F0"], fans["F1"]) is None
 
-    def test_non_spanning_extension_path(self):
-        f1 = Fan(2, [(1, 0)], [(0,)])
-        f2 = Fan(2, [(0, 1)], [(0,)])
-        iso = fan_isomorphism(f1, f2)
-        assert iso is not None
-        assert vec_mat((1, 0), iso.matrix) == (0, 1)
-        from toricaut.lattice import det
-        assert abs(det(iso.matrix)) == 1
-
     # complete rank-2 fans whose rays generate sublattices of index 2 and 3
     SQUARE = Fan(2, [(1, 1), (1, -1), (-1, 1), (-1, -1)], [(0, 1), (0, 2), (1, 3), (2, 3)])
     P2_MOD_3 = Fan(2, [(2, 1), (-1, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
 
     def test_non_spanning_conjugates(self, fans):
+        # the rays generate N, or a sublattice of index 2 or 3 (SQUARE,
+        # P2_MOD_3): each fan against seeded conjugates in its own rank
         rng = random.Random(614)
         bases = [fans["P1"], fans["P2"], fans["F1"], fans["P112"], fans["P3"],
                  random_complete_fan_rank2(rng), self.SQUARE, self.P2_MOD_3]
         indices = set()
-        for base in bases:
-            d = base.rank
-            for n in range(d + 1, 5):
-                # a saturated embedding Z^d -> Z^n keeps the rays primitive and
-                # the index of the lattice they generate in its saturation
-                embed = random_unimodular(rng, n)[:d]
-                fan = Fan(n, [vec_mat(r, embed) for r in base.rays], base.max_cones)
-                indices.add(minors_gcd(fan.rays, d))
-                conj = transform_fan(fan, random_unimodular(rng, n))
+        for fan in bases:
+            indices.add(minors_gcd(fan.rays, fan.rank))
+            for _ in range(3):
+                conj = transform_fan(fan, random_unimodular(rng, fan.rank))
                 for f1, f2 in ((fan, conj), (conj, fan)):
                     iso = fan_isomorphism(f1, f2)
                     assert iso is not None, (f1.rays, f2.rays)
@@ -219,9 +216,37 @@ class TestFanIsomorphism:
                         assert vec_mat(r, iso.matrix) == f2.rays[iso.ray_permutation[i]]
         assert indices == {1, 2, 3}
 
-    def test_trivial_fans(self):
-        iso = fan_isomorphism(Fan(2, [], []), Fan(2, [], []))
-        assert iso is not None and iso.matrix == identity_matrix(2)
+    def test_needs_complete_fans(self, fans):
+        # a valid fan that is not complete raises in either position, also
+        # against a complete fan of its rank: a single ray, no ray at all,
+        # and complete fans put in a larger lattice by a saturated
+        # embedding, with a seeded conjugate of each
+        rng = random.Random(614)
+        bases = [fans["P1"], fans["P2"], fans["F1"], fans["P112"], fans["P3"],
+                 random_complete_fan_rank2(rng), self.SQUARE, self.P2_MOD_3]
+        pairs = [(Fan(2, [(1, 0)], [(0,)]), Fan(2, [(0, 1)], [(0,)])), (Fan(2, [], []),) * 2]
+        for base in bases:
+            for n in range(base.rank + 1, 5):
+                embed = random_unimodular(rng, n)[:base.rank]
+                fan = Fan(n, [vec_mat(r, embed) for r in base.rays], base.max_cones)
+                pairs.append((fan, transform_fan(fan, random_unimodular(rng, n))))
+        complete = {2: fans["P2"], 3: fans["P3"], 4: fans["P2xP2"]}
+        for pair in pairs:
+            other = complete[pair[0].rank]
+            for fan in pair:
+                assert fan.validation.ok and not is_complete(fan), fan.rays
+            for f1, f2 in (pair, pair[::-1], (pair[0], other), (other, pair[1])):
+                with pytest.raises(IncompleteFanError):
+                    fan_isomorphism(f1, f2)
+        assert len(pairs) == 2 + 16
+        invalid = fan_from_document(parse_fan((FIXTURES / "pyramid_swapped.fan").read_text()))
+        for f1, f2 in ((invalid, invalid), (invalid, fans["P3"]), (fans["P3"], invalid)):
+            with pytest.raises(FanValidationError):
+                fan_isomorphism(f1, f2)
+        # the rank-0 complete fan maps to itself by the empty matrix
+        point = Fan(0, [], [()])
+        assert is_complete(point)
+        assert fan_isomorphism(point, point) == structure.FanIsomorphism((), ())
 
 
 class TestConeAnchors:
@@ -313,31 +338,27 @@ class TestConeAnchors:
 
 
 class TestOneFramePerSearch:
-    """When the rays span a proper subspace, the search writes both fans'
-    rays in saturated-span coordinates once, and every leaf is the same
-    integer product as for spanning rays."""
+    """Each search reads its frame, the anchors with A*R = d*I, and the
+    cones' multiplicities from the fan, so that a second search on a fan
+    makes no elimination and no Hermite form."""
 
-    def _count_completions(self, monkeypatch):
-        calls = []
-        complete = structure.complete_to_unimodular
-        monkeypatch.setattr(structure, "complete_to_unimodular",
-                            lambda *args: calls.append(args) or complete(*args))
-        return calls
-
-    def test_two_completions_per_non_spanning_search(self, fans, monkeypatch):
-        calls, searches = self._count_completions(monkeypatch), []
-        search = structure._isomorphism_search
-        monkeypatch.setattr(structure, "_isomorphism_search",
-                            lambda f1, f2, find_all: searches.append(f1) or search(f1, f2, find_all))
-        TestFanIsomorphism().test_non_spanning_conjugates(fans)
-        assert len(searches) == 32 and len(calls) == 2 * len(searches)
-
-    def test_no_completion_on_complete_fans(self, fans, monkeypatch):
-        calls = self._count_completions(monkeypatch)
-        for fan in fans.values():
+    def test_a_second_search_makes_no_elimination(self, fans, monkeypatch):
+        documents = [FIXTURES / f"{name}.fan" for name in COMPLETE_FIXTURES]
+        tested = list(fans.values()) + [fan_from_document(parse_fan(path.read_text()))
+                                        for path in documents]
+        forms, inverses = [], []
+        hermite, scaled = lattice._hermite, lattice.scaled_inverse
+        for fan in tested:
             # bypass the memo so that the search itself runs
             assert fan_automorphisms.__wrapped__(fan)
-        assert calls == []
+        monkeypatch.setattr(lattice, "_hermite", lambda a: forms.append(a) or hermite(a))
+        for module in (lattice, fan_module, roots_module, structure, symbolic):
+            monkeypatch.setattr(module, "scaled_inverse",
+                                lambda a: inverses.append(a) or scaled(a))
+        for fan in tested:
+            assert fan_automorphisms.__wrapped__(fan)
+            assert (forms, inverses) == ([], []), fan
+        assert "cube5" in COMPLETE_FIXTURES and len(tested) == len(fans) + 8
 
     def test_matrices_pairwise_distinct(self, fans):
         # distinct anchor images give distinct matrices, so the search

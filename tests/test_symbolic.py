@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from toricaut.cli import fan_from_document, parse_fan
 from toricaut.fan import Fan, product_fan, transform_fan
 from toricaut.lattice import (
-    invert_unimodular,
     mat_mul,
     pairing,
     primitive,
@@ -49,6 +48,7 @@ from util import (
     degrees_by_fill,
     dual_samples_by_vectors,
     infinitesimal_by_expansion,
+    invert_unimodular,
     parallelepiped_points_oracle,
     random_unimodular,
     regularity_by_vectors,

@@ -18,17 +18,16 @@ from toricaut.fan import (
 )
 from toricaut.lattice import (
     _checked_rows,
-    complete_to_unimodular,
     det,
     hermite_normal_form,
     identity_matrix,
-    invert_unimodular,
     mat,
     mat_mul,
     pairing,
     primitive,
     rank_of,
     right_kernel_basis,
+    scaled_inverse,
     transpose,
     vec,
     vec_add,
@@ -155,6 +154,37 @@ def random_unimodular(rng, n, steps=8):
     result = mat(m)
     assert abs(det(result)) == 1
     return result
+
+
+def invert_unimodular(u):
+    """U^-1 for a unimodular U, from its scaled inverse."""
+    r, d = scaled_inverse(u)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(d * x for x in row) for row in r)
+
+
+def complete_to_unimodular(rows, n):
+    """Extend a basis of a saturated sublattice to an n x n unimodular matrix.
+
+    The given rows come first.  Raises if the rows do not generate a
+    saturated sublattice of full row rank.
+    """
+    rows = mat(rows)
+    d = len(rows)
+    if d == 0:
+        return identity_matrix(n)
+    if any(len(r) != n for r in rows):
+        raise ValueError("wrong ambient rank")
+    h, u = hermite_normal_form(transpose(rows, n))
+    if sum(1 for r in h if any(r)) != d:
+        raise ValueError("rows are not linearly independent")
+    # rows^T = U^-1 * H, so rows = T^T * V[:d] for the top block T of H and
+    # V = (U^T)^-1; the independent rows are saturated exactly when every
+    # pivot of T is 1, and then T, reduced above its pivots, is I
+    if any(h[i][i] != 1 for i in range(d)):
+        raise ValueError("rows do not generate a saturated sublattice")
+    return rows + invert_unimodular(transpose(u))[d:]
 
 
 def weighted_projective_fan(q):
