@@ -216,37 +216,51 @@ class TestFanIsomorphism:
                         assert vec_mat(r, iso.matrix) == f2.rays[iso.ray_permutation[i]]
         assert indices == {1, 2, 3}
 
-    def test_needs_complete_fans(self, fans):
-        # a valid fan that is not complete raises in either position, also
-        # against a complete fan of its rank: a single ray, no ray at all,
-        # and complete fans put in a larger lattice by a saturated
-        # embedding, with a seeded conjugate of each
+    def _embedded_pairs(self, fans):
+        # complete fans put in a larger lattice by a saturated embedding,
+        # each with a seeded conjugate: valid, and not complete
         rng = random.Random(614)
         bases = [fans["P1"], fans["P2"], fans["F1"], fans["P112"], fans["P3"],
                  random_complete_fan_rank2(rng), self.SQUARE, self.P2_MOD_3]
-        pairs = [(Fan(2, [(1, 0)], [(0,)]), Fan(2, [(0, 1)], [(0,)])), (Fan(2, [], []),) * 2]
+        pairs = []
         for base in bases:
             for n in range(base.rank + 1, 5):
                 embed = random_unimodular(rng, n)[:base.rank]
                 fan = Fan(n, [vec_mat(r, embed) for r in base.rays], base.max_cones)
                 pairs.append((fan, transform_fan(fan, random_unimodular(rng, n))))
-        complete = {2: fans["P2"], 3: fans["P3"], 4: fans["P2xP2"]}
-        for pair in pairs:
-            other = complete[pair[0].rank]
-            for fan in pair:
-                assert fan.validation.ok and not is_complete(fan), fan.rays
-            for f1, f2 in (pair, pair[::-1], (pair[0], other), (other, pair[1])):
-                with pytest.raises(IncompleteFanError):
-                    fan_isomorphism(f1, f2)
-        assert len(pairs) == 2 + 16
+        assert len(pairs) == 16
+        return pairs
+
+    @staticmethod
+    def _assert_incomplete(fans, pair):
+        # a valid fan that is not complete raises in either position, also
+        # against a complete fan of its rank
+        other = {2: fans["P2"], 3: fans["P3"], 4: fans["P2xP2"]}[pair[0].rank]
+        for fan in pair:
+            assert fan.validation.ok and not is_complete(fan), fan.rays
+        for f1, f2 in (pair, pair[::-1], (pair[0], other), (other, pair[1])):
+            with pytest.raises(IncompleteFanError):
+                fan_isomorphism(f1, f2)
+
+    def test_non_spanning_extension_path(self, fans):
+        # one ray each: the search no longer extends a non-spanning frame
+        self._assert_incomplete(fans, (Fan(2, [(1, 0)], [(0,)]), Fan(2, [(0, 1)], [(0,)])))
+        for pair in self._embedded_pairs(fans):
+            self._assert_incomplete(fans, pair)
+
+    def test_trivial_fans(self, fans):
+        # no ray at all: not complete in rank 2, while the rank-0 complete
+        # fan maps to itself by the empty matrix
+        self._assert_incomplete(fans, (Fan(2, [], []),) * 2)
+        point = Fan(0, [], [()])
+        assert is_complete(point)
+        assert fan_isomorphism(point, point) == structure.FanIsomorphism((), ())
+
+    def test_invalid_fans_raise(self, fans):
         invalid = fan_from_document(parse_fan((FIXTURES / "pyramid_swapped.fan").read_text()))
         for f1, f2 in ((invalid, invalid), (invalid, fans["P3"]), (fans["P3"], invalid)):
             with pytest.raises(FanValidationError):
                 fan_isomorphism(f1, f2)
-        # the rank-0 complete fan maps to itself by the empty matrix
-        point = Fan(0, [], [()])
-        assert is_complete(point)
-        assert fan_isomorphism(point, point) == structure.FanIsomorphism((), ())
 
 
 class TestConeAnchors:
@@ -359,6 +373,27 @@ class TestOneFramePerSearch:
             assert fan_automorphisms.__wrapped__(fan)
             assert (forms, inverses) == ([], []), fan
         assert "cube5" in COMPLETE_FIXTURES and len(tested) == len(fans) + 8
+
+    def test_two_completions_per_non_spanning_search(self, fans, monkeypatch):
+        # the 32 searches on non-spanning rays now stop at the completeness
+        # check, which the fan keeps, before any Hermite form or elimination
+        searches, forms, inverses = [], [], []
+        search = structure._isomorphism_search
+        hermite, scaled = lattice._hermite, lattice.scaled_inverse
+        pairs = TestFanIsomorphism()._embedded_pairs(fans)
+        assert not any(is_complete(fan) for pair in pairs for fan in pair)
+        monkeypatch.setattr(structure, "_isomorphism_search",
+                            lambda f1, f2, find_all: searches.append(f1) or search(f1, f2, find_all))
+        monkeypatch.setattr(lattice, "_hermite", lambda a: forms.append(a) or hermite(a))
+        for module in (lattice, fan_module, roots_module, structure, symbolic):
+            monkeypatch.setattr(module, "scaled_inverse",
+                                lambda a: inverses.append(a) or scaled(a))
+        for pair in pairs:
+            for f1, f2 in (pair, pair[::-1]):
+                with pytest.raises(IncompleteFanError):
+                    fan_isomorphism(f1, f2)
+        assert len(searches) == 32
+        assert (forms, inverses) == ([], [])
 
     def test_matrices_pairwise_distinct(self, fans):
         # distinct anchor images give distinct matrices, so the search
